@@ -39,7 +39,7 @@
  *                   DESIGN.md section 10 for the overhead model.
  *   --generic-step  force the generic (virtual-dispatch) System::step
  *                   path instead of the preset-specialized one; the
- *                   two are bit-identical (DESIGN.md section 14), this
+ *                   two are bit-identical (DESIGN.md section 13), this
  *                   is a debugging escape hatch.
  *
  * The authoritative flag reference is docs/FLAGS.md, generated from
@@ -64,6 +64,7 @@
 #include <sys/resource.h>
 
 #include "cli/flag_docs.h"
+#include "exec/result_cache.h"
 #include "exec/schedule.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
@@ -73,7 +74,6 @@
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
-#include "svc/result_cache.h"
 #include "workload/profiles.h"
 
 namespace dcfb::bench {
@@ -112,7 +112,7 @@ simulateAll(const std::string &label, std::vector<sim::SystemConfig> configs,
     auto report = exec::runIndexed(
         label, configs.size(), jobs,
         [&](std::size_t i) {
-            out[i] = svc::simulateCached(configs[i], windows);
+            out[i] = exec::simulateCached(configs[i], windows);
         },
         [&](std::size_t i) {
             return configs[i].profile.name + "/" +
@@ -254,7 +254,7 @@ class Harness
                 }
             } else if (arg.rfind("--cache", 0) == 0) {
                 std::string dir = value("--cache");
-                if (auto opened = svc::ResultCache::openGlobal(dir);
+                if (auto opened = exec::ResultCache::openGlobal(dir);
                     !opened.ok()) {
                     std::fprintf(stderr, "%s\n",
                                  opened.error().render().c_str());
@@ -314,15 +314,16 @@ class Harness
             meta["cpu_sys_s"] = static_cast<double>(ru.ru_stime.tv_sec) +
                 static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
         }
-        if (svc::ResultCache *cache = svc::ResultCache::global()) {
-            svc::ResultCacheStats cs = cache->stats();
+        if (exec::ResultCache *cache = exec::ResultCache::global()) {
+            exec::ResultCacheStats cs = cache->stats();
             obs::JsonValue c = obs::JsonValue::object();
-            c["schema"] = svc::kCacheSchema;
+            c["schema"] = exec::kCacheSchema;
             c["dir"] = cache->dir();
             c["hits"] = cs.hits;
             c["misses"] = cs.misses;
             c["stores"] = cs.stores;
             c["rejects"] = cs.rejects;
+            c["tmp_reaped"] = cs.tmpReaped;
             meta["cache"] = std::move(c);
         }
         doc["meta"] = std::move(meta);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency lint (the CI docs job).
 
-Two checks, both over the committed tree (no build needed):
+Three checks, all over the committed tree (no build needed):
 
 1. Markdown link check: every relative link target in README.md,
    DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md and docs/*.md must
@@ -14,6 +14,13 @@ Two checks, both over the committed tree (no build needed):
    without a registry row -- or a registry row whose string vanished
    from the code -- fails.  (tests/ is excluded: negative-case tests
    mention deliberately-invalid versions.)
+
+3. Section-reference check: every `DESIGN.md section N` / `DESIGN.md §N`
+   reference (and every bare `§N` inside DESIGN.md itself) must name an
+   existing `## N.` heading of DESIGN.md.  Scanned: the live docs
+   (README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md) and src/, tools/,
+   bench/, tests/, scripts/.  CHANGES.md and ROADMAP.md are history and
+   keep the numbering of their day.
 
 Exit status: 0 clean, 1 with findings listed on stderr.
 """
@@ -38,6 +45,22 @@ CODE_SUFFIXES = {".h", ".cpp", ".py"}
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 SCHEMA_RE = re.compile(r"dcfb-[a-z]+-v[0-9]+")
+
+SECTION_DOCS = [
+    ROOT / "README.md",
+    ROOT / "DESIGN.md",
+    ROOT / "EXPERIMENTS.md",
+    *sorted((ROOT / "docs").glob("*.md")),
+]
+SECTION_CODE_DIRS = ["src", "tools", "bench", "tests", "scripts"]
+SECTION_CODE_SUFFIXES = CODE_SUFFIXES | {".txt"}
+HEADING_RE = re.compile(r"^## (\d+)\.", re.M)
+# "DESIGN.md section 9", "DESIGN.md §9" and chains like "DESIGN.md
+# §9/§11"; the gap may wrap across a comment line ("DESIGN.md\n *
+# section 4").
+SECTION_REF_RE = re.compile(
+    r"DESIGN\.md[\s*#/]*(?:section[\s*#/]+|§)(\d+(?:\s*/\s*§?\d+)*)")
+BARE_REF_RE = re.compile(r"§(\d+)")
 
 
 def check_links(errors):
@@ -107,17 +130,40 @@ def check_schemas(errors):
         )
 
 
+def check_section_refs(errors):
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    sections = set(HEADING_RE.findall(design))
+    files = list(SECTION_DOCS)
+    for d in SECTION_CODE_DIRS:
+        files += sorted(p for p in (ROOT / d).rglob("*")
+                        if p.is_file() and p.suffix in SECTION_CODE_SUFFIXES)
+    for path in files:
+        text = path.read_text(encoding="utf-8", errors="replace")
+        refs = [(m.start(), n) for m in SECTION_REF_RE.finditer(text)
+                for n in re.findall(r"\d+", m.group(1))]
+        if path.name == "DESIGN.md":
+            refs += [(m.start(), m.group(1))
+                     for m in BARE_REF_RE.finditer(text)]
+        for pos, number in refs:
+            if number not in sections:
+                line = text[:pos].count("\n") + 1
+                errors.append(
+                    f"{path.relative_to(ROOT)}:{line}: DESIGN.md section "
+                    f"{number} does not exist")
+
+
 def main():
     errors = []
     check_links(errors)
     check_schemas(errors)
+    check_section_refs(errors)
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
         print(f"doc_lint: {len(errors)} finding(s)", file=sys.stderr)
         return 1
-    print(f"doc_lint: {len(DOC_FILES)} documents, links and schema "
-          "registry clean")
+    print(f"doc_lint: {len(DOC_FILES)} documents, links, schema registry "
+          "and DESIGN.md section references clean")
     return 0
 
 

@@ -2,12 +2,12 @@
  * @file
  * Single source of truth for every user-facing command-line flag.
  *
- * The per-binary parsers (bench/bench_common.h, tools/dcfb_serve.cpp,
- * tools/dcfb_client.cpp) render their `--help`/usage text from these
- * tables, and `tools/dcfb-docgen` renders `docs/FLAGS.md` from the same
- * tables — so a flag added to a parser without a table entry is missing
- * from its own --help, and a table entry without regenerating the doc
- * fails the CI docs job (`dcfb-docgen --check docs/FLAGS.md`).
+ * The bench harness parser (bench/bench_common.h) renders its
+ * `--help`/usage text from these tables, and `tools/dcfb-docgen`
+ * renders `docs/FLAGS.md` from the same tables — so a flag added to the
+ * parser without a table entry is missing from its own --help, and a
+ * table entry without regenerating the doc fails the CI docs job
+ * (`dcfb-docgen --check docs/FLAGS.md`).
  */
 
 #ifndef DCFB_CLI_FLAG_DOCS_H
@@ -31,7 +31,7 @@ struct FlagDoc
 /** One binary (or subcommand) and its flags. */
 struct BinaryDoc
 {
-    std::string binary;      //!< e.g. "dcfb-serve"
+    std::string binary;      //!< e.g. "dcfb-golden"
     std::string synopsis;    //!< one-line invocation form
     std::string description; //!< short prose paragraph
     std::vector<FlagDoc> flags;

@@ -8,8 +8,6 @@
 #include <mutex>
 #include <vector>
 
-#include <unistd.h>
-
 #include "obs/json.h"
 
 namespace dcfb::obs {
@@ -46,16 +44,6 @@ struct ThreadSlot
 };
 
 thread_local ThreadSlot tlSlot;
-
-std::uint64_t
-idSalt()
-{
-    // Keep IDs unique across the processes that may write into one
-    // conceptual trace (dcfb-client + dcfb-serve).
-    static const std::uint64_t salt =
-        (static_cast<std::uint64_t>(::getpid()) & 0xffff) << 44;
-    return salt;
-}
 
 std::atomic<std::uint64_t> gNextId{1};
 
@@ -120,13 +108,13 @@ Spans::open(const Config &config)
 std::uint64_t
 Spans::newTraceId()
 {
-    return idSalt() | gNextId.fetch_add(1, std::memory_order_relaxed);
+    return gNextId.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t
 Spans::newSpanId()
 {
-    return idSalt() | gNextId.fetch_add(1, std::memory_order_relaxed);
+    return gNextId.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -337,35 +325,19 @@ Spans::close()
 
 // ------------------------------------------------------------- SpanScope
 
-void
-SpanScope::begin(std::uint64_t traceId, std::uint64_t parentId)
-{
-    trace = traceId ? traceId : Spans::newTraceId();
-    parent = parentId;
-    span = Spans::newSpanId();
-    startUs = Spans::nowUs();
-    SpanIds &cur = Spans::threadCurrent();
-    saved = cur;
-    cur = SpanIds{trace, span};
-    active = true;
-}
-
 SpanScope::SpanScope(const char *name_, std::string label_)
     : name(name_), label(std::move(label_))
 {
     if (!Spans::enabled())
         return;
-    SpanIds ambient = Spans::current();
-    begin(ambient.trace, ambient.span);
-}
-
-SpanScope::SpanScope(const char *name_, std::uint64_t traceId,
-                     std::uint64_t parentId, std::string label_)
-    : name(name_), label(std::move(label_))
-{
-    if (!Spans::enabled())
-        return;
-    begin(traceId, parentId);
+    SpanIds &cur = Spans::threadCurrent();
+    saved = cur;
+    trace = cur.trace ? cur.trace : Spans::newTraceId();
+    parent = cur.span;
+    span = Spans::newSpanId();
+    startUs = Spans::nowUs();
+    cur = SpanIds{trace, span};
+    active = true;
 }
 
 SpanScope::~SpanScope()

@@ -1,16 +1,13 @@
 /**
  * @file
- * End-to-end span tracer: RAII scopes with explicit trace / span /
- * parent IDs, exported as one Chrome trace-event (Perfetto-loadable)
- * timeline.
+ * Span tracer: RAII scopes with trace / span / parent IDs, exported as
+ * one Chrome trace-event (Perfetto-loadable) timeline.
  *
  * This is the wall-clock complement to the miss-attribution tracer
  * (obs/trace.h, cycle domain) and the cell profiler (obs/profiler.h,
  * aggregate walls): a span is one *timed region of real execution* --
- * a client submit, the daemon's admission handling, a job's queue
- * wait, a pool worker running `sim::simulate`, one simulated window --
- * and the IDs stitch those regions into per-request trees even across
- * the dcfb-svc-v1 protocol (`trace_id` / `parent_span` on the wire).
+ * a pool worker running one grid cell, `sim::simulate`, one simulated
+ * window -- and the IDs stitch those regions into per-cell trees.
  *
  * Recording model (DESIGN.md "Telemetry plane"):
  *
@@ -28,13 +25,11 @@
  *    span / parent IDs as hex strings.
  *
  * Ambient context: SpanScope maintains a thread-local {trace, span}
- * pair, so nested scopes parent automatically and code that crosses a
- * thread (the service's dispatcher and workers) or a process (client
- * -> daemon) re-roots with the explicit-ID constructor.
+ * pair, so nested scopes parent automatically.
  *
  * open()/close() must be called while no spans are being recorded
- * (tools open the sink before serving/simulating starts and close it
- * after shutdown) -- the same single-writer phase contract as
+ * (benches open the sink before simulating starts and close it after
+ * the grid finishes) -- the same single-writer phase contract as
  * obs::Tracing.
  */
 
@@ -95,8 +90,7 @@ class Spans
         return enabledFlag.load(std::memory_order_relaxed);
     }
 
-    /** Fresh process-unique IDs (PID-salted so client and daemon spans
-     *  written into one file cannot collide). */
+    /** Fresh process-unique IDs. */
     static std::uint64_t newTraceId();
     static std::uint64_t newSpanId();
 
@@ -113,9 +107,8 @@ class Spans
 
     /**
      * Record one completed span with explicit IDs and timestamps.
-     * Used where a span's endpoints live on different threads (the
-     * service reconstructs a job's queue-wait span at dispatch time);
-     * RAII call sites use SpanScope instead.
+     * Used for spans recorded retroactively (the simulator's phase
+     * spans); RAII call sites use SpanScope instead.
      */
     static void record(const char *name, std::uint64_t traceId,
                        std::uint64_t spanId, std::uint64_t parentId,
@@ -146,12 +139,6 @@ class SpanScope
      *  thread has none). */
     explicit SpanScope(const char *name_, std::string label_ = {});
 
-    /** Explicit parentage: re-root under @p traceId / @p parentId (IDs
-     *  that crossed a thread or the protocol).  traceId 0 starts a new
-     *  trace. */
-    SpanScope(const char *name_, std::uint64_t traceId,
-              std::uint64_t parentId, std::string label_ = {});
-
     ~SpanScope();
 
     SpanScope(const SpanScope &) = delete;
@@ -161,8 +148,6 @@ class SpanScope
     std::uint64_t spanId() const { return span; }
 
   private:
-    void begin(std::uint64_t traceId, std::uint64_t parentId);
-
     bool active = false;
     const char *name = "";
     std::string label;

@@ -113,135 +113,6 @@ parseFaultPlan(std::string_view spec)
     return plan;
 }
 
-const char *
-svcFaultKindName(SvcFaultKind kind)
-{
-    switch (kind) {
-      case SvcFaultKind::None:
-        return "none";
-      case SvcFaultKind::Drop:
-        return "drop";
-      case SvcFaultKind::Delay:
-        return "delay";
-      case SvcFaultKind::Truncate:
-        return "truncate";
-      case SvcFaultKind::Reset:
-        return "reset";
-    }
-    return "?";
-}
-
-namespace {
-
-Error
-svcSpecError(std::string_view spec, std::string why)
-{
-    Error err(ErrorKind::Fault, "bad --svc-inject spec: " + std::move(why));
-    err.with("spec", std::string(spec))
-        .with("syntax", "<kind>[:key=value[,key=value]...]")
-        .with("kinds", "drop | delay | truncate | reset | none")
-        .with("keys", "rate=<0..1>  delay_ms=<ms>  seed=<uint>");
-    return err;
-}
-
-} // namespace
-
-Expected<SvcFaultPlan>
-parseSvcFaultPlan(std::string_view spec)
-{
-    SvcFaultPlan plan;
-
-    std::string_view kind = spec;
-    std::string_view opts;
-    if (auto colon = spec.find(':'); colon != std::string_view::npos) {
-        kind = spec.substr(0, colon);
-        opts = spec.substr(colon + 1);
-        if (opts.empty())
-            return svcSpecError(spec, "trailing ':' without any key=value");
-    }
-
-    if (kind == "none" || kind == "off")
-        plan.kind = SvcFaultKind::None;
-    else if (kind == "drop")
-        plan.kind = SvcFaultKind::Drop;
-    else if (kind == "delay")
-        plan.kind = SvcFaultKind::Delay;
-    else if (kind == "truncate")
-        plan.kind = SvcFaultKind::Truncate;
-    else if (kind == "reset")
-        plan.kind = SvcFaultKind::Reset;
-    else
-        return svcSpecError(
-            spec, "unknown fault kind '" + std::string(kind) + "'");
-
-    while (!opts.empty()) {
-        std::string_view item = opts;
-        if (auto comma = opts.find(','); comma != std::string_view::npos) {
-            item = opts.substr(0, comma);
-            opts = opts.substr(comma + 1);
-        } else {
-            opts = {};
-        }
-        auto eq = item.find('=');
-        if (eq == std::string_view::npos || eq == 0 ||
-            eq + 1 == item.size()) {
-            return svcSpecError(spec, "expected key=value, got '" +
-                                          std::string(item) + "'");
-        }
-        std::string_view key = item.substr(0, eq);
-        std::string value(item.substr(eq + 1));
-        char *end = nullptr;
-        if (key == "rate") {
-            double rate = std::strtod(value.c_str(), &end);
-            if (end != value.c_str() + value.size() || rate < 0.0 ||
-                rate > 1.0) {
-                return svcSpecError(spec, "rate must be a number in [0,1], "
-                                          "got '" + value + "'");
-            }
-            plan.rate = rate;
-        } else if (key == "delay_ms") {
-            std::uint64_t ms = std::strtoull(value.c_str(), &end, 10);
-            if (end != value.c_str() + value.size() || ms == 0) {
-                return svcSpecError(spec,
-                                    "delay_ms must be a positive integer, "
-                                    "got '" + value + "'");
-            }
-            plan.delayMs = ms;
-        } else if (key == "seed") {
-            std::uint64_t seed = std::strtoull(value.c_str(), &end, 10);
-            if (end != value.c_str() + value.size()) {
-                return svcSpecError(spec,
-                                    "seed must be an unsigned integer, "
-                                    "got '" + value + "'");
-            }
-            plan.seed = seed;
-        } else {
-            return svcSpecError(spec,
-                                "unknown key '" + std::string(key) + "'");
-        }
-    }
-    return plan;
-}
-
-std::string
-svcFaultPlanSpec(const SvcFaultPlan &plan)
-{
-    if (plan.kind == SvcFaultKind::None)
-        return "none";
-    std::string out = svcFaultKindName(plan.kind);
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", plan.rate);
-    out += ":rate=";
-    out += buf;
-    if (plan.kind == SvcFaultKind::Delay) {
-        out += ",delay_ms=";
-        out += std::to_string(plan.delayMs);
-    }
-    out += ",seed=";
-    out += std::to_string(plan.seed);
-    return out;
-}
-
 std::string
 faultPlanSpec(const FaultPlan &plan)
 {

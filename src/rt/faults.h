@@ -34,7 +34,6 @@
 #define DCFB_RT_FAULTS_H
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -152,159 +151,6 @@ class FaultInjector
     StatSet statSet;
     obs::Counter cDropped, cDelayed, cDelayCycles, cCorrupted,
         cBackpressure;
-};
-
-// -- service-level fault plane (--svc-inject) -----------------------------
-//
-// The simulator injector above perturbs the *machine*; this plane
-// perturbs the experiment service's I/O path (DESIGN.md "Failure model
-// and recovery"): socket frames between dcfb-client and dcfb-serve,
-// and the durability writes behind the job journal and the result
-// cache.  It exists so the crash-safety machinery can be exercised
-// deterministically from a flag instead of waiting for a flaky disk or
-// network:
-//
-//  - **drop**: a reply frame is silently discarded (the client sees a
-//    hung request and must time out and retry);
-//  - **delay**: a reply frame is held for `delay_ms` before sending
-//    (exercises client backoff without losing data);
-//  - **truncate**: a journal append or cache store writes only a prefix
-//    of its payload (a torn write -- recovery must detect and contain
-//    it via the per-record checksums / fingerprint validation);
-//  - **reset**: the connection is closed before the reply is sent (the
-//    client sees ECONNRESET/EOF mid-request and must reconnect and
-//    resubmit idempotently).
-//
-// Spec syntax mirrors --inject:  <kind>[:key=value,...]
-//     kinds: drop | delay | truncate | reset | none
-//     keys:  rate=<0..1>  delay_ms=<ms>  seed=<uint>
-//
-// Determinism: one seeded Rng drives every decision, so a single-client
-// sequence of operations replays bit-for-bit for a given seed.  Under
-// concurrency the *interleaving* of draws follows request order, but
-// each decision is still an honest Bernoulli(rate) draw, which is what
-// the chaos harness asserts against (rates, not positions).
-
-/** What to break on the service I/O path. */
-enum class SvcFaultKind : std::uint8_t {
-    None,
-    Drop,     //!< discard reply frames
-    Delay,    //!< delay reply frames by delayMs
-    Truncate, //!< tear journal/cache writes short
-    Reset,    //!< close the connection instead of replying
-};
-
-const char *svcFaultKindName(SvcFaultKind kind);
-
-/** A parsed `--svc-inject` plan. */
-struct SvcFaultPlan
-{
-    SvcFaultKind kind = SvcFaultKind::None;
-    double rate = 0.05;          //!< per-event injection probability
-    std::uint64_t delayMs = 50;  //!< frame hold time for Delay faults
-    std::uint64_t seed = 1;      //!< injector RNG seed
-
-    bool active() const { return kind != SvcFaultKind::None && rate > 0.0; }
-};
-
-/** Parse a `--svc-inject` spec; error lists the accepted syntax. */
-Expected<SvcFaultPlan> parseSvcFaultPlan(std::string_view spec);
-
-/** Render a plan back to its canonical spec string (reports/tests). */
-std::string svcFaultPlanSpec(const SvcFaultPlan &plan);
-
-/**
- * The service-path injector.  Unlike FaultInjector (one per System,
- * single-threaded), this one is shared by every connection handler and
- * worker of a daemon, so the RNG draw and the counters sit behind a
- * mutex -- the service control path can afford it.
- */
-class SvcFaultInjector
-{
-  public:
-    /** Counter snapshot for `stats` replies and the chaos harness. */
-    struct Counters
-    {
-        std::uint64_t framesDropped = 0;
-        std::uint64_t framesDelayed = 0;
-        std::uint64_t framesReset = 0;
-        std::uint64_t writesTruncated = 0;
-    };
-
-    SvcFaultInjector() = default;
-
-    explicit SvcFaultInjector(const SvcFaultPlan &plan_)
-        : plan(plan_), rng(plan_.seed * 0x9e3779b97f4a7c15ull + 1)
-    {
-    }
-
-    bool active() const { return plan.active(); }
-    const SvcFaultPlan &planRef() const { return plan; }
-
-    /** Drop fault: should this reply frame vanish? */
-    bool
-    dropFrame()
-    {
-        if (plan.kind != SvcFaultKind::Drop)
-            return false;
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!rng.chance(plan.rate))
-            return false;
-        ++counts.framesDropped;
-        return true;
-    }
-
-    /** Reset fault: should this connection be torn down pre-reply? */
-    bool
-    resetFrame()
-    {
-        if (plan.kind != SvcFaultKind::Reset)
-            return false;
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!rng.chance(plan.rate))
-            return false;
-        ++counts.framesReset;
-        return true;
-    }
-
-    /** Delay fault: ms to hold this reply frame (0 = send now). */
-    std::uint64_t
-    frameDelayMs()
-    {
-        if (plan.kind != SvcFaultKind::Delay)
-            return 0;
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!rng.chance(plan.rate))
-            return 0;
-        ++counts.framesDelayed;
-        return plan.delayMs;
-    }
-
-    /** Truncate fault: should this journal/cache write be torn short? */
-    bool
-    truncateWrite()
-    {
-        if (plan.kind != SvcFaultKind::Truncate)
-            return false;
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!rng.chance(plan.rate))
-            return false;
-        ++counts.writesTruncated;
-        return true;
-    }
-
-    Counters
-    counters() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return counts;
-    }
-
-  private:
-    SvcFaultPlan plan;
-    Rng rng;
-    mutable std::mutex mutex;
-    Counters counts;
 };
 
 } // namespace dcfb::rt

@@ -48,13 +48,6 @@ struct IntegrityConfig
      *  Must exceed the worst-case memory round trip plus any injected
      *  response delay. */
     Cycle missResolutionBound = 20000;
-    /** Optional liveness callback invoked at the sweep cadence (and
-     *  during functional warmup), independent of the invariants and
-     *  watchdog switches.  The service layer hangs a worker-lease
-     *  renewal here so a long-running but healthy simulation is never
-     *  reclaimed; must be cheap and must not touch machine state.  Not
-     *  part of any fingerprint/cache key. */
-    std::function<void()> heartbeat;
 };
 
 /** One invariant violation found by a sweep. */

@@ -5,8 +5,8 @@
 #include <optional>
 #include <utility>
 
+#include "exec/result_cache.h"
 #include "rt/error.h"
-#include "svc/result_cache.h"
 
 namespace dcfb::sim {
 
@@ -75,7 +75,7 @@ ExperimentGrid::run(const std::vector<std::string> &workload_names,
         "grid", cells.size(), jobs,
         [&](std::size_t i) {
             // Exactly simulate() unless a --cache directory is open.
-            out[i] = svc::simulateCached(cells[i].cfg, windows);
+            out[i] = exec::simulateCached(cells[i].cfg, windows);
             std::fprintf(stderr, "  [grid] %s / %s done\n",
                          cells[i].name.c_str(),
                          presetName(cells[i].preset).c_str());

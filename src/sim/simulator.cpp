@@ -37,7 +37,7 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
     double mark = prof ? obs::profNow() : 0.0;
 
     // Span phases mirror the profiling walls.  The scopes parent under
-    // the caller's ambient span (exec.cell or svc.run), so one timeline
+    // the caller's ambient span (exec.cell), so one timeline
     // shows which phase of which cell each worker was in; all gated so
     // untraced runs pay one predicted branch.
     const bool spans = obs::Spans::enabled();
@@ -111,8 +111,6 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
             system.step();
             if (system.now() % interval != 0)
                 continue;
-            if (ic.heartbeat)
-                ic.heartbeat();
             if (prof) {
                 obs::PhaseTimer t(system.profPhases,
                                   obs::ProfPhase::Integrity);

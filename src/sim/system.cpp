@@ -155,13 +155,7 @@ System::System(const SystemConfig &config)
     // Only Shotgun consumes the collected branches (to prime its split
     // BTB); Boomerang and FDIP prime through btb/bbtb updates directly.
     bool collect_warm_branches = cfg.preset == Preset::Shotgun;
-    // The warmup pass can outlast a worker lease on its own, so it
-    // reports liveness at the same cadence the timed windows do.
-    const Cycle hb_interval =
-        cfg.integrity.sweepInterval ? cfg.integrity.sweepInterval : 8192;
     for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
-        if (cfg.integrity.heartbeat && i % hb_interval == 0)
-            cfg.integrity.heartbeat();
         workload::TraceEntry e = walker->next();
         llc->warmTouch(e.pc, true);
         l1i->warmInsert(e.pc);
@@ -288,7 +282,7 @@ System::selectStepFns()
 {
     // Which concrete (Pf, Fe) pair a preset steps with.  Must mirror the
     // fetch-engine construction above: stepImpl static_casts to these
-    // types.  DESIGN.md §14 documents the family table.
+    // types.  DESIGN.md §13 documents the family table.
     if (cfg.genericStep) {
         bindStep<prefetch::InstrPrefetcher, FetchEngine>();
         return;

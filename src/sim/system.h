@@ -4,7 +4,7 @@
  * hierarchy + frontend + backend + the configured prefetcher/engine).
  *
  * Two mechanics make a cell fast without changing any result
- * (DESIGN.md §14):
+ * (DESIGN.md §13):
  *
  *  - **Preset-specialized stepping.**  step() dispatches through a
  *    member-function pointer bound once at construction to a

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the per-cell bump arena (exec/arena.h): alignment,
  * reset-reuse, exhaustion fallback, the std-allocator adapter, and the
- * System-level sizing contract (DESIGN.md section 14) — a cell built
+ * System-level sizing contract (DESIGN.md section 13) — a cell built
  * from estimateArenaBytes() must not overflow its slab.
  */
 

@@ -2,9 +2,8 @@
  * @file
  * Tests for the observability subsystem: stat-registry ID interning,
  * log2 histogram bucket edges, JSON round-trips (parser, RunResult),
- * trace on/off parity of the final counters, span timelines, the
- * Prometheus renderer, the time-series ring, and the dcfb-prof-v1
- * profile schema.
+ * trace on/off parity of the final counters, span timelines, and the
+ * dcfb-prof-v1 profile schema.
  */
 
 #include <gtest/gtest.h>
@@ -12,17 +11,14 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <thread>
 
 #include "exec/schedule.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
-#include "obs/prometheus.h"
 #include "obs/registry.h"
 #include "obs/span.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -326,12 +322,14 @@ TEST(Spans, ScopesNestAndExportChromeTimeline)
     }
     EXPECT_EQ(obs::Spans::current().trace, 0u);
 
-    // A second thread re-rooted under the outer IDs lands in the same
-    // trace on its own track (the cross-thread stitching pattern).
+    // A second thread has no ambient span, so its scope roots a new
+    // trace on the thread's own named track (the pool-worker pattern:
+    // every exec.cell span is a root on its worker's track).
     std::thread worker([&] {
         obs::Spans::setThreadName("test-worker");
-        obs::SpanScope cross("test.cross", outer_trace, outer_span);
-        EXPECT_EQ(cross.traceId(), outer_trace);
+        obs::SpanScope cross("test.cross");
+        EXPECT_NE(cross.traceId(), 0u);
+        EXPECT_NE(cross.traceId(), outer_trace);
     });
     worker.join();
 
@@ -349,23 +347,28 @@ TEST(Spans, ScopesNestAndExportChromeTimeline)
     ASSERT_EQ(doc->kind(), obs::JsonValue::Kind::Array);
 
     // Index the "X" events by span ID and verify every parent resolves
-    // (no orphans) and the cross-thread span is on a named track.
+    // (no orphans) and the worker's span is on its named track.
     std::map<std::string, const obs::JsonValue *> by_span;
-    std::set<std::string> thread_names;
+    std::map<std::uint64_t, std::string> thread_names;
+    const obs::JsonValue *cross = nullptr;
     for (const auto &ev : doc->items()) {
         const obs::JsonValue *ph = ev.find("ph");
         ASSERT_NE(ph, nullptr);
         if (ph->asString() == "M" &&
             ev.find("name")->asString() == "thread_name") {
-            thread_names.insert(
-                ev.find("args")->find("name")->asString());
+            thread_names[ev.find("tid")->asUint()] =
+                ev.find("args")->find("name")->asString();
         }
         if (ph->asString() != "X")
             continue;
         by_span[ev.find("args")->find("span")->asString()] = &ev;
+        if (ev.find("name")->asString() == "test.cross")
+            cross = &ev;
     }
     EXPECT_EQ(by_span.size(), 3u);
-    EXPECT_TRUE(thread_names.count("test-worker"));
+    ASSERT_NE(cross, nullptr);
+    EXPECT_EQ(thread_names[cross->find("tid")->asUint()], "test-worker");
+    EXPECT_EQ(cross->find("args")->find("parent"), nullptr);
     for (const auto &kv : by_span) {
         const obs::JsonValue *parent = kv.second->find("args")->find(
             "parent");
@@ -389,92 +392,6 @@ TEST(Spans, BoundedBufferCountsDrops)
     EXPECT_EQ(obs::Spans::dropped(), 6u);
     obs::Spans::close();
     std::remove(path.c_str());
-}
-
-// -------------------------------------------------------------- prometheus
-
-TEST(Prometheus, NameSanitization)
-{
-    EXPECT_EQ(obs::promName("svc.op.submit.latency_us"),
-              "svc_op_submit_latency_us");
-    EXPECT_EQ(obs::promName("already_fine:ok"), "already_fine:ok");
-    EXPECT_EQ(obs::promName("9starts_with_digit"), "_9starts_with_digit");
-    EXPECT_EQ(obs::promName(""), "_");
-}
-
-TEST(Prometheus, CounterAndGaugeRender)
-{
-    std::string out;
-    obs::promCounter(out, "dcfb_svc_submitted_total", 42);
-    obs::promGauge(out, "dcfb_queue_depth", 3.5);
-    EXPECT_NE(out.find("# TYPE dcfb_svc_submitted_total counter\n"),
-              std::string::npos);
-    EXPECT_NE(out.find("dcfb_svc_submitted_total 42\n"),
-              std::string::npos);
-    EXPECT_NE(out.find("# TYPE dcfb_queue_depth gauge\n"),
-              std::string::npos);
-    EXPECT_NE(out.find("dcfb_queue_depth 3.5\n"), std::string::npos);
-}
-
-TEST(Prometheus, HistogramBucketsAreCumulativeAndEndAtInf)
-{
-    obs::StatRegistry reg;
-    obs::Histogram h = reg.histogram("lat");
-    for (std::uint64_t v : {0ull, 1ull, 5ull, 9ull, 1000ull})
-        h.sample(v);
-    auto snap = reg.histograms().at("lat");
-
-    std::string out;
-    obs::promHistogram(out, "dcfb_lat", snap);
-    EXPECT_NE(out.find("# TYPE dcfb_lat histogram\n"), std::string::npos);
-    EXPECT_NE(out.find("dcfb_lat_bucket{le=\"+Inf\"} 5\n"),
-              std::string::npos);
-    EXPECT_NE(out.find("dcfb_lat_sum 1015\n"), std::string::npos);
-    EXPECT_NE(out.find("dcfb_lat_count 5\n"), std::string::npos);
-
-    // Bucket samples must be cumulative: monotone non-decreasing in
-    // line order, with the last finite bucket equal to the count.
-    std::uint64_t prev = 0;
-    std::uint64_t last = 0;
-    std::size_t pos = 0;
-    while ((pos = out.find("dcfb_lat_bucket{le=\"", pos)) !=
-           std::string::npos) {
-        std::size_t sp = out.find("} ", pos);
-        ASSERT_NE(sp, std::string::npos);
-        std::uint64_t v = std::strtoull(out.c_str() + sp + 2, nullptr, 10);
-        EXPECT_GE(v, prev);
-        prev = v;
-        last = v;
-        pos = sp;
-    }
-    EXPECT_EQ(last, snap.count);
-}
-
-// -------------------------------------------------------------- timeseries
-
-TEST(Timeseries, RingEvictsOldestAndSerializes)
-{
-    obs::Timeseries ts(4);
-    EXPECT_EQ(ts.addSeries("a"), 0u);
-    EXPECT_EQ(ts.addSeries("b"), 1u);
-    for (std::uint64_t i = 0; i < 6; ++i)
-        ts.push(i * 100, {static_cast<double>(i)});
-    EXPECT_EQ(ts.size(), 4u);
-
-    auto samples = ts.snapshot();
-    ASSERT_EQ(samples.size(), 4u);
-    // Oldest two evicted; order is arrival order.
-    EXPECT_EQ(samples.front().tMs, 200u);
-    EXPECT_EQ(samples.back().tMs, 500u);
-    // Missing trailing values read as zero.
-    ASSERT_EQ(samples.front().values.size(), 2u);
-    EXPECT_EQ(samples.front().values[1], 0.0);
-
-    obs::JsonValue doc = ts.toJson();
-    ASSERT_EQ(doc.find("names")->items().size(), 2u);
-    ASSERT_EQ(doc.find("samples")->items().size(), 4u);
-    EXPECT_EQ(doc.find("samples")->items()[0].find("t_ms")->asUint(),
-              200u);
 }
 
 // ---------------------------------------------------------------- profiler
