@@ -1,5 +1,6 @@
 #include "frontend/tage.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -193,6 +194,42 @@ Tage::update(Addr pc, bool taken)
     }
 
     shiftHistory(taken);
+}
+
+Tage::WarmState
+Tage::saveWarm() const
+{
+    WarmState s;
+    s.base.assign(base.begin(), base.end());
+    for (const auto &table : tables)
+        s.tables.emplace_back(table.begin(), table.end());
+    s.foldedIndex = foldedIndex;
+    s.foldedTag0 = foldedTag0;
+    s.foldedTag1 = foldedTag1;
+    s.history.assign(history.begin(), history.end());
+    s.histHead = histHead;
+    s.useAltOnNa = useAltOnNa;
+    s.allocSeed = allocSeed;
+    s.counters = statSet.all();
+    return s;
+}
+
+void
+Tage::restoreWarm(const WarmState &s)
+{
+    assert(s.base.size() == base.size() && s.tables.size() == tables.size());
+    std::copy(s.base.begin(), s.base.end(), base.begin());
+    for (std::size_t t = 0; t < tables.size(); ++t)
+        std::copy(s.tables[t].begin(), s.tables[t].end(), tables[t].begin());
+    foldedIndex = s.foldedIndex;
+    foldedTag0 = s.foldedTag0;
+    foldedTag1 = s.foldedTag1;
+    std::copy(s.history.begin(), s.history.end(), history.begin());
+    histHead = s.histHead;
+    useAltOnNa = s.useAltOnNa;
+    allocSeed = s.allocSeed;
+    for (const auto &[name, value] : s.counters)
+        statSet.add(name, value);
 }
 
 void

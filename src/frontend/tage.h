@@ -16,6 +16,8 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/sat_counter.h"
@@ -121,6 +123,30 @@ class Tage
         std::array<std::uint16_t, kMaxTageTables> tags{};
     };
 
+  public:
+    /** The trained state (sim::WarmCache): tables, folded and global
+     *  history, the allocation seed, and the counters training
+     *  interned.  `last` is left out: predict() writes it and nothing
+     *  reads it back. */
+    struct WarmState
+    {
+        std::vector<SatCounter> base;
+        std::vector<std::vector<TaggedEntry>> tables;
+        std::vector<FoldedHistory> foldedIndex, foldedTag0, foldedTag1;
+        std::vector<std::uint8_t> history;
+        std::size_t histHead = 0;
+        SatCounter useAltOnNa;
+        std::uint64_t allocSeed = 0;
+        std::map<std::string, std::uint64_t> counters;
+    };
+
+    WarmState saveWarm() const;
+
+    /** Restore @p s into a freshly constructed predictor of the same
+     *  geometry.  The handles stay bound to this predictor's registry. */
+    void restoreWarm(const WarmState &s);
+
+  private:
     std::uint32_t baseIndex(Addr pc) const;
     std::uint32_t taggedIndex(Addr pc, unsigned table) const;
     std::uint16_t taggedTag(Addr pc, unsigned table) const;

@@ -15,6 +15,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -203,6 +204,42 @@ class SetAssocCache
         for (const Line &line : lines)
             n += line.valid;
         return n;
+    }
+
+    /**
+     * Sparse image of the array for warmup checkpoints: every line ever
+     * written (by flat index) plus the LRU clock.  Every write stamps
+     * lastUse from the clock, which starts at 1, so a line with
+     * lastUse == 0 still holds its defaults and is left out; invalidated
+     * lines are kept, because their stale age still steers lruWay().
+     */
+    struct WarmState
+    {
+        std::vector<std::pair<std::uint32_t, Line>> lines;
+        std::uint64_t tick = 0;
+    };
+
+    WarmState
+    saveWarm() const
+    {
+        WarmState s;
+        s.tick = tick;
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+            if (lines[i].lastUse != 0)
+                s.lines.emplace_back(static_cast<std::uint32_t>(i), lines[i]);
+        }
+        return s;
+    }
+
+    /** Restore @p s into a never-written array of the same geometry. */
+    void
+    restoreWarm(const WarmState &s)
+    {
+        for (const auto &[index, line] : s.lines) {
+            assert(index < lines.size());
+            lines[index] = line;
+        }
+        tick = s.tick;
     }
 
   private:

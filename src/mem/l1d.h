@@ -87,6 +87,16 @@ class L1dCache
     struct Empty
     {};
 
+  public:
+    /** What warmInsert() calls leave behind (sim::WarmCache). */
+    using WarmState = SetAssocCache<Empty>::WarmState;
+
+    WarmState saveWarm() const { return array.saveWarm(); }
+
+    /** Restore @p s into a freshly constructed cache of the same geometry. */
+    void restoreWarm(const WarmState &s) { array.restoreWarm(s); }
+
+  private:
     L1dConfig cfg;
     Llc &llc;
     StatSet statSet;

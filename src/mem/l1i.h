@@ -194,6 +194,23 @@ class L1iCache
      *  timing or statistics. */
     void warmInsert(Addr addr);
 
+    /** What warmInsert() calls leave behind (sim::WarmCache). */
+    struct WarmState
+    {
+        SetAssocCache<L1iMeta>::WarmState lines;
+        Addr lastDemandBlock = kInvalidAddr;
+    };
+
+    WarmState saveWarm() const { return {array.saveWarm(), lastDemandBlock}; }
+
+    /** Restore @p s into a freshly constructed cache of the same geometry. */
+    void
+    restoreWarm(const WarmState &s)
+    {
+        array.restoreWarm(s.lines);
+        lastDemandBlock = s.lastDemandBlock;
+    }
+
     /** Counted cache lookup (Fig. 14): presence in cache or buffer. */
     bool lookup(Addr addr);
 

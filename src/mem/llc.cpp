@@ -158,6 +158,31 @@ Llc::warmTouch(Addr addr, bool is_instruction)
         updateHolderMode(si);
 }
 
+Llc::WarmState
+Llc::saveWarm() const
+{
+    WarmState s;
+    s.lines = array.saveWarm();
+    for (std::size_t i = 0; i < bfSets.size(); ++i) {
+        if (bfSets[i].holder || !bfSets[i].slots.empty())
+            s.bfSets.emplace_back(static_cast<std::uint32_t>(i), bfSets[i]);
+    }
+    s.bfTick = bfTick;
+    s.counters = statSet.all();
+    return s;
+}
+
+void
+Llc::restoreWarm(const WarmState &s)
+{
+    array.restoreWarm(s.lines);
+    for (const auto &[index, set] : s.bfSets)
+        bfSets[index] = set;
+    bfTick = s.bfTick;
+    for (const auto &[name, value] : s.counters)
+        statSet.add(name, value);
+}
+
 Llc::AccessResult
 Llc::access(Addr addr, Cycle now, bool is_instruction, bool want_bf)
 {

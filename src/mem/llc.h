@@ -21,6 +21,9 @@
 #define DCFB_MEM_LLC_H
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -45,6 +48,8 @@ struct LlcConfig
     bool dvllc = false;           //!< enable BF virtualization
     unsigned bfSlotsPerSet = 8;   //!< BF-holder capacity (Fig. 9 sweep)
     unsigned branchesPerBf = 4;   //!< offsets per BF (Fig. 8 sweep)
+
+    bool operator==(const LlcConfig &) const = default;
 };
 
 /** A branch footprint: byte offsets of branches within one block. */
@@ -135,6 +140,24 @@ class Llc
         std::vector<Slot> slots;
     };
 
+  public:
+    /** What a functional warmup left behind (sim::WarmCache): the
+     *  written lines, the non-default BF sets, and the counters the
+     *  DV-LLC warm path interned. */
+    struct WarmState
+    {
+        SetAssocCache<LineMeta>::WarmState lines;
+        std::vector<std::pair<std::uint32_t, BfSet>> bfSets;
+        std::uint64_t bfTick = 0;
+        std::map<std::string, std::uint64_t> counters;
+    };
+
+    WarmState saveWarm() const;
+
+    /** Restore @p s into a freshly constructed LLC of the same config. */
+    void restoreWarm(const WarmState &s);
+
+  private:
     /** Effective ways of a set given its BF-holder state. */
     unsigned effectiveWays(unsigned set_index) const;
 

@@ -88,6 +88,7 @@ profJson(std::vector<ProfRecord> records)
         p["cycles"] = rec.cycles;
         p["instructions"] = rec.instructions;
         p["setup_s"] = rec.setupSeconds;
+        p["warm"] = rec.warm;
         p["warm_s"] = rec.warmSeconds;
         p["measure_s"] = rec.measureSeconds;
         p["sim_s"] = rec.simSeconds();

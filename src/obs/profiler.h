@@ -66,6 +66,7 @@ struct ProfRecord
     std::uint64_t cycles = 0;       //!< timed cycles (warm + measure)
     std::uint64_t instructions = 0; //!< instructions retired while timed
     double setupSeconds = 0.0;      //!< System ctor: image + warmup
+    std::string warm = "cold";      //!< warm source: cold/stored/restored
     double warmSeconds = 0.0;       //!< timed warm window
     double measureSeconds = 0.0;    //!< measured window
     PhaseSeconds phaseSeconds{};    //!< cycle-loop phase attribution

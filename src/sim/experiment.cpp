@@ -67,9 +67,10 @@ ExperimentGrid::run(const std::vector<std::string> &workload_names,
 
     // Scatter/gather: each cell simulates into its own slot (per-cell
     // System, registries, watchdog and fault injector -- nothing shared
-    // but the immutable images), then the results are merged in cell
-    // order after the barrier so the grid's content is independent of
-    // worker interleaving.
+    // but the immutable images and sim::WarmCache checkpoint, which the
+    // workload-major cell order lets a workload's designs share), then
+    // the results are merged in cell order after the barrier so the
+    // grid's content is independent of worker interleaving.
     std::vector<std::optional<RunResult>> out(cells.size());
     lastExec = exec::runIndexed(
         "grid", cells.size(), jobs,

@@ -50,19 +50,22 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
     // Phase spans are recorded retroactively (start stamp taken before,
     // record after) so the phases stay straight-line code.
     std::uint64_t span_mark = spans ? obs::Spans::nowUs() : 0;
-    auto span_phase = [&](const char *name) {
+    auto span_phase = [&](const char *name, std::string label = {}) {
         std::uint64_t t = obs::Spans::nowUs();
         obs::SpanIds cur = obs::Spans::current();
         obs::Spans::record(name, cur.trace, obs::Spans::newSpanId(),
-                           cur.span, span_mark, t, {});
+                           cur.span, span_mark, t, std::move(label));
         span_mark = t;
     };
 
     System system(config);
 
+    // Setup time is bimodal (a walked or a restored warmup), so the
+    // setup span and the profile record both name the warm source.
+    const char *warm = warmSourceName(system.warmSource);
     double setup_seconds = 0.0;
     if (spans)
-        span_phase("sim.setup");
+        span_phase("sim.setup", std::string("warm=") + warm);
     if (prof) {
         double t = obs::profNow();
         setup_seconds = t - mark;
@@ -170,6 +173,7 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
         rec.cycles = windows.warm + windows.measure;
         rec.instructions = system.instructions();
         rec.setupSeconds = setup_seconds;
+        rec.warm = warm;
         rec.warmSeconds = warm_seconds;
         rec.measureSeconds = obs::profNow() - mark;
         rec.phaseSeconds = system.profPhases;

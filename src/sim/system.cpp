@@ -146,82 +146,18 @@ System::System(const SystemConfig &config)
         break;
     }
 
-    // Functional warmup: replay the retired stream into the long-term
-    // structures (LLC, L1s, BTB, TAGE) without timing, mirroring the
-    // checkpoint state of the paper's SimFlex methodology.  Branch PCs
-    // are remembered so the BTB-directed engines' structures can be
-    // primed after construction.
-    std::vector<workload::TraceEntry> warm_branches;
-    // Only Shotgun consumes the collected branches (to prime its split
-    // BTB); Boomerang and FDIP prime through btb/bbtb updates directly.
-    bool collect_warm_branches = cfg.preset == Preset::Shotgun;
-    for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
-        workload::TraceEntry e = walker->next();
-        llc->warmTouch(e.pc, true);
-        l1i->warmInsert(e.pc);
-        if (e.dataAddr != kInvalidAddr) {
-            llc->warmTouch(e.dataAddr, false);
-            l1d->warmInsert(e.dataAddr);
-        }
-        if (e.isBranch()) {
-            if (e.kind == isa::InstrKind::CondBranch) {
-                tage->predict(e.pc);
-                tage->update(e.pc, e.taken);
-            } else {
-                tage->updateHistoryUnconditional(e.pc);
-            }
-            if (e.taken) {
-                btb->update(e.pc, e.target, e.kind);
-                if (microBtb)
-                    microBtb->fill(e.pc, e.target, e.kind);
-            }
-            if (collect_warm_branches)
-                warm_branches.push_back(e);
-        }
-        recordRetiredFootprints(e);
-    }
-
+    // BTB-directed engines exist before the warmup so primeBranch() can
+    // fill Shotgun's split BTB; they read no trace until their first
+    // cycle.  Coupled engines fill their lookahead from the walker when
+    // constructed, so they must follow the warmup.
     if (cfg.preset == Preset::Boomerang || cfg.preset == Preset::Shotgun ||
         cfg.preset == Preset::Fdip) {
-        prefetch::Fdip *fdip_unit = cfg.preset == Preset::Fdip
-            ? static_cast<prefetch::Fdip *>(prefetcher.get())
-            : nullptr;
-        auto engine = std::make_unique<DecoupledFetchEngine>(
-            cfg.fetch,
-            cfg.preset == Preset::Boomerang
-                ? DecoupledFetchEngine::Kind::Boomerang
-                : cfg.preset == Preset::Shotgun
-                      ? DecoupledFetchEngine::Kind::Shotgun
-                      : DecoupledFetchEngine::Kind::Fdip,
-            *walker, *l1i, *tage, *predecoder, cfg.boomerangBtbEntries,
-            cfg.shotgunBtb, btb.get(), fdip_unit, &arena);
-        decoupled = engine.get();
-        // FDIP's fills/usefulness land in the prefetcher's accounting;
-        // the BTB-directed engines do their own prefill on fills.
-        l1i->setListener(fdip_unit
-                             ? static_cast<mem::L1iListener *>(fdip_unit)
-                             : decoupled);
-        // Prime the Shotgun BTB from the warm branch stream (footprints
-        // still build during the timed warm window: only the retired
-        // stream can construct them, Section III).
-        for (const auto &e : warm_branches) {
-            if (cfg.preset == Preset::Shotgun) {
-                auto &sg = engine->shotgunBtb();
-                switch (e.kind) {
-                  case isa::InstrKind::CondBranch:
-                    sg.updateC(e.pc, e.target);
-                    break;
-                  case isa::InstrKind::Return:
-                    sg.updateRib(e.pc);
-                    break;
-                  default:
-                    sg.updateU(e.pc, e.target, e.kind, false);
-                    break;
-                }
-            }
-        }
-        fetch = std::move(engine);
-    } else {
+        makeDecoupledFetch();
+    }
+
+    functionalWarmup();
+
+    if (!decoupled) {
         l1i->setListener(prefetcher.get());
         if (cfg.genericStep) {
             makeCoupledFetch<prefetch::InstrPrefetcher>();
@@ -258,6 +194,117 @@ System::System(const SystemConfig &config)
 
     selectStepFns();
     registerIntegrity();
+}
+
+void
+System::makeDecoupledFetch()
+{
+    prefetch::Fdip *fdip_unit = cfg.preset == Preset::Fdip
+        ? static_cast<prefetch::Fdip *>(prefetcher.get())
+        : nullptr;
+    auto engine = std::make_unique<DecoupledFetchEngine>(
+        cfg.fetch,
+        cfg.preset == Preset::Boomerang
+            ? DecoupledFetchEngine::Kind::Boomerang
+            : cfg.preset == Preset::Shotgun
+                  ? DecoupledFetchEngine::Kind::Shotgun
+                  : DecoupledFetchEngine::Kind::Fdip,
+        *walker, *l1i, *tage, *predecoder, cfg.boomerangBtbEntries,
+        cfg.shotgunBtb, btb.get(), fdip_unit, &arena);
+    decoupled = engine.get();
+    // FDIP's fills/usefulness land in the prefetcher's accounting;
+    // the BTB-directed engines do their own prefill on fills.
+    l1i->setListener(fdip_unit ? static_cast<mem::L1iListener *>(fdip_unit)
+                               : decoupled);
+    fetch = std::move(engine);
+}
+
+void
+System::functionalWarmup()
+{
+    // Replay the retired stream into the long-term structures (LLC,
+    // L1s, TAGE, BTB-side) without timing, mirroring the checkpoint
+    // state of the paper's SimFlex methodology.
+    if (cfg.functionalWarmInstrs == 0)
+        return;
+    WarmCache::Lease lease =
+        WarmCache::global().acquire(WarmKey::of(cfg, program));
+    warmSource = lease.source();
+
+    if (const WarmCheckpoint *cp = lease.checkpoint()) {
+        walker->restoreWarm(cp->walker);
+        llc->restoreWarm(cp->llc);
+        l1i->restoreWarm(cp->l1i);
+        l1d->restoreWarm(cp->l1d);
+        tage->restoreWarm(cp->tage);
+        for (const WarmBranch &b : cp->branches)
+            primeBranch(b);
+        return;
+    }
+
+    const bool store = warmSource == WarmSource::Stored;
+    std::vector<WarmBranch> branches;
+    for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
+        workload::TraceEntry e = walker->next();
+        llc->warmTouch(e.pc, true);
+        l1i->warmInsert(e.pc);
+        if (e.dataAddr != kInvalidAddr) {
+            llc->warmTouch(e.dataAddr, false);
+            l1d->warmInsert(e.dataAddr);
+        }
+        if (e.isBranch()) {
+            if (e.kind == isa::InstrKind::CondBranch) {
+                tage->predict(e.pc);
+                tage->update(e.pc, e.taken);
+            } else {
+                tage->updateHistoryUnconditional(e.pc);
+            }
+            WarmBranch b{e.pc, e.target, e.kind, e.taken};
+            primeBranch(b);
+            if (store)
+                branches.push_back(b);
+        }
+        recordRetiredFootprints(e);
+    }
+
+    if (store) {
+        auto cp = std::make_shared<WarmCheckpoint>();
+        cp->walker = walker->saveWarm();
+        cp->llc = llc->saveWarm();
+        cp->l1i = l1i->saveWarm();
+        cp->l1d = l1d->saveWarm();
+        cp->tage = tage->saveWarm();
+        branches.shrink_to_fit();
+        cp->branches = std::move(branches);
+        lease.publish(std::move(cp));
+    }
+}
+
+void
+System::primeBranch(const WarmBranch &b)
+{
+    if (b.taken) {
+        btb->update(b.pc, b.target, b.kind);
+        if (microBtb)
+            microBtb->fill(b.pc, b.target, b.kind);
+    }
+    // Shotgun's split BTB learns targets only; its footprints still
+    // build during the timed warm window, because only the retired
+    // stream can construct them (Section III).
+    if (cfg.preset != Preset::Shotgun)
+        return;
+    auto &sg = decoupled->shotgunBtb();
+    switch (b.kind) {
+      case isa::InstrKind::CondBranch:
+        sg.updateC(b.pc, b.target);
+        break;
+      case isa::InstrKind::Return:
+        sg.updateRib(b.pc);
+        break;
+      default:
+        sg.updateU(b.pc, b.target, b.kind, false);
+        break;
+    }
 }
 
 template <typename Pf>

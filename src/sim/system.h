@@ -21,6 +21,10 @@
  *    construction (exec/arena.h), so a pool thread's working set is one
  *    contiguous slab.  The arena is declared first, hence destroyed
  *    last — after every component that allocated from it.
+ *
+ * The functional warmup itself is shared: the constructor either walks
+ * the warm stream or restores the sim::WarmCache checkpoint of an
+ * earlier cell with the same warm key (sim/warm_cache.h).
  */
 
 #ifndef DCFB_SIM_SYSTEM_H
@@ -44,6 +48,7 @@
 #include "sim/config.h"
 #include "sim/decoupled.h"
 #include "sim/fetch.h"
+#include "sim/warm_cache.h"
 #include "workload/cfg.h"
 #include "workload/trace.h"
 
@@ -121,6 +126,9 @@ class System
     rt::FaultInjector injector;     //!< active only under --inject
     rt::InvariantRegistry invariants;
 
+    /** How this cell's functional warmup was obtained. */
+    WarmSource warmSource = WarmSource::Cold;
+
     /** Per-phase cycle-loop attribution; only written while
      *  obs::Profiler::enabled() (the integrity slot is accumulated by
      *  the run loop in simulator.cpp). */
@@ -132,6 +140,18 @@ class System
 
     /** Wire the fault injector and register every component invariant. */
     void registerIntegrity();
+
+    /** Build the long-term state (LLC, L1s, TAGE, BTB-side structures)
+     *  by walking the warm stream or restoring a WarmCache checkpoint. */
+    void functionalWarmup();
+
+    /** Teach one warm branch to the BTB-side structures: taken branches
+     *  to the BTB and micro BTB, every branch to Shotgun's split BTB.
+     *  Walked and restored cells both prime through here. */
+    void primeBranch(const WarmBranch &b);
+
+    /** Construct the BTB-directed engine (Boomerang, Shotgun, FDIP). */
+    void makeDecoupledFetch();
 
     /** Bind stepFn/stepProfFn to the preset's specialization family. */
     void selectStepFns();

@@ -69,6 +69,36 @@ class TraceWalker
         std::map<Addr, std::uint32_t> loopTrips;
     };
 
+  public:
+    /** The walk's dynamic state, free of any reference to the program,
+     *  so a checkpoint taken on one walker resumes on another walker of
+     *  the same image (sim::WarmCache). */
+    struct WarmState
+    {
+        Rng rng;
+        std::vector<Frame> stack;
+        std::uint64_t count = 0;
+        std::uint32_t stickyCallee = 0;
+        std::uint32_t stickyLeft = 0;
+    };
+
+    WarmState
+    saveWarm() const
+    {
+        return {rng, stack, count, stickyCallee, stickyLeft};
+    }
+
+    void
+    restoreWarm(const WarmState &s)
+    {
+        rng = s.rng;
+        stack = s.stack;
+        count = s.count;
+        stickyCallee = s.stickyCallee;
+        stickyLeft = s.stickyLeft;
+    }
+
+  private:
     /** Generate a load/store effective address. */
     Addr dataAddress(std::uint32_t fn);
 

@@ -10,8 +10,11 @@
  *
  * Also the `--cache` result cache: fingerprint/key stability (one key
  * pinned as a literal), hit/miss/crash-safety behaviour, the
- * `--cache`-off parity and the warm-sweep speedup, whose concurrent
- * get/put through the parallel grid rides along under TSan.
+ * `--cache`-off parity and the warm sweep, whose concurrent get/put
+ * through the parallel grid rides along under TSan.  And the shared
+ * functional-warmup checkpoint (sim::WarmCache): restored cells equal
+ * walked ones for every preset, admission, key coverage, and workers
+ * waiting on a store.
  */
 
 #include <gtest/gtest.h>
@@ -38,6 +41,8 @@
 #include "rt/watchdog.h"
 #include "sim/experiment.h"
 #include "sim/report.h"
+#include "sim/system.h"
+#include "sim/warm_cache.h"
 #include "workload/profiles.h"
 
 namespace dcfb {
@@ -635,44 +640,249 @@ TEST(ResultCache, FingerprintMismatchGuardsAgainstCollisions)
     EXPECT_EQ(cache.stats().rejects, 1u);
 }
 
-TEST(ResultCache, WarmGridSweepIsTenTimesFasterAndIdentical)
+TEST(ResultCache, WarmGridSweepServesEveryCellAndIsIdentical)
 {
     GlobalCacheGuard guard;
     ASSERT_TRUE(exec::ResultCache::openGlobal(scratchDir("warm")).ok());
 
     // A fig11-style sweep: one workload, several designs, through the
-    // parallel grid runner with the global cache open.
+    // parallel grid runner with the global cache open.  The counts are
+    // the contract: a warm sweep that served every cell from disk ran
+    // no simulation at all, however long the host took.
     std::vector<sim::Preset> presets = {
         sim::Preset::Baseline, sim::Preset::NL, sim::Preset::SN4L,
         sim::Preset::SN4LDisBtb};
     std::vector<std::string> workloads = {"Web (Apache)"};
     sim::RunWindows windows{20000, 30000};
 
-    auto sweep = [&](sim::ExperimentGrid &grid) {
-        auto t0 = std::chrono::steady_clock::now();
-        grid.run(workloads);
-        auto t1 = std::chrono::steady_clock::now();
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-
     sim::ExperimentGrid cold(presets, windows, shrink);
-    double cold_s = sweep(cold);
+    cold.run(workloads);
     exec::ResultCacheStats after_cold = exec::ResultCache::global()->stats();
     EXPECT_EQ(after_cold.misses, presets.size());
     EXPECT_EQ(after_cold.stores, presets.size());
     EXPECT_EQ(after_cold.hits, 0u);
 
+    sim::WarmCache::global().clear();
     sim::ExperimentGrid warm(presets, windows, shrink);
-    double warm_s = sweep(warm);
+    warm.run(workloads);
     exec::ResultCacheStats after_warm = exec::ResultCache::global()->stats();
     EXPECT_EQ(after_warm.hits, presets.size());
     EXPECT_EQ(after_warm.misses, after_cold.misses); // no new simulations
+    EXPECT_EQ(after_warm.stores, after_cold.stores);
+    // No System was built: not even a functional warmup ran.
+    sim::WarmCacheStats warmups = sim::WarmCache::global().stats();
+    EXPECT_EQ(warmups.misses + warmups.stores + warmups.hits, 0u);
 
     for (sim::Preset p : presets)
         EXPECT_EQ(cold.at("Web (Apache)", p), warm.at("Web (Apache)", p));
+}
 
-    EXPECT_GE(cold_s, 10.0 * warm_s)
-        << "warm sweep took " << warm_s << "s vs cold " << cold_s << "s";
+// ------------------------------------------- functional-warmup checkpoints
+
+/** A short-warmup config on the cached image of its profile, so the
+ *  warm key sees one image identity across Systems (as in a grid). */
+sim::SystemConfig
+sharedImageConfig(sim::Preset preset, bool vl = false)
+{
+    sim::SystemConfig cfg = sim::makeConfig(
+        workload::serverProfile("Web (Apache)", vl), preset);
+    fastWarmHook()(cfg);
+    cfg.program = workload::ImageCache::global().get(cfg.profile);
+    return cfg;
+}
+
+sim::WarmSource
+warmSourceOf(const sim::SystemConfig &cfg)
+{
+    return sim::System(cfg).warmSource;
+}
+
+TEST(WarmCache, RestoredCellsMatchColdOnesForAllPresets)
+{
+    sim::WarmCache &warm = sim::WarmCache::global();
+    for (bool vl : {false, true}) {
+        // Reference: every preset walks its own warmup.
+        std::vector<sim::RunResult> cold;
+        for (sim::Preset p : allPresets()) {
+            warm.clear();
+            cold.push_back(sim::simulate(sharedImageConfig(p, vl),
+                                         gridWindows()));
+        }
+        // One workload-major pass: the first preset walks, the second
+        // walks and stores, the other sixteen restore that checkpoint.
+        warm.clear();
+        for (std::size_t i = 0; i < allPresets().size(); ++i) {
+            sim::RunResult shared = sim::simulate(
+                sharedImageConfig(allPresets()[i], vl), gridWindows());
+            EXPECT_EQ(shared, cold[i])
+                << (vl ? "VL " : "") << sim::presetName(allPresets()[i]);
+            EXPECT_EQ(sim::toJson(shared).dump(), sim::toJson(cold[i]).dump());
+        }
+        sim::WarmCacheStats stats = warm.stats();
+        EXPECT_EQ(stats.misses, 1u);
+        EXPECT_EQ(stats.stores, 1u);
+        EXPECT_EQ(stats.hits, allPresets().size() - 2);
+    }
+}
+
+TEST(WarmCache, StoresOnlyOnTheSecondConsecutiveRequest)
+{
+    sim::WarmCache &warm = sim::WarmCache::global();
+    sim::SystemConfig cfg = sharedImageConfig(sim::Preset::Baseline);
+
+    // Distinct keys (a seed sweep) never store.
+    warm.clear();
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        cfg.runSeed = seed;
+        EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Cold);
+    }
+    EXPECT_EQ(warm.stats().misses, 4u);
+    EXPECT_EQ(warm.stats().stores, 0u);
+    EXPECT_EQ(warm.stats().bytesStored, 0u);
+
+    // The same key three times: miss, store, hit.
+    warm.clear();
+    EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Cold);
+    EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Stored);
+    EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Restored);
+    sim::WarmCacheStats stats = warm.stats();
+    EXPECT_EQ(stats.stores, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_GT(stats.bytesHeld, 0u);
+    EXPECT_EQ(stats.bytesStored, stats.bytesHeld);
+
+    // A new key releases the slot; the old key starts over.
+    cfg.runSeed += 1;
+    EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Cold);
+    EXPECT_EQ(warm.stats().bytesHeld, 0u);
+    cfg.runSeed -= 1;
+    EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Cold);
+    EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Stored);
+}
+
+TEST(WarmCache, AbandonedStoreReopensTheKey)
+{
+    sim::WarmCache &warm = sim::WarmCache::global();
+    warm.clear();
+    sim::SystemConfig cfg = sharedImageConfig(sim::Preset::Baseline);
+    sim::WarmKey key = sim::WarmKey::of(cfg, cfg.program);
+    EXPECT_EQ(warm.acquire(key).source(), sim::WarmSource::Cold);
+    {
+        // A storing cell whose warmup throws never publishes.
+        sim::WarmCache::Lease lease = warm.acquire(key);
+        EXPECT_EQ(lease.source(), sim::WarmSource::Stored);
+    }
+    EXPECT_EQ(warm.stats().stores, 0u);
+    // The next request stores instead of waiting forever.
+    EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Stored);
+    EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Restored);
+}
+
+TEST(WarmCache, KeyCoversEverythingTheWarmupReads)
+{
+    sim::WarmCache &warm = sim::WarmCache::global();
+    const sim::SystemConfig base = sharedImageConfig(sim::Preset::Baseline);
+
+    sim::SystemConfig tweaked = base;
+    tweaked.profile.numFunctions += 1;
+    tweaked.program = workload::ImageCache::global().get(tweaked.profile);
+
+    std::vector<std::pair<const char *, sim::SystemConfig>> variants;
+    auto variant = [&](const char *what, auto &&edit) {
+        sim::SystemConfig c = base;
+        edit(c);
+        variants.emplace_back(what, c);
+    };
+    variant("seed", [](sim::SystemConfig &c) { c.runSeed += 1; });
+    variant("warm length",
+            [](sim::SystemConfig &c) { c.functionalWarmInstrs += 1; });
+    variant("LLC capacity",
+            [](sim::SystemConfig &c) { c.llc.capacityBytes /= 2; });
+    variant("DV-LLC", [](sim::SystemConfig &c) { c.llc.dvllc = true; });
+    variant("L1i geometry", [](sim::SystemConfig &c) { c.l1i.assoc /= 2; });
+    variant("L1d geometry",
+            [](sim::SystemConfig &c) { c.l1d.capacityBytes *= 2; });
+    variants.emplace_back("profile knob", tweaked);
+    // The same profile rebuilt (as after ImageCache::clear()) is a new
+    // image identity.
+    workload::ImageCache fresh;
+    sim::SystemConfig rebuilt = base;
+    rebuilt.program = fresh.get(base.profile);
+    variants.emplace_back("rebuilt image", rebuilt);
+
+    for (const auto &[what, c] : variants) {
+        warm.clear();
+        ASSERT_EQ(warmSourceOf(base), sim::WarmSource::Cold);
+        ASSERT_EQ(warmSourceOf(base), sim::WarmSource::Stored);
+        EXPECT_EQ(warmSourceOf(c), sim::WarmSource::Cold) << what;
+        EXPECT_EQ(warm.stats().hits, 0u) << what;
+    }
+}
+
+TEST(WarmCache, NoWarmupBypassesTheCache)
+{
+    sim::WarmCache &warm = sim::WarmCache::global();
+    warm.clear();
+    sim::SystemConfig cfg = sharedImageConfig(sim::Preset::Baseline);
+    cfg.functionalWarmInstrs = 0;
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(warmSourceOf(cfg), sim::WarmSource::Cold);
+    sim::WarmCacheStats stats = warm.stats();
+    EXPECT_EQ(stats.misses + stats.stores + stats.hits, 0u);
+}
+
+TEST(WarmCache, BtbGeometryAndFaultPlanShareOneCheckpoint)
+{
+    // Neither is read by the warmup: Confluence's 16 K-entry BTB is
+    // primed from the branch list, and faults attach afterwards.
+    sim::WarmCache &warm = sim::WarmCache::global();
+    sim::SystemConfig base = sharedImageConfig(sim::Preset::Baseline);
+    sim::SystemConfig confluence = sharedImageConfig(sim::Preset::Confluence);
+    sim::SystemConfig injected = sharedImageConfig(sim::Preset::SN4L);
+    injected.faults = rt::parseFaultPlan("drop:rate=0.5,seed=3").value();
+
+    warm.clear();
+    sim::RunResult confluence_cold = sim::simulate(confluence, gridWindows());
+    warm.clear();
+    sim::RunResult injected_cold = sim::simulate(injected, gridWindows());
+
+    warm.clear();
+    EXPECT_EQ(warmSourceOf(base), sim::WarmSource::Cold);
+    EXPECT_EQ(warmSourceOf(base), sim::WarmSource::Stored);
+    EXPECT_EQ(sim::simulate(confluence, gridWindows()), confluence_cold);
+    EXPECT_EQ(sim::simulate(injected, gridWindows()), injected_cold);
+    EXPECT_EQ(warm.stats().hits, 2u);
+    EXPECT_EQ(warm.stats().stores, 1u);
+}
+
+TEST(WarmCache, JobsOneMatchesJobsFourWithRestoredCells)
+{
+    // Four workers start a workload's cells together: one walks, one
+    // stores, and the others wait for the store and restore it.
+    const std::vector<sim::Preset> presets = {
+        sim::Preset::Baseline, sim::Preset::NL, sim::Preset::SN4LDisBtb,
+        sim::Preset::Shotgun, sim::Preset::Confluence, sim::Preset::Fdip,
+        sim::Preset::MicroBtb};
+    const std::vector<std::string> workloads = {"Web Frontend",
+                                                "Web (Apache)"};
+    sim::WarmCache &warm = sim::WarmCache::global();
+
+    warm.clear();
+    sim::ExperimentGrid serial(presets, gridWindows(), fastWarmHook());
+    serial.run(workloads, 1);
+    EXPECT_EQ(warm.stats().hits, 2 * (presets.size() - 2));
+
+    warm.clear();
+    sim::ExperimentGrid parallel(presets, gridWindows(), fastWarmHook());
+    parallel.run(workloads, 4);
+    EXPECT_GT(warm.stats().hits, 0u);
+
+    for (const auto &name : workloads) {
+        for (auto preset : presets) {
+            EXPECT_EQ(serial.at(name, preset), parallel.at(name, preset))
+                << name << "/" << sim::presetName(preset);
+        }
+    }
 }
 
 } // namespace

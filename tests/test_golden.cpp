@@ -12,7 +12,9 @@
  *
  * Comparison is on the serialized form (`sim::toJson(...).dump(2)`),
  * the exact bytes the generator wrote: this covers every counter key,
- * every histogram bucket, and the serialization itself.
+ * every histogram bucket, and the serialization itself.  Each cell runs
+ * three times so the walked, stored and restored functional warmups
+ * (sim::WarmCache) are all held to the corpus.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 
 #include "golden_cells.h"
 #include "sim/report.h"
+#include "sim/warm_cache.h"
 
 #ifndef DCFB_GOLDEN_DIR
 #error "DCFB_GOLDEN_DIR must point at the committed corpus directory"
@@ -57,11 +60,18 @@ TEST_P(GoldenCell, ReproducesCommittedResultBitForBit)
         << "missing golden file " << path
         << " -- run scripts/update_golden.py";
 
-    sim::RunResult result =
-        sim::simulate(golden::config(cell), golden::windows());
-    std::string actual = sim::toJson(result).dump(2) + "\n";
-
-    if (actual != expected) {
+    // Three runs in a row on one shared image: the first walks the warm
+    // stream, the second walks and stores the checkpoint, the third
+    // restores it (sim::WarmCache).  All three must match the corpus.
+    sim::SystemConfig cfg = golden::config(cell);
+    cfg.program = workload::ImageCache::global().get(cfg.profile);
+    sim::WarmCache &warm = sim::WarmCache::global();
+    warm.clear();
+    for (const char *run : {"cold", "stored", "restored"}) {
+        sim::RunResult result = sim::simulate(cfg, golden::windows());
+        std::string actual = sim::toJson(result).dump(2) + "\n";
+        if (actual == expected)
+            continue;
         // The full documents are large; point at the first divergence so
         // the failure names the counter, not just "differs".
         std::size_t at = 0;
@@ -70,11 +80,15 @@ TEST_P(GoldenCell, ReproducesCommittedResultBitForBit)
             ++at;
         }
         std::size_t from = at > 120 ? at - 120 : 0;
-        FAIL() << golden::fileName(cell) << " diverges at byte " << at
-               << "\n  expected ..."
+        FAIL() << golden::fileName(cell) << " (" << run
+               << " warmup) diverges at byte " << at << "\n  expected ..."
                << expected.substr(from, 240) << "\n  actual   ..."
                << actual.substr(from, 240);
     }
+    sim::WarmCacheStats stats = warm.stats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.stores, 1u);
+    EXPECT_EQ(stats.hits, 1u) << "the third run must restore";
 }
 
 std::string

@@ -3,7 +3,7 @@
  * Tests for the observability subsystem: stat-registry ID interning,
  * log2 histogram bucket edges, JSON round-trips (parser, RunResult),
  * trace on/off parity of the final counters, span timelines, and the
- * dcfb-prof-v1 profile schema.
+ * dcfb-prof-v1 profile schema, including the warm source both name.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "obs/trace.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
+#include "sim/warm_cache.h"
 #include "workload/profiles.h"
 
 namespace dcfb {
@@ -431,7 +432,7 @@ TEST(Profiler, ProfJsonSchemaStableUnderJobs4)
     for (const auto &cell : rows) {
         for (const char *key :
              {"workload", "design", "cycles", "instructions", "setup_s",
-              "warm_s", "measure_s", "sim_s", "cycles_per_sec",
+              "warm", "warm_s", "measure_s", "sim_s", "cycles_per_sec",
               "phase_s"}) {
             EXPECT_NE(cell.find(key), nullptr) << "missing " << key;
         }
@@ -451,6 +452,47 @@ TEST(Profiler, ProfJsonSchemaStableUnderJobs4)
         EXPECT_GT(phase_sum, 0.0);
         EXPECT_LE(phase_sum, sim_s * 1.5 + 1e-3);
     }
+}
+
+/** Setup time is bimodal, so the sim.setup span and the profile record
+ *  both say whether the cell walked or restored its warmup. */
+TEST(Profiler, SetupSpanAndRecordNameTheWarmSource)
+{
+    auto cfg = sim::makeConfig(workload::serverProfile("Web (Apache)"),
+                               sim::Preset::Baseline);
+    cfg.functionalWarmInstrs = 40000;
+    cfg.program = workload::ImageCache::global().get(cfg.profile);
+
+    std::string path = ::testing::TempDir() + "dcfb_spans_warm.json";
+    ASSERT_TRUE(obs::Spans::open(path));
+    obs::Profiler::drain();
+    obs::Profiler::setEnabled(true);
+    sim::WarmCache::global().clear();
+    for (int i = 0; i < 3; ++i)
+        sim::simulate(cfg, sim::RunWindows{4000, 6000});
+    obs::Profiler::setEnabled(false);
+    obs::Spans::close();
+
+    const std::vector<std::string> want = {"cold", "stored", "restored"};
+    std::vector<std::string> records;
+    for (const auto &rec : obs::Profiler::drain())
+        records.push_back(rec.warm);
+    EXPECT_EQ(records, want);
+
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    auto doc = obs::JsonValue::parse(buf.str());
+    ASSERT_TRUE(doc.has_value());
+    std::vector<std::string> labels;
+    for (const auto &ev : doc->items()) {
+        if (ev.find("ph")->asString() == "X" &&
+            ev.find("name")->asString() == "sim.setup")
+            labels.push_back(ev.find("args")->find("label")->asString());
+    }
+    EXPECT_EQ(labels, (std::vector<std::string>{"warm=cold", "warm=stored",
+                                                "warm=restored"}));
+    std::remove(path.c_str());
 }
 
 } // namespace
