@@ -18,10 +18,11 @@
  *                   trace-event format); runs buffer per thread and
  *                   merge at close, so the sweep still parallelizes
  *   --trace-spans <file>  write a span timeline (Chrome trace-event
- *                   JSON) of the whole process: one exec.cell span per
- *                   simulated cell on its worker's track, with
- *                   sim.setup/warm/measure children (DESIGN.md
- *                   "Telemetry plane")
+ *                   JSON) of the whole process, drawn from the cell and
+ *                   profiler records: one exec.cell event per simulated
+ *                   cell on its worker's track, with sim.setup/warm/
+ *                   measure inside it (DESIGN.md "Telemetry plane");
+ *                   turns the profiler on
  *   --inject <spec> seeded fault injection applied to every run, e.g.
  *                   drop:rate=0.5,seed=3 (see README "Robustness")
  *   --jobs <n>      worker threads for experiment sweeps (default: auto,
@@ -33,14 +34,10 @@
  *                   Off by default; with the flag absent the run is
  *                   bit-identical to the direct simulator path.
  *   --profile       time every simulated cell (setup/warm/measure wall
- *                   split plus per-phase cycle-loop attribution) and
- *                   emit the records as the JSON document's "prof"
+ *                   split plus sampled per-phase cycle-loop attribution)
+ *                   and emit the records as the JSON document's "prof"
  *                   section.  Simulated results are unchanged; see
  *                   DESIGN.md section 10 for the overhead model.
- *   --generic-step  force the generic (virtual-dispatch) System::step
- *                   path instead of the preset-specialized one; the
- *                   two are bit-identical (DESIGN.md section 13), this
- *                   is a debugging escape hatch.
  *
  * The authoritative flag reference is docs/FLAGS.md, generated from
  * src/cli/flag_docs.cpp (which also feeds --help below).
@@ -53,11 +50,14 @@
 #ifndef DCFB_BENCH_COMMON_H
 #define DCFB_BENCH_COMMON_H
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -68,7 +68,6 @@
 #include "exec/schedule.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "rt/faults.h"
 #include "sim/experiment.h"
@@ -126,6 +125,77 @@ simulateAll(const std::string &label, std::vector<sim::SystemConfig> configs,
     return results;
 }
 
+/**
+ * The `--trace-spans` timeline: one Chrome trace-event array drawn from
+ * drained exec reports and profiler records.  Each scheduled cell is an
+ * `exec.cell` X event labelled with its cell; each profiled run adds
+ * `sim.setup` (labelled with its warm source), `sim.warm` and
+ * `sim.measure`, laid end to end from its start stamp.  Events sit on
+ * the track of the thread that ran them (`main`, `worker-N`), so a
+ * run's phases nest inside its cell by time containment.  Timestamps are
+ * microseconds since the earliest event.
+ */
+inline obs::JsonValue
+spanTimeline(const std::vector<exec::ExecReport> &reports,
+             const std::vector<obs::ProfRecord> &records)
+{
+    double origin = std::numeric_limits<double>::infinity();
+    std::set<unsigned> tracks;
+    for (const auto &report : reports) {
+        for (const auto &cell : report.cellTimes) {
+            origin = std::min(origin, cell.start);
+            tracks.insert(cell.track);
+        }
+    }
+    for (const auto &rec : records) {
+        origin = std::min(origin, rec.start);
+        tracks.insert(rec.track);
+    }
+
+    obs::JsonValue out = obs::JsonValue::array();
+    for (unsigned track : tracks) {
+        obs::JsonValue m = obs::JsonValue::object();
+        m["name"] = "thread_name";
+        m["ph"] = "M";
+        m["pid"] = 1;
+        m["tid"] = static_cast<std::uint64_t>(track);
+        m["args"] = obs::JsonValue::object();
+        m["args"]["name"] = track ? "worker-" + std::to_string(track - 1)
+                                  : std::string("main");
+        out.push(std::move(m));
+    }
+    auto event = [&](const char *name, const std::string &label,
+                     double start, double seconds, unsigned track) {
+        obs::JsonValue x = obs::JsonValue::object();
+        x["name"] = name;
+        x["ph"] = "X";
+        x["pid"] = 1;
+        x["tid"] = static_cast<std::uint64_t>(track);
+        x["ts"] = (start - origin) * 1e6;
+        x["dur"] = seconds * 1e6;
+        if (!label.empty()) {
+            x["args"] = obs::JsonValue::object();
+            x["args"]["label"] = label;
+        }
+        out.push(std::move(x));
+    };
+    for (const auto &report : reports) {
+        for (const auto &cell : report.cellTimes)
+            event("exec.cell", cell.label, cell.start, cell.seconds,
+                  cell.track);
+    }
+    for (const auto &rec : records) {
+        double t = rec.start;
+        event("sim.setup", "warm=" + rec.warm, t, rec.setupSeconds,
+              rec.track);
+        t += rec.setupSeconds;
+        event("sim.warm", "", t, rec.warmSeconds, rec.track);
+        t += rec.warmSeconds;
+        event("sim.measure", "", t, rec.measureSeconds, rec.track);
+    }
+    return out;
+}
+
 /** The three workloads used for parameter sweeps (largest, middle,
  *  smallest footprint) when a full 7-workload grid would be excessive. */
 inline std::vector<std::string>
@@ -163,21 +233,21 @@ class Harness
         banner(figure_, claim_);
         if (!tracePath.empty() && obs::Tracing::open(tracePath))
             traceOpened = true;
-        if (!spanPath.empty() && obs::Spans::open(spanPath))
-            spansOpened = true;
+        // The span timeline is drawn from the profiler's records.
+        if (!spanPath.empty())
+            obs::Profiler::setEnabled(true);
     }
 
     ~Harness()
     {
         if (traceOpened)
             obs::Tracing::close();
-        if (spansOpened) {
-            obs::Spans::close();
-            std::printf("[span timeline written to %s]\n",
-                        spanPath.c_str());
-        }
+        std::vector<exec::ExecReport> reports = exec::ExecLog::drain();
+        std::vector<obs::ProfRecord> records = obs::Profiler::drain();
+        if (!spanPath.empty())
+            writeSpans(reports, records);
         if (!jsonPath.empty())
-            writeJson();
+            writeJson(reports, std::move(records));
     }
 
     Harness(const Harness &) = delete;
@@ -233,9 +303,6 @@ class Harness
                 obs::Profiler::setEnabled(true);
                 profileEnabled = true;
                 std::printf("  [profiling enabled]\n");
-            } else if (arg == "--generic-step") {
-                sim::setDefaultGenericStep(true);
-                std::printf("  [generic step path]\n");
             } else if (arg.rfind("--jobs", 0) == 0) {
                 std::string spec = value("--jobs");
                 if (spec == "auto") {
@@ -287,7 +354,21 @@ class Harness
     }
 
     void
-    writeJson()
+    writeSpans(const std::vector<exec::ExecReport> &reports,
+               const std::vector<obs::ProfRecord> &records)
+    {
+        std::ofstream out(spanPath, std::ios::out | std::ios::trunc);
+        if (!out.is_open()) {
+            std::fprintf(stderr, "cannot open %s\n", spanPath.c_str());
+            return;
+        }
+        out << spanTimeline(reports, records).dump() << '\n';
+        std::printf("[span timeline written to %s]\n", spanPath.c_str());
+    }
+
+    void
+    writeJson(const std::vector<exec::ExecReport> &reports,
+              std::vector<obs::ProfRecord> records)
     {
         obs::JsonValue doc = obs::JsonValue::object();
         doc["schema"] = "dcfb-bench-v1";
@@ -338,7 +419,7 @@ class Harness
         // Serial sweeps are omitted so a `--jobs 1` document stays
         // bit-identical to the historical serial format.
         obs::JsonValue execs = obs::JsonValue::array();
-        for (const auto &report : exec::ExecLog::drain()) {
+        for (const auto &report : reports) {
             if (report.jobs <= 1)
                 continue;
             obs::JsonValue e = obs::JsonValue::object();
@@ -365,7 +446,7 @@ class Harness
         // sorts cells by (workload, design), making the section stable
         // under any --jobs count.
         if (profileEnabled)
-            doc["prof"] = obs::profJson(obs::Profiler::drain());
+            doc["prof"] = obs::profJson(std::move(records));
         std::ofstream out(jsonPath, std::ios::out | std::ios::trunc);
         if (!out.is_open()) {
             std::fprintf(stderr, "cannot open %s\n", jsonPath.c_str());
@@ -382,7 +463,6 @@ class Harness
     std::string spanPath;
     std::string injectSpec;
     bool traceOpened = false;
-    bool spansOpened = false;
     bool profileEnabled = false;
     obs::JsonValue tables = obs::JsonValue::array();
     obs::JsonValue notes = obs::JsonValue::object();

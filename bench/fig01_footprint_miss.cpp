@@ -15,10 +15,17 @@ main(int argc, char **argv)
 
     sim::Table table({"workload", "U-BTB lookups", "footprint misses",
                       "footprint miss ratio"});
-    for (const auto &name : bench::allWorkloads()) {
-        auto cfg = sim::makeConfig(workload::serverProfile(name),
-                                   sim::Preset::Shotgun);
-        auto res = sim::simulate(cfg, bench::windows());
+    auto names = bench::allWorkloads();
+    std::vector<sim::SystemConfig> cfgs;
+    for (const auto &name : names) {
+        cfgs.push_back(sim::makeConfig(workload::serverProfile(name),
+                                       sim::Preset::Shotgun));
+    }
+    auto results =
+        bench::simulateAll("fig01 Shotgun", std::move(cfgs), bench::windows());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const auto &name = names[i];
+        const auto &res = results[i];
         table.addRow({name,
                       std::to_string(res.stat("sg.ubtb_lookups")),
                       std::to_string(res.stat("sg.ubtb_footprint_misses")),

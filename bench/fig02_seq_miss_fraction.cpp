@@ -17,10 +17,16 @@ main(int argc, char **argv)
                       "sequential fraction"});
     double sum = 0.0;
     auto names = bench::allWorkloads();
+    std::vector<sim::SystemConfig> cfgs;
     for (const auto &name : names) {
-        auto cfg = sim::makeConfig(workload::serverProfile(name),
-                                   sim::Preset::Baseline);
-        auto res = sim::simulate(cfg, bench::windows());
+        cfgs.push_back(sim::makeConfig(workload::serverProfile(name),
+                                       sim::Preset::Baseline));
+    }
+    auto results = bench::simulateAll("fig02 Baseline", std::move(cfgs),
+                                      bench::windows());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const auto &name = names[i];
+        const auto &res = results[i];
         double frac = res.ratio("l1i.l1i_seq_misses", "l1i.l1i_misses");
         sum += frac;
         table.addRow({name, std::to_string(res.stat("l1i.l1i_misses")),

@@ -18,13 +18,18 @@ main(int argc, char **argv)
                       "seq coverage"});
     double sum = 0.0;
     auto names = bench::allWorkloads();
+    std::vector<sim::SystemConfig> cfgs;
     for (const auto &name : names) {
         auto profile = workload::serverProfile(name);
-        auto base = sim::simulate(
-            sim::makeConfig(profile, sim::Preset::Baseline),
-            bench::windows());
-        auto nl = sim::simulate(sim::makeConfig(profile, sim::Preset::NL),
-                                bench::windows());
+        cfgs.push_back(sim::makeConfig(profile, sim::Preset::Baseline));
+        cfgs.push_back(sim::makeConfig(profile, sim::Preset::NL));
+    }
+    auto results = bench::simulateAll("fig03 Baseline vs NL",
+                                      std::move(cfgs), bench::windows());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const auto &name = names[i];
+        const auto &base = results[2 * i];
+        const auto &nl = results[2 * i + 1];
         double b = static_cast<double>(base.stat("l1i.l1i_seq_misses"));
         double n = static_cast<double>(nl.stat("l1i.l1i_seq_misses"));
         double cov = b > 0 ? std::max(0.0, 1.0 - n / b) : 0.0;

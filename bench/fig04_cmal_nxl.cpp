@@ -18,14 +18,22 @@ main(int argc, char **argv)
                                   sim::Preset::N4L, sim::Preset::N8L};
     sim::Table table({"design", "CMAL (avg over workloads)",
                       "ext. requests (avg)"});
-    for (auto preset : depths) {
+    // Workload-major, so each workload's designs share one warmup.
+    auto names = bench::allWorkloads();
+    std::vector<sim::SystemConfig> cfgs;
+    for (const auto &name : names) {
+        for (auto preset : depths)
+            cfgs.push_back(
+                sim::makeConfig(workload::serverProfile(name), preset));
+    }
+    auto results = bench::simulateAll("fig04 NXL grid", std::move(cfgs),
+                                      bench::windows());
+    for (std::size_t p = 0; p < std::size(depths); ++p) {
+        auto preset = depths[p];
         double sum = 0.0;
         std::uint64_t reqs = 0;
-        auto names = bench::allWorkloads();
-        for (const auto &name : names) {
-            auto res = sim::simulate(
-                sim::makeConfig(workload::serverProfile(name), preset),
-                bench::windows());
+        for (std::size_t w = 0; w < names.size(); ++w) {
+            const auto &res = results[w * std::size(depths) + p];
             sum += res.cmal();
             reqs += res.stat("l1i.l1i_external_requests");
         }

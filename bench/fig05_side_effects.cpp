@@ -16,14 +16,23 @@ main(int argc, char **argv)
     bench::Harness h(argc, argv, "Fig. 5 - useless-prefetch side effects",
                   "N8L: LLC latency +28%, L1i ext. bandwidth 7.2x");
 
+    const sim::Preset presets[] = {sim::Preset::Baseline, sim::Preset::NL,
+                                   sim::Preset::N2L, sim::Preset::N4L,
+                                   sim::Preset::N8L};
     auto names = bench::allWorkloads();
-    auto run_avg = [&](sim::Preset preset, double &llc_lat, double &bw) {
+    std::vector<sim::SystemConfig> cfgs;
+    for (const auto &name : names) {
+        for (auto preset : presets)
+            cfgs.push_back(
+                sim::makeConfig(workload::serverProfile(name), preset));
+    }
+    auto results = bench::simulateAll("fig05 NXL grid", std::move(cfgs),
+                                      bench::windows());
+    auto run_avg = [&](std::size_t p, double &llc_lat, double &bw) {
         llc_lat = 0.0;
         bw = 0.0;
-        for (const auto &name : names) {
-            auto res = sim::simulate(
-                sim::makeConfig(workload::serverProfile(name), preset),
-                bench::windows());
+        for (std::size_t w = 0; w < names.size(); ++w) {
+            const auto &res = results[w * std::size(presets) + p];
             llc_lat += res.ratio("llc.llc_latency_sum", "llc.llc_accesses");
             bw += static_cast<double>(
                 res.stat("l1i.l1i_external_requests"));
@@ -33,16 +42,15 @@ main(int argc, char **argv)
     };
 
     double base_lat = 0.0, base_bw = 0.0;
-    run_avg(sim::Preset::Baseline, base_lat, base_bw);
+    run_avg(0, base_lat, base_bw);
 
     sim::Table table({"design", "LLC latency (norm.)",
                       "L1i ext. bandwidth (norm.)"});
     table.addRow({"Baseline", "1.00", "1.00"});
-    for (auto preset : {sim::Preset::NL, sim::Preset::N2L,
-                        sim::Preset::N4L, sim::Preset::N8L}) {
+    for (std::size_t p = 1; p < std::size(presets); ++p) {
         double lat = 0.0, bw = 0.0;
-        run_avg(preset, lat, bw);
-        table.addRow({sim::presetName(preset),
+        run_avg(p, lat, bw);
+        table.addRow({sim::presetName(presets[p]),
                       sim::Table::num(lat / base_lat),
                       sim::Table::num(bw / base_bw)});
     }

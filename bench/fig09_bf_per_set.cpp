@@ -16,9 +16,11 @@ main(int argc, char **argv)
 
     sim::Table table({"BF slots/set", "BF fetches", "uncovered",
                       "uncovered fraction"});
-    for (unsigned slots : {1u, 2u, 3u, 4u}) {
-        std::uint64_t fetches = 0, uncovered = 0;
-        for (const auto &name : bench::sweepWorkloads()) {
+    const unsigned slot_counts[] = {1u, 2u, 3u, 4u};
+    auto names = bench::sweepWorkloads();
+    std::vector<sim::SystemConfig> cfgs;
+    for (unsigned slots : slot_counts) {
+        for (const auto &name : names) {
             auto profile = workload::serverProfile(name, /*vl=*/true);
             auto cfg =
                 sim::makeConfig(profile, sim::Preset::SN4LDisBtb);
@@ -27,7 +29,16 @@ main(int argc, char **argv)
             // at 32 MB the per-set instruction population is < 1 and
             // slot pressure never materializes.
             cfg.llc.capacityBytes = 2ull << 20;
-            auto res = sim::simulate(cfg, bench::windows());
+            cfgs.push_back(std::move(cfg));
+        }
+    }
+    auto results = bench::simulateAll("fig09 BF slot sweep", std::move(cfgs),
+                                      bench::windows());
+    for (std::size_t s = 0; s < std::size(slot_counts); ++s) {
+        unsigned slots = slot_counts[s];
+        std::uint64_t fetches = 0, uncovered = 0;
+        for (std::size_t w = 0; w < names.size(); ++w) {
+            const auto &res = results[s * names.size() + w];
             fetches += res.stat("llc.bf_fetch_attempts");
             uncovered += res.stat("llc.bf_fetch_uncovered");
         }

@@ -20,15 +20,31 @@ main(int argc, char **argv)
         {"full tag", prefetch::DisTagPolicy::Full},
     };
 
+    // Per workload: one SN4L+Dis cell per tagging policy, then the SN4L
+    // cell of the SeqTable companion.  Workload-major, so each
+    // workload's cells share one warmup.
+    const std::size_t per_workload = std::size(policies) + 1;
+    auto names = bench::allWorkloads();
+    std::vector<sim::SystemConfig> cfgs;
+    for (const auto &name : names) {
+        auto profile = workload::serverProfile(name);
+        for (const auto &[label, policy] : policies) {
+            auto cfg = sim::makeConfig(profile, sim::Preset::SN4LDis);
+            cfg.sn4l.disTable.tagPolicy = policy;
+            cfgs.push_back(std::move(cfg));
+        }
+        cfgs.push_back(sim::makeConfig(profile, sim::Preset::SN4L));
+    }
+    auto results = bench::simulateAll("fig12 tagging grid", std::move(cfgs),
+                                      bench::windows());
+
     sim::Table table({"policy", "DisTable hits", "overpredictions",
                       "overprediction rate"});
-    for (const auto &[label, policy] : policies) {
+    for (std::size_t p = 0; p < std::size(policies); ++p) {
+        const char *label = policies[p].first;
         std::uint64_t hits = 0, wrong = 0;
-        for (const auto &name : bench::allWorkloads()) {
-            auto cfg = sim::makeConfig(workload::serverProfile(name),
-                                       sim::Preset::SN4LDis);
-            cfg.sn4l.disTable.tagPolicy = policy;
-            auto res = sim::simulate(cfg, bench::windows());
+        for (std::size_t w = 0; w < names.size(); ++w) {
+            const auto &res = results[w * per_workload + p];
             std::uint64_t h = res.stat("pf.dis_candidates") +
                 res.stat("pf.dis_replay_not_branch") +
                 res.stat("pf.dis_replay_no_target");
@@ -45,10 +61,8 @@ main(int argc, char **argv)
 
     // Section VII.C companion: SeqTable conflict behaviour.
     std::uint64_t writes = 0, conflicts = 0;
-    for (const auto &name : bench::allWorkloads()) {
-        auto cfg = sim::makeConfig(workload::serverProfile(name),
-                                   sim::Preset::SN4L);
-        auto res = sim::simulate(cfg, bench::windows());
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        const auto &res = results[w * per_workload + std::size(policies)];
         writes += res.stat("pf.seqtable_writes");
         conflicts += res.stat("pf.seqtable_conflicts");
     }

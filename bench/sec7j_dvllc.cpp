@@ -19,22 +19,27 @@ main(int argc, char **argv)
     sim::Table table({"workload", "instr hit (conv)", "instr hit (DV)",
                       "data hit (conv)", "data hit (DV)",
                       "speedup (conv)", "speedup (DV)"});
-    for (const auto &name : bench::sweepWorkloads()) {
+    // Per workload: conventional-LLC Baseline and SN4L+Dis+BTB, then
+    // SN4L+Dis+BTB on the DV-LLC.
+    auto names = bench::sweepWorkloads();
+    std::vector<sim::SystemConfig> cfgs;
+    for (const auto &name : names) {
         auto profile = workload::serverProfile(name, /*vl=*/true);
-
-        auto base_cfg = sim::makeConfig(profile, sim::Preset::Baseline);
-        base_cfg.llc.dvllc = false;
-        base_cfg.l1i.fetchFootprints = false;
-        auto base = sim::simulate(base_cfg, bench::windows());
-
-        auto conv_cfg = sim::makeConfig(profile, sim::Preset::SN4LDisBtb);
-        conv_cfg.llc.dvllc = false;
-        conv_cfg.l1i.fetchFootprints = false;
-        auto conv = sim::simulate(conv_cfg, bench::windows());
-
-        auto dv_cfg = sim::makeConfig(profile, sim::Preset::SN4LDisBtb);
-        auto dv = sim::simulate(dv_cfg, bench::windows());
-
+        for (auto preset : {sim::Preset::Baseline, sim::Preset::SN4LDisBtb}) {
+            auto cfg = sim::makeConfig(profile, preset);
+            cfg.llc.dvllc = false;
+            cfg.l1i.fetchFootprints = false;
+            cfgs.push_back(std::move(cfg));
+        }
+        cfgs.push_back(sim::makeConfig(profile, sim::Preset::SN4LDisBtb));
+    }
+    auto results = bench::simulateAll("sec7j DV-LLC grid", std::move(cfgs),
+                                      bench::windows());
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        const auto &name = names[w];
+        const auto &base = results[3 * w];
+        const auto &conv = results[3 * w + 1];
+        const auto &dv = results[3 * w + 2];
         table.addRow(
             {name,
              sim::Table::pct(conv.ratio("llc.llc_instr_hits",

@@ -32,7 +32,10 @@ buildDocs()
          "(*.jsonl -> JSONL, else Chrome trace-event format)", false},
         {"--trace-spans", "<file>", "",
          "write a span timeline (Chrome trace-event JSON) of the whole "
-         "process: one exec.cell span per simulated cell", false},
+         "process, drawn from the cell and profiler records: one "
+         "exec.cell event per cell on its worker's track, with "
+         "sim.setup/warm/measure inside it; turns the profiler on",
+         false},
         {"--inject", "<spec>", "off",
          "seeded fault injection applied to every run, e.g. "
          "drop:rate=0.5,seed=3 (README \"Robustness\")", false},
@@ -45,13 +48,8 @@ buildDocs()
          "computed under <dir> are served from it", false},
         {"--profile", "", "off",
          "time every simulated cell (setup/warm/measure wall split plus "
-         "per-phase cycle-loop attribution) and emit the records as the "
-         "JSON document's \"prof\" section", false},
-        {"--generic-step", "", "off",
-         "force the generic (virtual-dispatch) System::step path instead "
-         "of the preset-specialized one; results are bit-identical "
-         "(DESIGN.md section 13), this is a debugging escape hatch",
-         false},
+         "sampled per-phase cycle-loop attribution) and emit the records "
+         "as the JSON document's \"prof\" section", false},
     };
     docs.push_back(std::move(bench));
 

@@ -50,6 +50,13 @@ namespace dcfb::exec {
 unsigned hardwareJobs();
 
 /**
+ * Timeline track of the calling thread: 0 outside any pool, i+1 on
+ * worker i of the pool that runs it.  Cell and profiler records stamp
+ * it, so the `--trace-spans` timeline draws one track per worker.
+ */
+unsigned threadTrack();
+
+/**
  * Fixed-size work-sharing pool with a bounded task deque.
  */
 class Pool

@@ -1,11 +1,9 @@
 #include "exec/schedule.h"
 
-#include <chrono>
 #include <mutex>
-#include <optional>
 
 #include "exec/pool.h"
-#include "obs/span.h"
+#include "obs/profiler.h"
 
 namespace dcfb::exec {
 
@@ -15,14 +13,6 @@ unsigned gDefaultJobs = 0; // 0 = auto; written once at CLI parse
 
 std::mutex gLogMutex;
 std::vector<ExecReport> gLog;
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
 
 } // namespace
 
@@ -70,42 +60,36 @@ runIndexed(std::string label, std::size_t n, unsigned jobs,
             report.cellTimes[i].label = cell_label(i);
     }
 
-    // One span per cell (serial and pooled paths alike): the timeline
-    // then shows every worker's occupancy, labelled with the cell.
-    auto traced_body = [&](std::size_t i) {
-        std::optional<obs::SpanScope> cell;
-        if (obs::Spans::enabled())
-            cell.emplace("exec.cell", report.cellTimes[i].label);
+    // Every cell (serial and pooled paths alike) records its start and
+    // track, so the span timeline shows every worker's occupancy.  Each
+    // slot is written by exactly one task; the pool barrier publishes
+    // them to the caller.
+    auto timed_body = [&](std::size_t i) {
+        CellTime &cell = report.cellTimes[i];
+        cell.start = obs::profNow();
+        cell.track = threadTrack();
         body(i);
+        cell.seconds = obs::profNow() - cell.start;
     };
 
-    auto t0 = std::chrono::steady_clock::now();
+    const double t0 = obs::profNow();
     if (report.jobs <= 1) {
         for (std::size_t i = 0; i < n; ++i) {
-            auto c0 = std::chrono::steady_clock::now();
-            traced_body(i);
-            report.cellTimes[i].seconds = secondsSince(c0);
+            timed_body(i);
             report.busySeconds += report.cellTimes[i].seconds;
         }
-        report.wallSeconds = secondsSince(t0);
+        report.wallSeconds = obs::profNow() - t0;
         return report;
     }
 
     {
         Pool pool(report.jobs);
-        for (std::size_t i = 0; i < n; ++i) {
-            pool.submit([&, i] {
-                auto c0 = std::chrono::steady_clock::now();
-                traced_body(i);
-                // Each slot is written by exactly one task; the
-                // pool barrier publishes them to the caller.
-                report.cellTimes[i].seconds = secondsSince(c0);
-            });
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            pool.submit([&, i] { timed_body(i); });
         pool.wait(); // rethrows the first cell failure
         report.busySeconds = pool.busySeconds();
     }
-    report.wallSeconds = secondsSince(t0);
+    report.wallSeconds = obs::profNow() - t0;
     return report;
 }
 

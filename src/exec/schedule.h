@@ -48,10 +48,12 @@ unsigned defaultJobs();
  */
 unsigned resolveJobs(unsigned requested = 0);
 
-/** Wall time of one scheduled cell. */
+/** When, where and how long one scheduled cell ran. */
 struct CellTime
 {
     std::string label;     //!< e.g. "OLTP (DB A)/SN4L+Dis+BTB"
+    double start = 0.0;    //!< obs::profNow() when the cell began
+    unsigned track = 0;    //!< threadTrack() of the thread that ran it
     double seconds = 0.0;  //!< cell wall time
 };
 

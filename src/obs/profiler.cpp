@@ -52,6 +52,20 @@ profPhaseName(ProfPhase phase)
 }
 
 void
+tilePhases(PhaseSeconds &phases, double loopSeconds)
+{
+    constexpr unsigned integrity = static_cast<unsigned>(ProfPhase::Integrity);
+    double sampled = 0.0;
+    for (unsigned i = 0; i < integrity; ++i)
+        sampled += phases[i];
+    if (sampled <= 0.0)
+        return;
+    double scale = (loopSeconds - phases[integrity]) / sampled;
+    for (unsigned i = 0; i < integrity; ++i)
+        phases[i] *= scale;
+}
+
+void
 Profiler::setEnabled(bool on)
 {
     enabledFlag.store(on, std::memory_order_relaxed);
@@ -87,6 +101,8 @@ profJson(std::vector<ProfRecord> records)
         p["design"] = rec.design;
         p["cycles"] = rec.cycles;
         p["instructions"] = rec.instructions;
+        p["start_s"] = rec.start;
+        p["track"] = static_cast<std::uint64_t>(rec.track);
         p["setup_s"] = rec.setupSeconds;
         p["warm"] = rec.warm;
         p["warm_s"] = rec.warmSeconds;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Lightweight simulation profiler behind the benches' `--profile` flag.
+ * Lightweight simulation profiler behind the benches' `--profile` and
+ * `--trace-spans` flags.
  *
  * Two kinds of attribution, both per simulated cell:
  *
@@ -8,21 +9,26 @@
  *    functional warmup), warm window and measured window.  One
  *    steady_clock pair per window: negligible overhead, always recorded
  *    while profiling is enabled.  This is what `scripts/perf_baseline.py`
- *    turns into cycles/sec per preset (BENCH_perf.json).
+ *    turns into cycles/sec per preset (BENCH_perf.json).  Each record
+ *    also carries its start stamp and timeline track, so the
+ *    `--trace-spans` timeline is drawn from these records.
  *
- *  - **Per-phase attribution** of the cycle loop: each System::step()
- *    stage (backend, L1i tick, prefetcher, dispatch, fetch) is timed
- *    individually so the `prof` JSON section shows where a cell's cycle
- *    time goes.  This costs a few clock reads per simulated cycle, so it
- *    only runs while profiling is enabled -- absolute cycles/sec under
- *    `--profile` are a few percent lower than a plain run, uniformly
- *    across presets (the per-preset *comparison* stays valid).
+ *  - **Sampled per-phase attribution** of the cycle loop: one cycle in
+ *    kProfSampleStride has each System::step() stage (backend, L1i
+ *    tick, prefetcher, dispatch, fetch) timed individually; every other
+ *    cycle runs the plain step.  When the record is taken the sampled
+ *    shares are scaled to tile the loop wall (tilePhases), so the
+ *    `prof` JSON section shows where a cell's cycle time goes while the
+ *    profiled loop runs at close to plain speed (DESIGN.md section 10).
  *
  * Process-global, like obs::Tracing and exec::ExecLog: the bench harness
  * enables it once, every simulated cell contributes a record, and the
- * harness drains the records into the JSON document's `prof` section.
- * Worker threads each profile their own System (accumulators live in the
- * System, not here); only push/drain synchronize.
+ * harness drains the records into the JSON document's `prof` section
+ * and the span timeline.  Worker threads each profile their own System
+ * (accumulators live in the System, not here); only push/drain
+ * synchronize.  A System picks its step path when it is constructed, so
+ * the switch must be set before a cell starts: flipping it in the
+ * middle of a cell has no effect on that cell.
  */
 
 #ifndef DCFB_OBS_PROFILER_H
@@ -58,6 +64,18 @@ const char *profPhaseName(ProfPhase phase);
 /** Per-phase wall-seconds accumulator owned by one System. */
 using PhaseSeconds = std::array<double, kProfPhases>;
 
+/** Cycles per timed cycle on the profiled step path.  A prime, so the
+ *  sample cannot alias the 8192-cycle integrity sweep interval. */
+inline constexpr unsigned kProfSampleStride = 61;
+
+/**
+ * Scale the sampled cycle-loop phases in @p phases so that the five of
+ * them sum to @p loopSeconds minus the integrity slot, which is timed
+ * on every sweep and left as measured.  A record with no sampled cycle
+ * is left unchanged.
+ */
+void tilePhases(PhaseSeconds &phases, double loopSeconds);
+
 /** What one simulated cell cost. */
 struct ProfRecord
 {
@@ -65,11 +83,13 @@ struct ProfRecord
     std::string design;
     std::uint64_t cycles = 0;       //!< timed cycles (warm + measure)
     std::uint64_t instructions = 0; //!< instructions retired while timed
+    double start = 0.0;             //!< profNow() at simulate entry
+    unsigned track = 0;             //!< exec::threadTrack() of the run
     double setupSeconds = 0.0;      //!< System ctor: image + warmup
     std::string warm = "cold";      //!< warm source: cold/stored/restored
     double warmSeconds = 0.0;       //!< timed warm window
     double measureSeconds = 0.0;    //!< measured window
-    PhaseSeconds phaseSeconds{};    //!< cycle-loop phase attribution
+    PhaseSeconds phaseSeconds{};    //!< sampled, tiled loop attribution
 
     /** Cycle-loop wall (the cycles/sec denominator). */
     double simSeconds() const { return warmSeconds + measureSeconds; }
@@ -126,30 +146,6 @@ profNow()
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
 }
-
-/**
- * Scoped phase timer: adds the enclosed wall time to one PhaseSeconds
- * slot.  Constructed only on profiling paths (callers check
- * Profiler::enabled() first, so the un-profiled cycle loop pays one
- * branch, no clock reads).
- */
-class PhaseTimer
-{
-  public:
-    PhaseTimer(PhaseSeconds &sink_, ProfPhase phase)
-        : sink(&sink_[static_cast<unsigned>(phase)]), start(profNow())
-    {
-    }
-
-    ~PhaseTimer() { *sink += profNow() - start; }
-
-    PhaseTimer(const PhaseTimer &) = delete;
-    PhaseTimer &operator=(const PhaseTimer &) = delete;
-
-  private:
-    double *sink;
-    double start;
-};
 
 } // namespace dcfb::obs
 

@@ -4,20 +4,7 @@ namespace dcfb::sim {
 
 namespace {
 rt::FaultPlan gDefaultFaultPlan; // inactive unless --inject installs one
-bool gDefaultGenericStep = false; // set by --generic-step
 } // namespace
-
-void
-setDefaultGenericStep(bool generic)
-{
-    gDefaultGenericStep = generic;
-}
-
-bool
-defaultGenericStep()
-{
-    return gDefaultGenericStep;
-}
 
 void
 setDefaultFaultPlan(const rt::FaultPlan &plan)
@@ -64,7 +51,6 @@ makeConfig(const workload::WorkloadProfile &profile, Preset preset)
     cfg.profile = profile;
     cfg.preset = preset;
     cfg.faults = defaultFaultPlan();
-    cfg.genericStep = defaultGenericStep();
 
     switch (preset) {
       case Preset::NL:

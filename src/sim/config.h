@@ -115,9 +115,8 @@ struct SystemConfig
     /**
      * Force the generic (virtual-dispatch) step path instead of the
      * preset-specialized one.  The two paths execute identical
-     * statements and must produce bit-identical RunResults; this switch
-     * exists for the dispatch-equivalence tests and as a debugging
-     * escape hatch (`--generic-step` on the benches).
+     * statements and must produce bit-identical RunResults; the
+     * dispatch-equivalence tests use the generic path as the reference.
      */
     bool genericStep = false;
 };
@@ -134,14 +133,6 @@ SystemConfig makeConfig(const workload::WorkloadProfile &profile,
  */
 void setDefaultFaultPlan(const rt::FaultPlan &plan);
 const rt::FaultPlan &defaultFaultPlan();
-
-/**
- * Process-wide default for SystemConfig::genericStep, stamped into
- * every makeConfig() result.  The bench harness sets this from
- * `--generic-step`; results must be bit-identical either way.
- */
-void setDefaultGenericStep(bool generic);
-bool defaultGenericStep();
 
 } // namespace dcfb::sim
 

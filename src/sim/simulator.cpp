@@ -2,8 +2,8 @@
 
 #include <optional>
 
+#include "exec/pool.h"
 #include "obs/profiler.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "rt/watchdog.h"
 
@@ -31,41 +31,19 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
 {
     // Profiling walls: setup covers System construction (workload image
     // build or reuse, warm-touch, component wiring); warm/measure cover
-    // the two run windows.  All clock reads are gated so unprofiled runs
+    // the two run windows.  The entry stamp also places the record on
+    // the span timeline.  All clock reads are gated so unprofiled runs
     // pay nothing.
     const bool prof = obs::Profiler::enabled();
-    double mark = prof ? obs::profNow() : 0.0;
-
-    // Span phases mirror the profiling walls.  The scopes parent under
-    // the caller's ambient span (exec.cell), so one timeline
-    // shows which phase of which cell each worker was in; all gated so
-    // untraced runs pay one predicted branch.
-    const bool spans = obs::Spans::enabled();
-    std::optional<obs::SpanScope> simSpan;
-    if (spans) {
-        simSpan.emplace("sim.simulate", config.profile.name + "/" +
-                                            presetName(config.preset));
-    }
-
-    // Phase spans are recorded retroactively (start stamp taken before,
-    // record after) so the phases stay straight-line code.
-    std::uint64_t span_mark = spans ? obs::Spans::nowUs() : 0;
-    auto span_phase = [&](const char *name, std::string label = {}) {
-        std::uint64_t t = obs::Spans::nowUs();
-        obs::SpanIds cur = obs::Spans::current();
-        obs::Spans::record(name, cur.trace, obs::Spans::newSpanId(),
-                           cur.span, span_mark, t, std::move(label));
-        span_mark = t;
-    };
+    const double start = prof ? obs::profNow() : 0.0;
+    double mark = start;
 
     System system(config);
 
     // Setup time is bimodal (a walked or a restored warmup), so the
-    // setup span and the profile record both name the warm source.
+    // profile record names the warm source.
     const char *warm = warmSourceName(system.warmSource);
     double setup_seconds = 0.0;
-    if (spans)
-        span_phase("sim.setup", std::string("warm=") + warm);
     if (prof) {
         double t = obs::profNow();
         setup_seconds = t - mark;
@@ -114,14 +92,14 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
             system.step();
             if (system.now() % interval != 0)
                 continue;
+            double t0 = prof ? obs::profNow() : 0.0;
+            auto err = sweep();
             if (prof) {
-                obs::PhaseTimer t(system.profPhases,
-                                  obs::ProfPhase::Integrity);
-                if (auto err = sweep())
-                    return err;
-            } else if (auto err = sweep()) {
-                return err;
+                system.profPhases[static_cast<unsigned>(
+                    obs::ProfPhase::Integrity)] += obs::profNow() - t0;
             }
+            if (err)
+                return err;
         }
         return std::nullopt;
     };
@@ -129,8 +107,6 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
     if (auto err = run_window(windows.warm))
         return std::move(*err);
 
-    if (spans)
-        span_phase("sim.warm");
     double warm_seconds = 0.0;
     if (prof) {
         double t = obs::profNow();
@@ -155,8 +131,6 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
 
     if (tracing)
         obs::Tracing::endRun();
-    if (spans)
-        span_phase("sim.measure");
     if (measure_err)
         return std::move(*measure_err);
 
@@ -172,11 +146,14 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
         rec.design = res.design;
         rec.cycles = windows.warm + windows.measure;
         rec.instructions = system.instructions();
+        rec.start = start;
+        rec.track = exec::threadTrack();
         rec.setupSeconds = setup_seconds;
         rec.warm = warm;
         rec.warmSeconds = warm_seconds;
         rec.measureSeconds = obs::profNow() - mark;
         rec.phaseSeconds = system.profPhases;
+        obs::tilePhases(rec.phaseSeconds, rec.simSeconds());
         obs::Profiler::push(std::move(rec));
     }
 

@@ -320,8 +320,8 @@ template <typename Pf, typename Fe>
 void
 System::bindStep()
 {
-    stepFn = &System::stepImpl<Pf, Fe>;
-    stepProfFn = &System::stepProfiledImpl<Pf, Fe>;
+    stepFn = obs::Profiler::enabled() ? &System::stepProfiledImpl<Pf, Fe>
+                                      : &System::stepImpl<Pf, Fe>;
 }
 
 void
@@ -581,11 +581,15 @@ template <typename Pf, typename Fe>
 void
 System::stepProfiledImpl()
 {
+    if (cycleCount % obs::kProfSampleStride != 0) {
+        stepImpl<Pf, Fe>();
+        return;
+    }
     using obs::ProfPhase;
     auto &pf = static_cast<Pf &>(*prefetcher);
     auto &fe = static_cast<Fe &>(*fetch);
     // Chained boundary timestamps: each read ends one phase and starts
-    // the next, so five phases cost six clock reads per cycle.
+    // the next, so five phases cost six clock reads per sampled cycle.
     double t0 = obs::profNow();
     backend->beginCycle(cycleCount);
     double t1 = obs::profNow();

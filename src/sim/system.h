@@ -14,6 +14,9 @@
  *    pays zero SN4L/Dis/BTB branches.  `SystemConfig::genericStep`
  *    forces the fully generic instantiation (virtual dispatch), which
  *    must be bit-identical — the dispatch-equivalence tests assert it.
+ *    A System built while obs::Profiler is enabled binds the sampled
+ *    profiled instantiation instead; the choice is fixed for the
+ *    System's life.
  *
  *  - **Arena-resident state.**  The cell's flat tables (cache line
  *    arrays, TAGE tables, BTB ways, prefetcher tables/queues, ROB ring,
@@ -63,15 +66,7 @@ class System
     explicit System(const SystemConfig &config);
 
     /** Advance the machine by one cycle. */
-    void
-    step()
-    {
-        if (obs::Profiler::enabled()) [[unlikely]] {
-            (this->*stepProfFn)();
-            return;
-        }
-        (this->*stepFn)();
-    }
+    void step() { (this->*stepFn)(); }
 
     /** Current cycle. */
     Cycle now() const { return cycleCount; }
@@ -129,9 +124,9 @@ class System
     /** How this cell's functional warmup was obtained. */
     WarmSource warmSource = WarmSource::Cold;
 
-    /** Per-phase cycle-loop attribution; only written while
-     *  obs::Profiler::enabled() (the integrity slot is accumulated by
-     *  the run loop in simulator.cpp). */
+    /** Sampled per-phase cycle-loop attribution; only written by a
+     *  System built with obs::Profiler enabled (the integrity slot is
+     *  accumulated by the run loop in simulator.cpp). */
     obs::PhaseSeconds profPhases{};
 
   private:
@@ -153,7 +148,8 @@ class System
     /** Construct the BTB-directed engine (Boomerang, Shotgun, FDIP). */
     void makeDecoupledFetch();
 
-    /** Bind stepFn/stepProfFn to the preset's specialization family. */
+    /** Bind stepFn to the preset's specialization family, profiled
+     *  or plain according to obs::Profiler::enabled(). */
     void selectStepFns();
 
     /** Construct the coupled fetch engine for concrete prefetcher @p Pf. */
@@ -166,14 +162,14 @@ class System
      *  bases and is the pre-specialization behaviour). */
     template <typename Pf, typename Fe> void stepImpl();
 
-    /** stepImpl with per-phase wall attribution (profiling runs only):
-     *  chained timestamps, so N phases cost N+1 clock reads. */
+    /** stepImpl with sampled per-phase wall attribution (profiling
+     *  runs only): one cycle in obs::kProfSampleStride is timed with
+     *  chained timestamps, the others run stepImpl unchanged. */
     template <typename Pf, typename Fe> void stepProfiledImpl();
 
     template <typename Fe> void dispatchStageImpl(Fe &fe);
 
     StepFn stepFn = nullptr;
-    StepFn stepProfFn = nullptr;
 
     Cycle cycleCount = 0;
     std::uint64_t instructionsRetired = 0;

@@ -2,8 +2,8 @@
  * @file
  * Tests for the observability subsystem: stat-registry ID interning,
  * log2 histogram bucket edges, JSON round-trips (parser, RunResult),
- * trace on/off parity of the final counters, span timelines, and the
- * dcfb-prof-v1 profile schema, including the warm source both name.
+ * trace on/off parity of the final counters, and the dcfb-prof-v1
+ * profile records with the span timeline drawn from them.
  */
 
 #include <gtest/gtest.h>
@@ -11,14 +11,14 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
-#include <thread>
 
+#include "bench_common.h"
 #include "exec/schedule.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -280,121 +280,6 @@ TEST(Trace, BoundedStreamCountsDrops)
     std::remove(path.c_str());
 }
 
-// ------------------------------------------------------------------- spans
-
-TEST(Spans, DisabledSinkIsNoOp)
-{
-    ASSERT_FALSE(obs::Spans::enabled());
-    {
-        obs::SpanScope outer("test.outer");
-        obs::SpanScope inner("test.inner", "label");
-        // Disabled scopes mint no IDs and set no ambient context.
-        EXPECT_EQ(outer.spanId(), 0u);
-        EXPECT_EQ(inner.spanId(), 0u);
-        EXPECT_EQ(obs::Spans::current().trace, 0u);
-    }
-    EXPECT_EQ(obs::Spans::recorded(), 0u);
-}
-
-TEST(Spans, ScopesNestAndExportChromeTimeline)
-{
-    std::string path = ::testing::TempDir() + "dcfb_spans_nest.json";
-    ASSERT_TRUE(obs::Spans::open(path));
-    ASSERT_TRUE(obs::Spans::enabled());
-
-    std::uint64_t outer_trace = 0;
-    std::uint64_t outer_span = 0;
-    {
-        obs::SpanScope outer("test.outer", "cell-0");
-        outer_trace = outer.traceId();
-        outer_span = outer.spanId();
-        ASSERT_NE(outer_trace, 0u);
-        // Ambient context is the live scope.
-        EXPECT_EQ(obs::Spans::current().trace, outer_trace);
-        EXPECT_EQ(obs::Spans::current().span, outer_span);
-        {
-            obs::SpanScope inner("test.inner");
-            // Nested scope joins the ambient trace.
-            EXPECT_EQ(inner.traceId(), outer_trace);
-            EXPECT_NE(inner.spanId(), outer_span);
-        }
-        // Inner scope restored the ambient pair on destruction.
-        EXPECT_EQ(obs::Spans::current().span, outer_span);
-    }
-    EXPECT_EQ(obs::Spans::current().trace, 0u);
-
-    // A second thread has no ambient span, so its scope roots a new
-    // trace on the thread's own named track (the pool-worker pattern:
-    // every exec.cell span is a root on its worker's track).
-    std::thread worker([&] {
-        obs::Spans::setThreadName("test-worker");
-        obs::SpanScope cross("test.cross");
-        EXPECT_NE(cross.traceId(), 0u);
-        EXPECT_NE(cross.traceId(), outer_trace);
-    });
-    worker.join();
-
-    EXPECT_EQ(obs::Spans::recorded(), 3u);
-    EXPECT_EQ(obs::Spans::dropped(), 0u);
-    obs::Spans::close();
-    ASSERT_FALSE(obs::Spans::enabled());
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open());
-    std::stringstream buf;
-    buf << in.rdbuf();
-    auto doc = obs::JsonValue::parse(buf.str());
-    ASSERT_TRUE(doc.has_value());
-    ASSERT_EQ(doc->kind(), obs::JsonValue::Kind::Array);
-
-    // Index the "X" events by span ID and verify every parent resolves
-    // (no orphans) and the worker's span is on its named track.
-    std::map<std::string, const obs::JsonValue *> by_span;
-    std::map<std::uint64_t, std::string> thread_names;
-    const obs::JsonValue *cross = nullptr;
-    for (const auto &ev : doc->items()) {
-        const obs::JsonValue *ph = ev.find("ph");
-        ASSERT_NE(ph, nullptr);
-        if (ph->asString() == "M" &&
-            ev.find("name")->asString() == "thread_name") {
-            thread_names[ev.find("tid")->asUint()] =
-                ev.find("args")->find("name")->asString();
-        }
-        if (ph->asString() != "X")
-            continue;
-        by_span[ev.find("args")->find("span")->asString()] = &ev;
-        if (ev.find("name")->asString() == "test.cross")
-            cross = &ev;
-    }
-    EXPECT_EQ(by_span.size(), 3u);
-    ASSERT_NE(cross, nullptr);
-    EXPECT_EQ(thread_names[cross->find("tid")->asUint()], "test-worker");
-    EXPECT_EQ(cross->find("args")->find("parent"), nullptr);
-    for (const auto &kv : by_span) {
-        const obs::JsonValue *parent = kv.second->find("args")->find(
-            "parent");
-        if (parent)
-            EXPECT_TRUE(by_span.count(parent->asString()))
-                << "orphaned parent " << parent->asString();
-    }
-    std::remove(path.c_str());
-}
-
-TEST(Spans, BoundedBufferCountsDrops)
-{
-    std::string path = ::testing::TempDir() + "dcfb_spans_bounded.json";
-    obs::Spans::Config cfg;
-    cfg.path = path;
-    cfg.maxPerThread = 4;
-    ASSERT_TRUE(obs::Spans::open(cfg));
-    for (int i = 0; i < 10; ++i)
-        obs::SpanScope scope("test.burst");
-    EXPECT_EQ(obs::Spans::recorded(), 4u);
-    EXPECT_EQ(obs::Spans::dropped(), 6u);
-    obs::Spans::close();
-    std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------- profiler
 
 TEST(Profiler, ProfJsonSchemaStableUnderJobs4)
@@ -431,9 +316,9 @@ TEST(Profiler, ProfJsonSchemaStableUnderJobs4)
     std::string prev_key;
     for (const auto &cell : rows) {
         for (const char *key :
-             {"workload", "design", "cycles", "instructions", "setup_s",
-              "warm", "warm_s", "measure_s", "sim_s", "cycles_per_sec",
-              "phase_s"}) {
+             {"workload", "design", "cycles", "instructions", "start_s",
+              "track", "setup_s", "warm", "warm_s", "measure_s", "sim_s",
+              "cycles_per_sec", "phase_s"}) {
             EXPECT_NE(cell.find(key), nullptr) << "missing " << key;
         }
         // Deterministic order: sorted by (workload, design).
@@ -454,8 +339,20 @@ TEST(Profiler, ProfJsonSchemaStableUnderJobs4)
     }
 }
 
-/** Setup time is bimodal, so the sim.setup span and the profile record
- *  both say whether the cell walked or restored its warmup. */
+/** The X events of a span timeline, grouped by name. */
+std::map<std::string, std::vector<const obs::JsonValue *>>
+timelineEvents(const obs::JsonValue &timeline)
+{
+    std::map<std::string, std::vector<const obs::JsonValue *>> by_name;
+    for (const auto &ev : timeline.items()) {
+        if (ev.find("ph")->asString() == "X")
+            by_name[ev.find("name")->asString()].push_back(&ev);
+    }
+    return by_name;
+}
+
+/** Setup time is bimodal, so the sim.setup event and the profile
+ *  record both say whether the cell walked or restored its warmup. */
 TEST(Profiler, SetupSpanAndRecordNameTheWarmSource)
 {
     auto cfg = sim::makeConfig(workload::serverProfile("Web (Apache)"),
@@ -463,36 +360,93 @@ TEST(Profiler, SetupSpanAndRecordNameTheWarmSource)
     cfg.functionalWarmInstrs = 40000;
     cfg.program = workload::ImageCache::global().get(cfg.profile);
 
-    std::string path = ::testing::TempDir() + "dcfb_spans_warm.json";
-    ASSERT_TRUE(obs::Spans::open(path));
     obs::Profiler::drain();
     obs::Profiler::setEnabled(true);
     sim::WarmCache::global().clear();
     for (int i = 0; i < 3; ++i)
         sim::simulate(cfg, sim::RunWindows{4000, 6000});
     obs::Profiler::setEnabled(false);
-    obs::Spans::close();
 
     const std::vector<std::string> want = {"cold", "stored", "restored"};
-    std::vector<std::string> records;
-    for (const auto &rec : obs::Profiler::drain())
-        records.push_back(rec.warm);
-    EXPECT_EQ(records, want);
+    std::vector<obs::ProfRecord> records = obs::Profiler::drain();
+    std::vector<std::string> warm;
+    for (const auto &rec : records)
+        warm.push_back(rec.warm);
+    EXPECT_EQ(warm, want);
 
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    auto doc = obs::JsonValue::parse(buf.str());
-    ASSERT_TRUE(doc.has_value());
+    obs::JsonValue timeline = bench::spanTimeline({}, records);
+    auto by_name = timelineEvents(timeline);
     std::vector<std::string> labels;
-    for (const auto &ev : doc->items()) {
-        if (ev.find("ph")->asString() == "X" &&
-            ev.find("name")->asString() == "sim.setup")
-            labels.push_back(ev.find("args")->find("label")->asString());
-    }
+    for (const auto *ev : by_name["sim.setup"])
+        labels.push_back(ev->find("args")->find("label")->asString());
     EXPECT_EQ(labels, (std::vector<std::string>{"warm=cold", "warm=stored",
                                                 "warm=restored"}));
-    std::remove(path.c_str());
+}
+
+/** A 4-cell grid on 4 workers: every sim.* event lies inside its cell's
+ *  exec.cell on the same track, and the sampled phases tile each cell's
+ *  loop wall. */
+TEST(Profiler, TimelineNestsPhasesInCellsOnOneTrack)
+{
+    const std::vector<std::string> workloads = {
+        "Web (Apache)", "Web Frontend", "OLTP (DB A)", "Media Streaming"};
+    obs::Profiler::drain();
+    obs::Profiler::setEnabled(true);
+    exec::ExecReport report = exec::runIndexed(
+        "timeline", workloads.size(), 4,
+        [&](std::size_t i) {
+            auto cfg = sim::makeConfig(
+                workload::serverProfile(workloads[i]), sim::Preset::SN4L);
+            cfg.functionalWarmInstrs = 40000;
+            sim::simulate(cfg, sim::RunWindows{4000, 6000});
+        },
+        [&](std::size_t i) { return workloads[i] + "/SN4L"; });
+    obs::Profiler::setEnabled(false);
+    std::vector<obs::ProfRecord> records = obs::Profiler::drain();
+    ASSERT_EQ(records.size(), workloads.size());
+
+    obs::JsonValue timeline = bench::spanTimeline({report}, records);
+    auto by_name = timelineEvents(timeline);
+    const auto &cells = by_name["exec.cell"];
+    ASSERT_EQ(cells.size(), workloads.size());
+    std::set<std::string> labels;
+    for (const auto *cell : cells) {
+        labels.insert(cell->find("args")->find("label")->asString());
+        EXPECT_GE(cell->find("tid")->asUint(), 1u); // a worker track
+    }
+    EXPECT_EQ(labels.size(), workloads.size());
+
+    for (const char *name : {"sim.setup", "sim.warm", "sim.measure"}) {
+        ASSERT_EQ(by_name[name].size(), workloads.size()) << name;
+        for (const auto *ev : by_name[name]) {
+            double ts = ev->find("ts")->asDouble();
+            double end = ts + ev->find("dur")->asDouble();
+            int containing = 0;
+            for (const auto *cell : cells) {
+                double c0 = cell->find("ts")->asDouble();
+                double c1 = c0 + cell->find("dur")->asDouble();
+                containing += cell->find("tid")->asUint() ==
+                        ev->find("tid")->asUint() &&
+                    c0 <= ts && end <= c1;
+            }
+            EXPECT_EQ(containing, 1) << name << " at " << ts;
+        }
+    }
+
+    // The sampled phases are scaled to tile the loop wall outside the
+    // integrity sweeps.
+    obs::JsonValue prof = obs::profJson(records);
+    for (const auto &cell : prof.find("cells")->items()) {
+        const obs::JsonValue *phases = cell.find("phase_s");
+        double loop = cell.find("sim_s")->asDouble() -
+            phases->find("integrity")->asDouble();
+        double sum = 0.0;
+        for (const auto &kv : phases->members()) {
+            if (kv.first != "integrity")
+                sum += kv.second.asDouble();
+        }
+        EXPECT_NEAR(sum, loop, 0.01 * loop);
+    }
 }
 
 } // namespace

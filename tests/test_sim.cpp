@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -175,6 +178,51 @@ TEST(Simulator, ProposalReducesFrontendStallsMost)
     auto full = simulate(fastConfig(Preset::SN4LDisBtb), fastWindows());
     auto nl = simulate(fastConfig(Preset::NL), fastWindows());
     EXPECT_GT(fscr(full, baselineRun()), fscr(nl, baselineRun()));
+}
+
+/**
+ * Fidelity gap 6 (EXPERIMENTS.md): System::resetStats does not reset the
+ * SeqTable, DisTable and RLU stat sets, Confluence's set or the
+ * basic-block BTB's set, so their warm-window counts leak into the
+ * measured RunResult.  A zero measure window should report all zeros;
+ * the keys below do not.  The test flips when the gap closes.
+ */
+TEST(FidelityGap, WarmWindowLeaksIntoPfAndBbCounters)
+{
+    const std::set<std::string> dis = {
+        "pf.distable_lookups", "pf.distable_records", "pf.rlu_checks",
+        "pf.rlu_hits", "pf.seqtable_writes"};
+    std::set<std::string> sn4l_dis = dis;
+    sn4l_dis.insert("pf.seqtable_conflicts");
+    const std::map<Preset, std::set<std::string>> leaked = {
+        {Preset::N4LPlain, {"pf.rlu_checks", "pf.rlu_hits"}},
+        {Preset::SN4L, {"pf.rlu_checks", "pf.rlu_hits", "pf.seqtable_writes"}},
+        {Preset::DisOnly, dis},
+        {Preset::SN4LDis, sn4l_dis},
+        {Preset::SN4LDisBtb, sn4l_dis},
+        {Preset::Confluence,
+         {"pf.shift_index_misses", "pf.shift_recorded",
+          "pf.shift_stream_follows", "pf.shift_stream_starts"}},
+        {Preset::Boomerang,
+         {"bb.bbbtb_hits", "bb.bbbtb_lookups", "bb.bbbtb_misses"}},
+    };
+    auto profile = workload::serverProfile("OLTP (DB A)");
+    auto program = workload::ImageCache::global().get(profile);
+    for (int p = 0; p <= static_cast<int>(Preset::MicroBtb); ++p) {
+        auto preset = static_cast<Preset>(p);
+        SystemConfig cfg = makeConfig(profile, preset);
+        cfg.program = program;
+        RunResult res = simulate(cfg, RunWindows{20000, 0});
+        std::set<std::string> nonzero;
+        for (const auto &kv : res.stats) {
+            if (kv.second != 0)
+                nonzero.insert(kv.first);
+        }
+        auto it = leaked.find(preset);
+        EXPECT_EQ(nonzero,
+                  it == leaked.end() ? std::set<std::string>{} : it->second)
+            << presetName(preset);
+    }
 }
 
 TEST(Experiment, GridRunsSubset)
