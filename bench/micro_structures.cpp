@@ -2,11 +2,14 @@
  * @file
  * Microbenchmarks (google-benchmark) of the hot data structures: the
  * prefetcher's metadata tables, the TAGE predictor, the generic cache,
- * and the pre-decoder.  These bound the simulator's own throughput and
- * document the cost of each lookup the paper's Table II argues about.
+ * and the pre-decoder, plus one cell's whole functional warmup.  These
+ * bound the simulator's own throughput and document the cost of each
+ * lookup the paper's Table II argues about.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "common/rng.h"
 #include "frontend/btb.h"
@@ -17,7 +20,10 @@
 #include "prefetch/dis_table.h"
 #include "prefetch/rlu.h"
 #include "prefetch/seq_table.h"
+#include "sim/system.h"
+#include "sim/warm_cache.h"
 #include "workload/image.h"
+#include "workload/profiles.h"
 
 namespace {
 
@@ -91,6 +97,20 @@ BM_CacheLookup(benchmark::State &state)
 BENCHMARK(BM_CacheLookup);
 
 void
+BM_CacheTouchOrInsert(benchmark::State &state)
+{
+    // The warm-walk kernel: mostly hits on a 32 KB, 8-way array, with
+    // enough distinct blocks to keep filling and evicting.
+    auto cache = mem::SetAssocCache<int>::fromBytes(32 * 1024, 8);
+    Rng rng(7);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            cache.touchOrInsert(rng.below(1024) * kBlockBytes, 0).hit);
+    }
+}
+BENCHMARK(BM_CacheTouchOrInsert);
+
+void
 BM_BtbLookup(benchmark::State &state)
 {
     frontend::Btb btb(static_cast<unsigned>(state.range(0)), 4);
@@ -122,6 +142,25 @@ BM_PredecodeBlock(benchmark::State &state)
         benchmark::DoNotOptimize(pd.predecodeBlock(0x40000));
 }
 BENCHMARK(BM_PredecodeBlock);
+
+void
+BM_FunctionalWarmup(benchmark::State &state)
+{
+    // One seed-sweep cell's System construction: the 2 M-instruction
+    // functional warmup walk.  Clearing the warm-checkpoint cache each
+    // iteration keeps every construction a walk, never a restore.
+    sim::SystemConfig cfg = sim::makeConfig(
+        workload::serverProfile("OLTP (DB A)"), sim::Preset::SN4LDisBtb);
+    cfg.program = std::make_shared<const workload::Program>(
+        workload::buildProgram(cfg.profile));
+    cfg.runSeed = 1;
+    for (auto _ : state) {
+        sim::WarmCache::global().clear();
+        sim::System system(cfg);
+        benchmark::DoNotOptimize(system.llc->bfHolderSets());
+    }
+}
+BENCHMARK(BM_FunctionalWarmup)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

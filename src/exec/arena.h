@@ -26,6 +26,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -48,12 +49,25 @@ class Arena
         std::size_t overflowBytes = 0;  //!< bytes sent to the heap
     };
 
-    /** Create an arena backed by a @p bytes slab (0 = heap-only). */
+    /**
+     * Create an arena backed by a @p bytes slab (0 = heap-only).
+     *
+     * The slab is a plain malloc block aligned by hand.  An aligned
+     * operator new of slab size gets a fresh mmap from glibc on every
+     * call, so every cell paid a page fault per 4 KB of its tables (the
+     * LLC's 16 MB line array alone is ~4 K faults, ~10 ms on a 4-core
+     * VM); glibc keeps a freed plain block in its heap, and the next
+     * cell reuses its resident pages.
+     */
     explicit Arena(std::size_t bytes)
     {
         if (bytes > 0) {
-            slab = static_cast<std::byte *>(
-                ::operator new(bytes, std::align_val_t{kSlabAlign}));
+            raw = std::malloc(bytes + kSlabAlign);
+            if (!raw)
+                throw std::bad_alloc();
+            auto at = (reinterpret_cast<std::uintptr_t>(raw) + kSlabAlign -
+                       1) & ~std::uintptr_t{kSlabAlign - 1};
+            slab = reinterpret_cast<std::byte *>(at);
         }
         slabStats.slabBytes = bytes;
     }
@@ -64,8 +78,7 @@ class Arena
     ~Arena()
     {
         releaseOverflow();
-        if (slab)
-            ::operator delete(slab, std::align_val_t{kSlabAlign});
+        std::free(raw);
     }
 
     /**
@@ -164,6 +177,7 @@ class Arena
         overflow.clear();
     }
 
+    void *raw = nullptr;      //!< the malloc block holding the slab
     std::byte *slab = nullptr;
     Stats slabStats;
     std::vector<OverflowBlock> overflow;

@@ -61,11 +61,7 @@ class BbBtb
     void
     update(Addr bb_start, const BbBtbEntry &entry)
     {
-        if (auto *line = array.lookup(key(bb_start))) {
-            line->meta = entry;
-            return;
-        }
-        array.insert(key(bb_start), entry);
+        array.touchOrInsert(key(bb_start), entry).line->meta = entry;
     }
 
     const StatSet &stats() const { return statSet; }

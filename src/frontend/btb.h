@@ -74,12 +74,8 @@ class Btb
     void
     update(Addr pc, Addr target, isa::InstrKind kind)
     {
-        if (auto *line = array.lookup(key(pc))) {
-            line->meta.target = target;
-            line->meta.kind = kind;
-            return;
-        }
-        array.insert(key(pc), BtbEntry{target, kind});
+        BtbEntry entry{target, kind};
+        array.touchOrInsert(key(pc), entry).line->meta = entry;
     }
 
     const StatSet &stats() const { return statSet; }

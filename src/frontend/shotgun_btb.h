@@ -127,35 +127,30 @@ class ShotgunBtb
     UBtbEntry &
     updateU(Addr pc, Addr target, isa::InstrKind kind, bool from_prefill)
     {
-        if (auto *line = ubtb.lookup(key(pc))) {
-            line->meta.target = target;
-            line->meta.kind = kind;
-            return line->meta;
-        }
         UBtbEntry fresh;
         fresh.target = target;
         fresh.kind = kind;
-        if (from_prefill)
+        auto t = ubtb.touchOrInsert(key(pc), fresh);
+        if (t.hit) {
+            t.line->meta.target = target;
+            t.line->meta.kind = kind;
+        } else if (from_prefill) {
             statSet.add("ubtb_prefill_installs");
-        ubtb.insert(key(pc), fresh);
-        return ubtb.lookup(key(pc))->meta;
+        }
+        return t.line->meta;
     }
 
     void
     updateC(Addr pc, Addr target)
     {
-        if (auto *line = cbtb.lookup(key(pc))) {
-            line->meta.target = target;
-            return;
-        }
-        cbtb.insert(key(pc), CBtbEntry{target});
+        cbtb.touchOrInsert(key(pc), CBtbEntry{target}).line->meta.target =
+            target;
     }
 
     void
     updateRib(Addr pc)
     {
-        if (!rib.lookup(key(pc)))
-            rib.insert(key(pc), RibEntry{});
+        rib.touchOrInsert(key(pc), RibEntry{});
     }
 
     /** Stat-free mutable U-BTB access (footprint construction paths;

@@ -37,9 +37,10 @@ Tage::Tage(const TageConfig &config, exec::Arena *arena)
                          TaggedEntry{0, SatCounter(cfg.counterBits,
                                                    1u << (cfg.counterBits - 1)),
                                      0});
-        foldedIndex[t] = {0, histLengths[t], cfg.taggedEntriesLog2};
-        foldedTag0[t] = {0, histLengths[t], cfg.tagBits};
-        foldedTag1[t] = {0, histLengths[t], cfg.tagBits - 1};
+        foldedIndex[t] =
+            FoldedHistory::of(histLengths[t], cfg.taggedEntriesLog2);
+        foldedTag0[t] = FoldedHistory::of(histLengths[t], cfg.tagBits);
+        foldedTag1[t] = FoldedHistory::of(histLengths[t], cfg.tagBits - 1);
     }
     // Power-of-two ring so a push is one index decrement + mask instead
     // of shifting every element.
@@ -87,6 +88,7 @@ Tage::shiftHistory(bool bit)
     }
     histHead = (histHead - 1) & histMask;
     history[histHead] = bit ? 1 : 0;
+    lastFresh = false;
 }
 
 Tage::Lookup
@@ -129,6 +131,8 @@ bool
 Tage::predict(Addr pc)
 {
     last = lookup(pc);
+    lastPc = pc;
+    lastFresh = true;
     cPredictions.add();
     return last.pred;
 }
@@ -136,9 +140,11 @@ Tage::predict(Addr pc)
 void
 Tage::update(Addr pc, bool taken)
 {
-    // Recompute in case predict() was not the immediately preceding call
-    // for this PC (defensive; the fetch engine always pairs them).
-    Lookup lk = lookup(pc);
+    // Reuse predict()'s lookup when it was for this PC and nothing has
+    // since moved the history or written a table; otherwise recompute.
+    if (!lastFresh || lastPc != pc)
+        last = lookup(pc);
+    const Lookup &lk = last;
     if (lk.pred == taken)
         cCorrect.add();
     else
@@ -228,6 +234,7 @@ Tage::restoreWarm(const WarmState &s)
     histHead = s.histHead;
     useAltOnNa = s.useAltOnNa;
     allocSeed = s.allocSeed;
+    lastFresh = false;
     for (const auto &[name, value] : s.counters)
         statSet.add(name, value);
 }

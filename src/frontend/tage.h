@@ -97,21 +97,28 @@ class Tage
         std::uint32_t value = 0;
         unsigned origLen = 0;   //!< history bits folded in
         unsigned compLen = 0;   //!< folded width
+        unsigned outPos = 0;    //!< origLen % compLen, where bits fold out
+
+        static FoldedHistory
+        of(unsigned orig_len, unsigned comp_len)
+        {
+            return {0, orig_len, comp_len, orig_len % comp_len};
+        }
 
         void
         update(bool new_bit, bool out_bit)
         {
             value = (value << 1) | (new_bit ? 1u : 0u);
             // Bit leaving the history window folds out.
-            value ^= (out_bit ? 1u : 0u) << (origLen % compLen);
+            value ^= (out_bit ? 1u : 0u) << outPos;
             value ^= value >> compLen;
             value &= (1u << compLen) - 1;
         }
     };
 
     /** Per-component prediction bookkeeping from the last predict().
-     *  Fixed arrays (not vectors): lookup() runs twice per conditional
-     *  branch and must not allocate. */
+     *  Fixed arrays (not vectors): lookup() runs once or twice per
+     *  conditional branch and must not allocate. */
     struct Lookup
     {
         int provider = -1;  //!< component index, -1 = bimodal
@@ -126,8 +133,8 @@ class Tage
   public:
     /** The trained state (sim::WarmCache): tables, folded and global
      *  history, the allocation seed, and the counters training
-     *  interned.  `last` is left out: predict() writes it and nothing
-     *  reads it back. */
+     *  interned.  `last` is left out: update() reads it back only after
+     *  a predict() on this predictor, and a restore marks it stale. */
     struct WarmState
     {
         std::vector<SatCounter> base;
@@ -177,7 +184,12 @@ class Tage
     std::size_t histMask = 0;
     SatCounter useAltOnNa;       //!< use-alt-on-newly-allocated policy
     std::uint64_t allocSeed = 0x123456789abcdefull;
+    /** The last predict()'s lookup.  It stays valid for update() of
+     *  the same PC until shiftHistory() runs; update() always ends in
+     *  shiftHistory(), so no table write goes unseen either. */
     Lookup last;
+    Addr lastPc = 0;
+    bool lastFresh = false;
     StatSet statSet;
     obs::LazyCounter cPredictions;
     obs::LazyCounter cCorrect;

@@ -123,31 +123,31 @@ class SetAssocCache
     Evicted
     insert(Addr addr, const Meta &meta, unsigned way_limit = 0)
     {
-        unsigned si = setIndex(addr);
-        unsigned ways = way_limit == 0 ? assoc : way_limit;
-        assert(ways <= assoc);
-        auto s = set(si);
-        Line *victim = nullptr;
-        for (unsigned w = 0; w < ways; ++w) {
-            Line &line = s[w];
-            if (!line.valid) {
-                victim = &line;
-                break;
-            }
-            if (!victim || line.lastUse < victim->lastUse)
-                victim = &line;
+        return fill(*scanSet(addr, way_limit, false).line, addr, meta);
+    }
+
+    /** Result of touchOrInsert(). */
+    struct Touched
+    {
+        Line *line = nullptr; //!< the line now holding the block
+        bool hit = false;     //!< the block was already resident
+        Evicted evicted;      //!< what a miss displaced
+    };
+
+    /**
+     * lookup() and, on a miss, insert() in one pass over the set: a hit
+     * refreshes the line's age and leaves its meta alone; a miss fills
+     * the way insert() would pick with @p meta.
+     */
+    Touched
+    touchOrInsert(Addr addr, const Meta &meta, unsigned way_limit = 0)
+    {
+        auto [line, hit] = scanSet(addr, way_limit, true);
+        if (hit) {
+            line->lastUse = ++tick;
+            return {line, true, {}};
         }
-        Evicted ev;
-        if (victim->valid) {
-            ev.valid = true;
-            ev.blockAddr = victim->blockAddr;
-            ev.meta = victim->meta;
-        }
-        victim->valid = true;
-        victim->blockAddr = blockAlign(addr);
-        victim->lastUse = ++tick;
-        victim->meta = meta;
-        return ev;
+        return {line, false, fill(*line, addr, meta)};
     }
 
     /** Invalidate the line holding @p addr (no-op when absent). */
@@ -243,6 +243,62 @@ class SetAssocCache
     }
 
   private:
+    struct Way
+    {
+        Line *line;
+        bool hit;
+    };
+
+    /**
+     * One pass over @p addr's set.  With @p find, the first way holding
+     * the block is a hit.  Otherwise, or when no way holds it, the
+     * result is insert()'s victim among the first @p way_limit ways
+     * (0 = all): the first invalid way, else the first oldest.  One
+     * pass matters: on a miss-heavy stream into a 32 KB 8-way array,
+     * lookup() followed by a separate victim scan cost twice as much.
+     */
+    Way
+    scanSet(Addr addr, unsigned way_limit, bool find)
+    {
+        unsigned ways = way_limit == 0 ? assoc : way_limit;
+        assert(ways <= assoc);
+        Addr want = blockAlign(addr);
+        auto s = set(setIndex(addr));
+        unsigned victim = 0;
+        bool free = false;
+        for (unsigned w = 0; w < (find ? assoc : ways); ++w) {
+            const Line &line = s[w];
+            if (find && line.valid && line.blockAddr == want)
+                return {&s[w], true};
+            if (w >= ways || free)
+                continue;
+            if (!line.valid) {
+                victim = w;
+                free = true;
+            } else if (line.lastUse < s[victim].lastUse) {
+                victim = w;
+            }
+        }
+        return {&s[victim], false};
+    }
+
+    /** Overwrite @p victim with a fresh line; report what it held. */
+    Evicted
+    fill(Line &victim, Addr addr, const Meta &meta)
+    {
+        Evicted ev;
+        if (victim.valid) {
+            ev.valid = true;
+            ev.blockAddr = victim.blockAddr;
+            ev.meta = victim.meta;
+        }
+        victim.valid = true;
+        victim.blockAddr = blockAlign(addr);
+        victim.lastUse = ++tick;
+        victim.meta = meta;
+        return ev;
+    }
+
     unsigned numSets;
     unsigned assoc;
     exec::ArenaVector<Line> lines;

@@ -61,14 +61,13 @@ class L1dCache
         cAccesses.add();
         if (is_store)
             cStores.add();
-        if (array.lookup(addr)) {
+        if (array.touchOrInsert(addr, Empty{}).hit) {
             cHits.add();
             return now + cfg.hitLatency;
         }
         cMisses.add();
         auto res = llc.access(blockAlign(addr), now + cfg.hitLatency,
                               /*is_instruction=*/false);
-        array.insert(addr, Empty{});
         return res.ready;
     }
 
@@ -76,8 +75,7 @@ class L1dCache
     void
     warmInsert(Addr addr)
     {
-        if (!array.lookup(addr))
-            array.insert(addr, Empty{});
+        array.touchOrInsert(addr, Empty{});
     }
 
     const StatSet &stats() const { return statSet; }

@@ -361,14 +361,13 @@ void
 L1iCache::warmInsert(Addr addr)
 {
     Addr block = blockAlign(addr);
-    if (auto *line = array.lookup(block)) {
-        line->meta.demanded = true;
-        return;
-    }
     L1iMeta meta;
     meta.demanded = true;
-    array.insert(block, meta);
-    lastDemandBlock = block;
+    auto t = array.touchOrInsert(block, meta);
+    if (t.hit)
+        t.line->meta.demanded = true;
+    else
+        lastDemandBlock = block;
 }
 
 bool

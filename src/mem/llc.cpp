@@ -10,7 +10,7 @@ Llc::Llc(const LlcConfig &config, noc::MeshModel &mesh_, MemoryModel &mem_,
     : cfg(config), mesh(mesh_), memory(mem_), coreTile(core_tile),
       array(SetAssocCache<LineMeta>::fromBytes(config.capacityBytes,
                                                config.assoc, arena)),
-      bfSets(array.sets(), exec::ArenaAlloc<BfSet>(arena))
+      bfSets(config.dvllc ? array.sets() : 0, exec::ArenaAlloc<BfSet>(arena))
 {
     assert(core_tile < mesh.numTiles());
     assert(cfg.banks <= mesh.numTiles());
@@ -127,6 +127,8 @@ Llc::recordBranchOffset(Addr block_addr, std::uint8_t byte_offset)
 const BranchFootprint *
 Llc::findFootprint(Addr block_addr) const
 {
+    if (!cfg.dvllc)
+        return nullptr;
     unsigned si = array.setIndex(block_addr);
     for (const auto &slot : bfSets[si].slots) {
         if (slot.blockAddr == blockAlign(block_addr))
@@ -138,6 +140,8 @@ Llc::findFootprint(Addr block_addr) const
 std::size_t
 Llc::bfHolderSets() const
 {
+    if (!cfg.dvllc)
+        return 0;
     std::size_t n = 0;
     for (const auto &s : bfSets)
         n += s.holder;
@@ -148,12 +152,9 @@ void
 Llc::warmTouch(Addr addr, bool is_instruction)
 {
     unsigned si = array.setIndex(addr);
-    if (auto *line = array.lookup(addr)) {
-        line->meta.isInstruction |= is_instruction;
-    } else {
-        array.insert(addr, LineMeta{is_instruction},
-                     cfg.dvllc ? effectiveWays(si) : 0);
-    }
+    auto t = array.touchOrInsert(addr, LineMeta{is_instruction},
+                                 cfg.dvllc ? effectiveWays(si) : 0);
+    t.line->meta.isInstruction |= is_instruction;
     if (is_instruction)
         updateHolderMode(si);
 }
@@ -196,11 +197,13 @@ Llc::access(Addr addr, Cycle now, bool is_instruction, bool want_bf)
     Cycle data_ready;
 
     unsigned si = array.setIndex(addr);
-    if (auto *line = array.lookup(addr)) {
+    auto t = array.touchOrInsert(addr, LineMeta{is_instruction},
+                                 cfg.dvllc ? effectiveWays(si) : 0);
+    if (t.hit) {
         res.hit = true;
         statSet.add("llc_hits");
         statSet.add(is_instruction ? "llc_instr_hits" : "llc_data_hits");
-        line->meta.isInstruction |= is_instruction;
+        t.line->meta.isInstruction |= is_instruction;
         data_ready = req_arrive + cfg.accessLatency;
         if (is_instruction)
             updateHolderMode(si);
@@ -208,9 +211,7 @@ Llc::access(Addr addr, Cycle now, bool is_instruction, bool want_bf)
         statSet.add("llc_misses");
         Cycle mem_ready =
             memory.access(addr, req_arrive + cfg.accessLatency);
-        auto evicted = array.insert(addr, LineMeta{is_instruction},
-                                    cfg.dvllc ? effectiveWays(si) : 0);
-        if (evicted.valid)
+        if (t.evicted.valid)
             statSet.add("llc_evictions");
         updateHolderMode(si);
         data_ready = mem_ready;

@@ -76,15 +76,16 @@ class Llc
     Llc(const LlcConfig &config, noc::MeshModel &mesh_, MemoryModel &mem_,
         unsigned core_tile, exec::Arena *arena = nullptr);
 
-    /** Arena bytes this configuration's flat tables want (line array +
-     *  per-set BF state); used to size a cell's slab up front. */
+    /** Arena bytes this configuration's flat tables want (line array,
+     *  plus per-set BF state under DV-LLC); used to size a cell's slab
+     *  up front. */
     static std::size_t
     arenaBytes(const LlcConfig &config)
     {
         auto sets = static_cast<unsigned>(config.capacityBytes /
                                           kBlockBytes / config.assoc);
         return SetAssocCache<LineMeta>::storageBytes(sets, config.assoc) +
-            sets * sizeof(BfSet);
+            (config.dvllc ? sets * sizeof(BfSet) : 0);
     }
 
     /**
@@ -108,13 +109,18 @@ class Llc
      */
     void warmTouch(Addr addr, bool is_instruction);
 
+    /** LLC set that @p addr maps to. */
+    unsigned setIndex(Addr addr) const { return array.setIndex(addr); }
+
     /** True when the block currently resides in the LLC (tests). */
     bool contains(Addr addr) const { return array.contains(addr); }
 
-    /** The BF currently stored for @p block_addr, if any. */
+    /** The BF currently stored for @p block_addr, if any (always
+     *  nullptr without DV-LLC). */
     const BranchFootprint *findFootprint(Addr block_addr) const;
 
-    /** Number of sets whose LRU way is currently a BF-holder. */
+    /** Number of sets whose LRU way is currently a BF-holder (0
+     *  without DV-LLC). */
     std::size_t bfHolderSets() const;
 
     const StatSet &stats() const { return statSet; }
@@ -172,7 +178,7 @@ class Llc
     MemoryModel &memory;
     unsigned coreTile;
     SetAssocCache<LineMeta> array;
-    exec::ArenaVector<BfSet> bfSets;
+    exec::ArenaVector<BfSet> bfSets; //!< one per set under DV-LLC, else empty
     std::uint64_t bfTick = 0;
     StatSet statSet;
 };

@@ -83,11 +83,7 @@ class BtbPrefetchBuffer
                 static_cast<std::uint8_t>(b.byteOffset), b.kind, b.target,
                 b.hasTarget};
         }
-        if (auto *line = array.lookup(block_addr)) {
-            line->meta = blk;
-            return;
-        }
-        array.insert(blockAlign(block_addr), blk);
+        array.touchOrInsert(block_addr, blk).line->meta = blk;
     }
 
     /**

@@ -244,15 +244,39 @@ System::functionalWarmup()
 
     const bool store = warmSource == WarmSource::Stored;
     std::vector<WarmBranch> branches;
+    // Block runs: consecutive PCs in one block touch the LLC and the L1i
+    // once, and consecutive data accesses to one block touch the LLC and
+    // the L1d once.  A repeat touch would find the block MRU in its set
+    // and only renumber LRU stamps, and every LRU decision compares
+    // stamps within one set, so skipping it is exact until something
+    // else lands in the block's LLC set: a touch from the other stream
+    // there, or, for instructions under DV-LLC, a branch offset recorded
+    // into the set's BF slots (an instruction touch refreshes the slots'
+    // blocks, so a changed slot list changes it).
+    Addr run_block = kInvalidAddr, data_block = kInvalidAddr;
+    unsigned run_set = 0, data_set = 0;
     for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
         workload::TraceEntry e = walker->next();
-        llc->warmTouch(e.pc, true);
-        l1i->warmInsert(e.pc);
-        if (e.dataAddr != kInvalidAddr) {
+        if (blockAlign(e.pc) != run_block) {
+            llc->warmTouch(e.pc, true);
+            l1i->warmInsert(e.pc);
+            run_block = blockAlign(e.pc);
+            run_set = llc->setIndex(e.pc);
+            if (run_set == data_set)
+                data_block = kInvalidAddr;
+        }
+        if (e.dataAddr != kInvalidAddr &&
+            blockAlign(e.dataAddr) != data_block) {
             llc->warmTouch(e.dataAddr, false);
             l1d->warmInsert(e.dataAddr);
+            data_block = blockAlign(e.dataAddr);
+            data_set = llc->setIndex(e.dataAddr);
+            if (data_set == run_set)
+                run_block = kInvalidAddr;
         }
         if (e.isBranch()) {
+            if (cfg.llc.dvllc)
+                run_block = kInvalidAddr;
             if (e.kind == isa::InstrKind::CondBranch) {
                 tage->predict(e.pc);
                 tage->update(e.pc, e.taken);

@@ -40,6 +40,7 @@ TraceWalker::TraceWalker(const Program &program_, std::uint64_t seed)
     }
     Frame root;
     stack.push_back(root);
+    block = &currentBlock();
 }
 
 Addr
@@ -67,7 +68,7 @@ TraceWalker::dataAddress(std::uint32_t fn)
 }
 
 TraceEntry
-TraceWalker::next()
+TraceWalker::nextSlow()
 {
     Frame &f = stack.back();
     const Function &fn = program.functions[f.fn];
@@ -94,6 +95,7 @@ TraceWalker::next()
                                  fn.blocks.size());
             ++f.blk;
             f.instr = 0;
+            block = &currentBlock();
         }
         e.nextPc = e.pc + e.len;
         return e;
@@ -232,6 +234,7 @@ TraceWalker::next()
       case TermKind::FallThrough:
         break; // handled above
     }
+    block = &currentBlock();
     return e;
 }
 

@@ -50,7 +50,29 @@ class TraceWalker
     TraceWalker(const Program &program_, std::uint64_t seed);
 
     /** Produce the next retired instruction. The stream is endless. */
-    TraceEntry next();
+    TraceEntry
+    next()
+    {
+        // Most of the stream is a non-terminator that neither loads nor
+        // stores: it only advances the instruction index.  Everything
+        // else (terminators, data addresses) takes the out-of-line path.
+        Frame &f = stack.back();
+        if (f.instr + 1 < block->numInstrs()) {
+            isa::InstrKind kind = block->kinds[f.instr];
+            if (kind != isa::InstrKind::Load &&
+                kind != isa::InstrKind::Store) {
+                TraceEntry e;
+                e.pc = block->pcs[f.instr];
+                e.len = block->lens[f.instr];
+                e.kind = kind;
+                e.nextPc = e.pc + e.len;
+                ++f.instr;
+                ++count;
+                return e;
+            }
+        }
+        return nextSlow();
+    }
 
     /** Retired-instruction count so far. */
     std::uint64_t retired() const { return count; }
@@ -96,9 +118,20 @@ class TraceWalker
         count = s.count;
         stickyCallee = s.stickyCallee;
         stickyLeft = s.stickyLeft;
+        block = &currentBlock();
     }
 
   private:
+    /** next() for terminators and loads/stores. */
+    TraceEntry nextSlow();
+
+    const BasicBlock &
+    currentBlock() const
+    {
+        const Frame &f = stack.back();
+        return program.functions[f.fn].blocks[f.blk];
+    }
+
     /** Generate a load/store effective address. */
     Addr dataAddress(std::uint32_t fn);
 
@@ -111,6 +144,8 @@ class TraceWalker
      *  the indirect-call target realistically predictable. */
     std::uint32_t stickyCallee = 0;
     std::uint32_t stickyLeft = 0;
+    /** The top frame's block (a cache of currentBlock()). */
+    const BasicBlock *block = nullptr;
 };
 
 } // namespace dcfb::workload

@@ -22,25 +22,43 @@
  * LRU) against a map model that recomputes set membership by scanning —
  * both over seeded random streams including non-power-of-two
  * geometries.
+ *
+ * The functional warmup brings two more: the single-pass cache kernel against a two-scan model, and the block-run warm walk against
+ * the per-instruction loop it replaced (plus TAGE's lookup reuse
+ * against fresh lookups).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <optional>
+#include <set>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "frontend/btb.h"
 #include "frontend/micro_btb.h"
+#include "frontend/tage.h"
 #include "isa/encoding.h"
 #include "isa/predecoder.h"
+#include "mem/cache.h"
+#include "mem/l1d.h"
+#include "mem/l1i.h"
+#include "mem/llc.h"
 #include "prefetch/dis_table.h"
 #include "prefetch/fdip.h"
 #include "prefetch/seq_table.h"
+#include "sim/system.h"
+#include "sim/warm_cache.h"
 #include "workload/image.h"
+#include "workload/profiles.h"
+#include "workload/trace.h"
 
 namespace dcfb {
 namespace ref {
@@ -291,6 +309,167 @@ class MicroBtb
     std::uint64_t clock_ = 0;
 };
 
+/**
+ * Pre-optimization set-associative cache: lookup() scans the set for
+ * the first match and insert() scans it again for the victim.  A
+ * touch-or-insert is the two calls in a row.  Line ages come
+ * from the same ++tick clock as the production array, so both must
+ * agree on every stamp, not only on the order.
+ */
+template <typename Meta>
+class SetAssocCache
+{
+  public:
+    struct Line
+    {
+        Addr blockAddr = kInvalidAddr;
+        bool valid = false;
+        std::uint64_t lastUse = 0;
+        Meta meta{};
+    };
+
+    struct Evicted
+    {
+        bool valid = false;
+        Addr blockAddr = kInvalidAddr;
+        Meta meta{};
+    };
+
+    SetAssocCache(unsigned num_sets, unsigned assoc_)
+        : numSets(num_sets), assoc(assoc_),
+          lines(std::size_t{num_sets} * assoc_)
+    {}
+
+    unsigned
+    setIndex(Addr addr) const
+    {
+        return static_cast<unsigned>(blockNumber(addr) & (numSets - 1));
+    }
+
+    Line *
+    lookup(Addr addr, bool touch = true)
+    {
+        Addr want = blockAlign(addr);
+        Line *s = set(setIndex(addr));
+        for (unsigned w = 0; w < assoc; ++w) {
+            if (s[w].valid && s[w].blockAddr == want) {
+                if (touch)
+                    s[w].lastUse = ++tick;
+                return &s[w];
+            }
+        }
+        return nullptr;
+    }
+
+    Evicted
+    insert(Addr addr, const Meta &meta, unsigned way_limit = 0)
+    {
+        unsigned ways = way_limit == 0 ? assoc : way_limit;
+        Line *s = set(setIndex(addr));
+        Line *victim = nullptr;
+        for (unsigned w = 0; w < ways; ++w) {
+            if (!s[w].valid) {
+                victim = &s[w];
+                break;
+            }
+            if (!victim || s[w].lastUse < victim->lastUse)
+                victim = &s[w];
+        }
+        Evicted ev;
+        if (victim->valid)
+            ev = {true, victim->blockAddr, victim->meta};
+        *victim = {blockAlign(addr), true, ++tick, meta};
+        return ev;
+    }
+
+    void
+    invalidate(Addr addr)
+    {
+        if (Line *line = lookup(addr, false))
+            line->valid = false;
+    }
+
+    Line *
+    lruWay(unsigned set_index, unsigned ways = 0)
+    {
+        Line *s = set(set_index);
+        unsigned limit = ways == 0 ? assoc : ways;
+        Line *victim = &s[0];
+        for (unsigned w = 1; w < limit; ++w) {
+            if (!s[w].valid)
+                return &s[w];
+            if (s[w].lastUse < victim->lastUse)
+                victim = &s[w];
+        }
+        return victim;
+    }
+
+    Line *set(unsigned si) { return lines.data() + std::size_t{si} * assoc; }
+
+  private:
+    unsigned numSets;
+    unsigned assoc;
+    std::vector<Line> lines;
+    std::uint64_t tick = 0;
+};
+
+/** The functional warmup's standalone structures, as System builds them. */
+struct WarmStructures
+{
+    explicit WarmStructures(const sim::SystemConfig &cfg)
+        : mesh(cfg.mesh), memory(cfg.memory),
+          llc(cfg.llc, mesh, memory, cfg.coreTile), l1i(cfg.l1i, llc),
+          l1d(cfg.l1d, llc), btb(cfg.btbEntries, cfg.btbAssoc),
+          walker(*cfg.program, cfg.runSeed)
+    {}
+
+    noc::MeshModel mesh;
+    mem::MemoryModel memory;
+    mem::Llc llc;
+    mem::L1iCache l1i;
+    mem::L1dCache l1d;
+    frontend::Tage tage;
+    frontend::Btb btb;
+    workload::TraceWalker walker;
+};
+
+/**
+ * The pre-coalescing functional warmup: every retired instruction
+ * touches the LLC and the L1i, whatever block the previous one was in.
+ * Returns every taken branch's PC (the BTB keys it trained).
+ */
+std::set<Addr>
+functionalWarmup(const sim::SystemConfig &cfg, WarmStructures &w)
+{
+    std::set<Addr> taken_pcs;
+    for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
+        workload::TraceEntry e = w.walker.next();
+        w.llc.warmTouch(e.pc, true);
+        w.l1i.warmInsert(e.pc);
+        if (e.dataAddr != kInvalidAddr) {
+            w.llc.warmTouch(e.dataAddr, false);
+            w.l1d.warmInsert(e.dataAddr);
+        }
+        if (!e.isBranch())
+            continue;
+        if (e.kind == isa::InstrKind::CondBranch) {
+            w.tage.predict(e.pc);
+            w.tage.update(e.pc, e.taken);
+        } else {
+            w.tage.updateHistoryUnconditional(e.pc);
+        }
+        if (e.taken) {
+            w.btb.update(e.pc, e.target, e.kind);
+            taken_pcs.insert(e.pc);
+        }
+        if (cfg.llc.dvllc) {
+            w.llc.recordBranchOffset(
+                blockAlign(e.pc), static_cast<std::uint8_t>(blockOffset(e.pc)));
+        }
+    }
+    return taken_pcs;
+}
+
 } // namespace ref
 
 namespace {
@@ -529,6 +708,342 @@ INSTANTIATE_TEST_SUITE_P(
         MicroBtbCase{96, 4, 301}, MicroBtbCase{100, 4, 302},
         MicroBtbCase{64, 4, 303}, MicroBtbCase{48, 3, 304},
         MicroBtbCase{12, 2, 305}, MicroBtbCase{6, 1, 306}));
+
+// ---------------------------------------------------------------------
+// Cache kernel: single-pass touchOrInsert vs two-scan model.
+// ---------------------------------------------------------------------
+
+struct CacheCase
+{
+    unsigned sets;
+    unsigned assoc;
+    std::uint64_t seed;
+};
+
+class SetAssocCacheDifferential : public ::testing::TestWithParam<CacheCase>
+{};
+
+TEST_P(SetAssocCacheDifferential, AgreesWithTwoScanModelOnRandomStream)
+{
+    const CacheCase c = GetParam();
+    mem::SetAssocCache<int> opt(c.sets, c.assoc);
+    ref::SetAssocCache<int> model(c.sets, c.assoc);
+
+    // The way a line sits in, so lines of the two arrays compare.
+    auto opt_way = [&](const auto *line, unsigned si) -> long {
+        return line ? line - opt.set(si).data() : -1;
+    };
+    auto model_way = [&](const auto *line, unsigned si) -> long {
+        return line ? line - model.set(si) : -1;
+    };
+    auto expect_same_set = [&](unsigned si, int op) {
+        auto got = opt.set(si);
+        const auto *want = model.set(si);
+        for (unsigned w = 0; w < c.assoc; ++w) {
+            ASSERT_EQ(got[w].valid, want[w].valid) << "op " << op;
+            ASSERT_EQ(got[w].lastUse, want[w].lastUse) << "op " << op;
+            if (!got[w].valid)
+                continue;
+            ASSERT_EQ(got[w].blockAddr, want[w].blockAddr) << "op " << op;
+            ASSERT_EQ(got[w].meta, want[w].meta) << "op " << op;
+        }
+    };
+
+    Rng rng(c.seed);
+    for (int op = 0; op < 40000; ++op) {
+        // ~6 blocks per way of every set: hits, misses and evictions mix.
+        Addr addr = rng.below(std::uint64_t{c.sets} * c.assoc * 6) *
+                kBlockBytes +
+            rng.below(kBlockBytes);
+        unsigned si = opt.setIndex(addr);
+        auto way_limit = static_cast<unsigned>(rng.below(c.assoc + 1));
+        int meta = static_cast<int>(rng.below(1000));
+        switch (rng.below(7)) {
+          case 0: {
+            bool touch = rng.chance(0.7);
+            auto *got = opt.lookup(addr, touch);
+            auto *want = model.lookup(addr, touch);
+            ASSERT_EQ(opt_way(got, si), model_way(want, si))
+                << "lookup diverged at op " << op;
+            break;
+          }
+          case 1: {
+            ASSERT_EQ(opt.contains(addr), model.lookup(addr, false) != nullptr)
+                << "contains diverged at op " << op;
+            break;
+          }
+          case 2: {
+            // The victim is checked by the way the block lands in and
+            // by the record of what that way held.
+            auto got = opt.touchOrInsert(addr, meta, way_limit);
+            auto *hit = model.lookup(addr);
+            ASSERT_EQ(got.hit, hit != nullptr) << "op " << op;
+            ref::SetAssocCache<int>::Evicted ev;
+            if (!hit)
+                ev = model.insert(addr, meta, way_limit);
+            ASSERT_EQ(got.evicted.valid, ev.valid) << "op " << op;
+            ASSERT_EQ(got.evicted.blockAddr, ev.blockAddr) << "op " << op;
+            ASSERT_EQ(got.evicted.meta, ev.meta) << "op " << op;
+            ASSERT_EQ(opt_way(got.line, si),
+                      model_way(model.lookup(addr, false), si))
+                << "touchOrInsert landed in another way at op " << op;
+            break;
+          }
+          case 3: {
+            // Plain inserts of resident blocks plant duplicates, so
+            // lookups must keep answering with the first match.
+            auto got = opt.insert(addr, meta, way_limit);
+            auto ev = model.insert(addr, meta, way_limit);
+            ASSERT_EQ(got.valid, ev.valid) << "op " << op;
+            ASSERT_EQ(got.blockAddr, ev.blockAddr) << "op " << op;
+            ASSERT_EQ(got.meta, ev.meta) << "op " << op;
+            break;
+          }
+          case 4:
+            opt.invalidate(addr);
+            model.invalidate(addr);
+            break;
+          case 5: {
+            unsigned ways = way_limit;
+            auto *got = opt.lruWay(si, ways);
+            auto *want = model.lruWay(si, ways);
+            ASSERT_EQ(opt_way(got, si), model_way(want, si))
+                << "lruWay diverged at op " << op;
+            break;
+          }
+          default: {
+            // DV-LLC's holder flip: the last way's line moves into the
+            // LRU way of the others through the mutable set view.
+            if (c.assoc < 2)
+                break;
+            auto s = opt.set(si);
+            if (s[c.assoc - 1].valid) {
+                *opt.lruWay(si, c.assoc - 1) = s[c.assoc - 1];
+                s[c.assoc - 1].valid = false;
+            }
+            auto *m = model.set(si);
+            if (m[c.assoc - 1].valid) {
+                *model.lruWay(si, c.assoc - 1) = m[c.assoc - 1];
+                m[c.assoc - 1].valid = false;
+            }
+            break;
+          }
+        }
+        expect_same_set(si, op);
+    }
+    for (unsigned si = 0; si < c.sets; ++si)
+        expect_same_set(si, -1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, SetAssocCacheDifferential,
+    ::testing::Values(CacheCase{1, 1, 401}, CacheCase{4, 2, 402},
+                      CacheCase{8, 4, 403}, CacheCase{16, 8, 404},
+                      CacheCase{4, 16, 405}));
+
+// ---------------------------------------------------------------------
+// Functional warmup: coalesced block runs vs the per-instruction loop.
+// ---------------------------------------------------------------------
+
+/**
+ * Per set, the written lines (valid or not) ordered by age: the LRU
+ * rank order every replacement decision reads.  Absolute stamps differ
+ * between the loops, because the coalesced one touches less often.
+ */
+template <typename Line, typename Project>
+auto
+rankOrder(const std::vector<std::pair<std::uint32_t, Line>> &lines,
+          unsigned assoc, Project project)
+{
+    using Row = decltype(std::tuple_cat(
+        std::make_tuple(std::uint32_t{}, bool{}, Addr{}),
+        project(lines.front().second.meta)));
+    std::map<std::uint32_t, std::vector<std::pair<std::uint64_t, Row>>> sets;
+    for (const auto &[index, line] : lines) {
+        sets[index / assoc].push_back(
+            {line.lastUse,
+             std::tuple_cat(std::make_tuple(index, line.valid,
+                                            line.blockAddr),
+                            project(line.meta))});
+    }
+    std::map<std::uint32_t, std::vector<Row>> ranks;
+    for (auto &[set, rows] : sets) {
+        std::sort(rows.begin(), rows.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        for (const auto &row : rows)
+            ranks[set].push_back(row.second);
+    }
+    return ranks;
+}
+
+void
+expectSameTage(const frontend::Tage::WarmState &got,
+               const frontend::Tage::WarmState &want)
+{
+    ASSERT_EQ(got.base.size(), want.base.size());
+    for (std::size_t i = 0; i < got.base.size(); ++i)
+        ASSERT_EQ(got.base[i].raw(), want.base[i].raw()) << "base " << i;
+    ASSERT_EQ(got.tables.size(), want.tables.size());
+    for (std::size_t t = 0; t < got.tables.size(); ++t) {
+        for (std::size_t i = 0; i < got.tables[t].size(); ++i) {
+            const auto &a = got.tables[t][i];
+            const auto &b = want.tables[t][i];
+            ASSERT_EQ(a.tag, b.tag) << "table " << t << " entry " << i;
+            ASSERT_EQ(a.ctr.raw(), b.ctr.raw()) << "table " << t;
+            ASSERT_EQ(a.useful, b.useful) << "table " << t;
+        }
+    }
+    auto values = [](const auto &folded) {
+        std::vector<std::uint32_t> v;
+        for (const auto &f : folded)
+            v.push_back(f.value);
+        return v;
+    };
+    EXPECT_EQ(values(got.foldedIndex), values(want.foldedIndex));
+    EXPECT_EQ(values(got.foldedTag0), values(want.foldedTag0));
+    EXPECT_EQ(values(got.foldedTag1), values(want.foldedTag1));
+    EXPECT_EQ(got.history, want.history);
+    EXPECT_EQ(got.histHead, want.histHead);
+    EXPECT_EQ(got.useAltOnNa.raw(), want.useAltOnNa.raw());
+    EXPECT_EQ(got.allocSeed, want.allocSeed);
+}
+
+class WarmWalkDifferential : public ::testing::TestWithParam<bool>
+{};
+
+TEST_P(WarmWalkDifferential, CoalescedWalkMatchesPerInstructionLoop)
+{
+    const bool dvllc = GetParam();
+    sim::SystemConfig cfg = sim::makeConfig(
+        workload::serverProfile("OLTP (DB A)"), sim::Preset::SN4LDisBtb);
+    cfg.program = std::make_shared<const workload::Program>(
+        workload::buildProgram(cfg.profile));
+    cfg.runSeed = 3;
+    cfg.functionalWarmInstrs = 400000;
+    // A small LLC: the walk overflows its sets, so LRU order decides
+    // evictions.  Under DV-LLC, 4 ways leave 3 for blocks, so BF slots
+    // are dropped and replaced often; an order slip between a block and
+    // its set's slot blocks then changes which block a data miss evicts.
+    cfg.llc.capacityBytes = dvllc ? 64 * 1024 : 256 * 1024;
+    cfg.llc.assoc = dvllc ? 4 : 16;
+    cfg.llc.dvllc = dvllc;
+    cfg.llc.bfSlotsPerSet = 2;
+
+    sim::WarmCache::global().clear();
+    sim::System sys(cfg);
+    ASSERT_EQ(sys.warmSource, sim::WarmSource::Cold);
+
+    ref::WarmStructures model(cfg);
+    std::set<Addr> taken_pcs = ref::functionalWarmup(cfg, model);
+
+    const unsigned llc_assoc = cfg.llc.assoc;
+    auto llc_got = sys.llc->saveWarm();
+    auto llc_want = model.llc.saveWarm();
+    auto llc_meta = [](const auto &m) {
+        return std::make_tuple(m.isInstruction);
+    };
+    EXPECT_EQ(rankOrder(llc_got.lines.lines, llc_assoc, llc_meta),
+              rankOrder(llc_want.lines.lines, llc_assoc, llc_meta));
+    ASSERT_EQ(llc_got.bfSets.size(), llc_want.bfSets.size());
+    for (std::size_t i = 0; i < llc_got.bfSets.size(); ++i) {
+        const auto &[gi, gs] = llc_got.bfSets[i];
+        const auto &[wi, ws] = llc_want.bfSets[i];
+        ASSERT_EQ(gi, wi);
+        ASSERT_EQ(gs.holder, ws.holder) << "set " << gi;
+        ASSERT_EQ(gs.slots.size(), ws.slots.size()) << "set " << gi;
+        for (std::size_t k = 0; k < gs.slots.size(); ++k) {
+            EXPECT_EQ(gs.slots[k].blockAddr, ws.slots[k].blockAddr);
+            EXPECT_EQ(gs.slots[k].bf.offsets, ws.slots[k].bf.offsets);
+            EXPECT_EQ(gs.slots[k].lastUse, ws.slots[k].lastUse);
+        }
+    }
+    EXPECT_EQ(llc_got.bfTick, llc_want.bfTick);
+    EXPECT_EQ(llc_got.counters, llc_want.counters);
+    if (dvllc) {
+        EXPECT_GT(sys.llc->bfHolderSets(), 0u);
+    }
+
+    auto l1i_got = sys.l1i->saveWarm();
+    auto l1i_want = model.l1i.saveWarm();
+    auto l1i_meta = [](const mem::L1iMeta &m) {
+        return std::make_tuple(m.prefetched, m.demanded, m.localStatus,
+                               m.fillLatency, m.filledAt);
+    };
+    EXPECT_EQ(rankOrder(l1i_got.lines.lines, cfg.l1i.assoc, l1i_meta),
+              rankOrder(l1i_want.lines.lines, cfg.l1i.assoc, l1i_meta));
+    EXPECT_EQ(l1i_got.lastDemandBlock, l1i_want.lastDemandBlock);
+
+    auto no_meta = [](const auto &) { return std::tuple<>(); };
+    EXPECT_EQ(rankOrder(sys.l1d->saveWarm().lines, cfg.l1d.assoc, no_meta),
+              rankOrder(model.l1d.saveWarm().lines, cfg.l1d.assoc,
+                        no_meta));
+
+    auto tage_got = sys.tage->saveWarm();
+    auto tage_want = model.tage.saveWarm();
+    expectSameTage(tage_got, tage_want);
+    EXPECT_EQ(tage_got.counters, tage_want.counters);
+
+    // Every trained BTB key: same presence and payload.  Probing counts
+    // and refreshes both tables alike.
+    ASSERT_FALSE(taken_pcs.empty());
+    for (Addr pc : taken_pcs) {
+        const auto *got = sys.btb->lookup(pc);
+        const auto *want = model.btb.lookup(pc);
+        ASSERT_EQ(got != nullptr, want != nullptr) << "pc " << pc;
+        if (got) {
+            EXPECT_EQ(got->target, want->target) << "pc " << pc;
+            EXPECT_EQ(got->kind, want->kind) << "pc " << pc;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(DvLlc, WarmWalkDifferential,
+                         ::testing::Values(false, true));
+
+// ---------------------------------------------------------------------
+// TAGE: update() reuses predict()'s lookup only while it is current.
+// ---------------------------------------------------------------------
+
+TEST(TageLookupReuse, StaleLookupIsRecomputed)
+{
+    // `interleaved` sees another predict() or a history shift between a
+    // branch's predict() and update(); `fresh` gets the same history
+    // shifts with each predict() right before its update().  Training
+    // must come out identical.
+    frontend::Tage interleaved;
+    frontend::Tage fresh;
+    Rng rng(77);
+    auto pc_of = [&] { return 0x40000 + (rng.below(512) << 2); };
+    for (int i = 0; i < 50000; ++i) {
+        Addr pc = pc_of();
+        bool taken = rng.chance(0.6);
+        interleaved.predict(pc);
+        switch (rng.below(3)) {
+          case 0:
+            interleaved.predict(pc_of());
+            break;
+          case 1: {
+            Addr other = pc_of();
+            interleaved.updateHistoryUnconditional(other);
+            fresh.updateHistoryUnconditional(other);
+            break;
+          }
+          default:
+            break;
+        }
+        interleaved.update(pc, taken);
+        fresh.predict(pc);
+        fresh.update(pc, taken);
+    }
+    expectSameTage(interleaved.saveWarm(), fresh.saveWarm());
+    for (const char *key : {"tage_correct", "tage_mispredict",
+                            "tage_allocations"}) {
+        EXPECT_EQ(interleaved.stats().get(key), fresh.stats().get(key))
+            << key;
+    }
+}
 
 // ---------------------------------------------------------------------
 // Predecode-cache properties.

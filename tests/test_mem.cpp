@@ -71,6 +71,25 @@ TEST(SetAssocCache, CapacityBytes)
     EXPECT_EQ(c.ways(), 8u);
 }
 
+TEST(SetAssocCache, TouchOrInsertHitsThenFills)
+{
+    SetAssocCache<int> c(1, 2);
+    auto miss = c.touchOrInsert(0x000, 7);
+    EXPECT_FALSE(miss.hit);
+    EXPECT_EQ(miss.line->meta, 7);
+    auto hit = c.touchOrInsert(0x000, 9);
+    EXPECT_TRUE(hit.hit);
+    EXPECT_EQ(hit.line, miss.line);
+    EXPECT_EQ(hit.line->meta, 7); // a hit leaves the meta alone
+    c.touchOrInsert(0x040, 1);
+    c.touchOrInsert(0x000, 0); // 0x040 is now LRU
+    auto fill = c.touchOrInsert(0x080, 2);
+    EXPECT_FALSE(fill.hit);
+    EXPECT_FALSE(c.contains(0x040));
+    EXPECT_TRUE(c.contains(0x000));
+    EXPECT_EQ(fill.line->meta, 2);
+}
+
 /** Property: occupancy never exceeds sets*ways under random traffic. */
 class CacheProperty : public ::testing::TestWithParam<unsigned>
 {};
