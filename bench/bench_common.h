@@ -56,7 +56,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -64,13 +63,13 @@
 #include <sys/resource.h>
 
 #include "cli/flag_docs.h"
+#include "exec/grid.h"
 #include "exec/result_cache.h"
 #include "exec/schedule.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "rt/faults.h"
-#include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
 #include "workload/profiles.h"
@@ -84,45 +83,6 @@ inline sim::RunWindows
 windows()
 {
     return sim::RunWindows{150000, 150000};
-}
-
-/**
- * Scatter/gather over independent simulations: run every config on the
- * `--jobs` worker pool and return the results in input order.
- *
- * Configs with no pre-resolved image get one from the process-wide
- * workload::ImageCache, so repeats of a workload share one immutable
- * program.  Results are deterministic and identical for every job
- * count; the sweep's wall time, per-cell times and pool occupancy are
- * pushed to exec::ExecLog and land in the JSON report's "exec" section.
- * Tracing no longer constrains the job count: the tracer buffers each
- * run on its thread and merges at close.
- */
-inline std::vector<sim::RunResult>
-simulateAll(const std::string &label, std::vector<sim::SystemConfig> configs,
-            const sim::RunWindows &windows)
-{
-    unsigned jobs = exec::resolveJobs();
-    for (auto &cfg : configs) {
-        if (!cfg.program)
-            cfg.program = workload::ImageCache::global().get(cfg.profile);
-    }
-    std::vector<std::optional<sim::RunResult>> out(configs.size());
-    auto report = exec::runIndexed(
-        label, configs.size(), jobs,
-        [&](std::size_t i) {
-            out[i] = exec::simulateCached(configs[i], windows);
-        },
-        [&](std::size_t i) {
-            return configs[i].profile.name + "/" +
-                sim::presetName(configs[i].preset);
-        });
-    exec::ExecLog::push(std::move(report));
-    std::vector<sim::RunResult> results;
-    results.reserve(out.size());
-    for (auto &r : out)
-        results.push_back(std::move(*r));
-    return results;
 }
 
 /**

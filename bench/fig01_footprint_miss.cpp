@@ -15,18 +15,12 @@ main(int argc, char **argv)
 
     sim::Table table({"workload", "U-BTB lookups", "footprint misses",
                       "footprint miss ratio"});
-    auto names = bench::allWorkloads();
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &name : names) {
-        cfgs.push_back(sim::makeConfig(workload::serverProfile(name),
-                                       sim::Preset::Shotgun));
-    }
-    auto results =
-        bench::simulateAll("fig01 Shotgun", std::move(cfgs), bench::windows());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const auto &name = names[i];
-        const auto &res = results[i];
-        table.addRow({name,
+    auto grid = exec::runGrid("fig01 Shotgun", bench::allWorkloads(),
+                              exec::presetVariants({sim::Preset::Shotgun}),
+                              bench::windows());
+    for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
+        const auto &res = grid.at(w, 0);
+        table.addRow({grid.workloads()[w],
                       std::to_string(res.stat("sg.ubtb_lookups")),
                       std::to_string(res.stat("sg.ubtb_footprint_misses")),
                       sim::Table::pct(res.ratio(

@@ -15,26 +15,21 @@ main(int argc, char **argv)
 
     sim::Table table({"workload", "L1i misses", "sequential",
                       "sequential fraction"});
-    double sum = 0.0;
-    auto names = bench::allWorkloads();
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &name : names) {
-        cfgs.push_back(sim::makeConfig(workload::serverProfile(name),
-                                       sim::Preset::Baseline));
-    }
-    auto results = bench::simulateAll("fig02 Baseline", std::move(cfgs),
-                                      bench::windows());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const auto &name = names[i];
-        const auto &res = results[i];
-        double frac = res.ratio("l1i.l1i_seq_misses", "l1i.l1i_misses");
-        sum += frac;
-        table.addRow({name, std::to_string(res.stat("l1i.l1i_misses")),
+    auto grid = exec::runGrid("fig02 Baseline", bench::allWorkloads(),
+                              exec::presetVariants({sim::Preset::Baseline}),
+                              bench::windows());
+    auto seq_fraction = [](const sim::RunResult &res) {
+        return res.ratio("l1i.l1i_seq_misses", "l1i.l1i_misses");
+    };
+    for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
+        const auto &res = grid.at(w, 0);
+        table.addRow({grid.workloads()[w],
+                      std::to_string(res.stat("l1i.l1i_misses")),
                       std::to_string(res.stat("l1i.l1i_seq_misses")),
-                      sim::Table::pct(frac)});
+                      sim::Table::pct(seq_fraction(res))});
     }
     table.addRow({"Average", "", "",
-                  sim::Table::pct(sum / static_cast<double>(names.size()))});
+                  sim::Table::pct(grid.mean(0, seq_fraction))});
     h.report(table, "Fraction of sequential cache misses");
     return 0;
 }

@@ -16,30 +16,26 @@ main(int argc, char **argv)
 
     sim::Table table({"workload", "base seq misses", "NL seq misses",
                       "seq coverage"});
-    double sum = 0.0;
-    auto names = bench::allWorkloads();
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &name : names) {
-        auto profile = workload::serverProfile(name);
-        cfgs.push_back(sim::makeConfig(profile, sim::Preset::Baseline));
-        cfgs.push_back(sim::makeConfig(profile, sim::Preset::NL));
-    }
-    auto results = bench::simulateAll("fig03 Baseline vs NL",
-                                      std::move(cfgs), bench::windows());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const auto &name = names[i];
-        const auto &base = results[2 * i];
-        const auto &nl = results[2 * i + 1];
+    auto grid = exec::runGrid(
+        "fig03 Baseline vs NL", bench::allWorkloads(),
+        exec::presetVariants({sim::Preset::Baseline, sim::Preset::NL}),
+        bench::windows());
+    auto seq_coverage = [](const sim::RunResult &nl,
+                           const sim::RunResult &base) {
         double b = static_cast<double>(base.stat("l1i.l1i_seq_misses"));
         double n = static_cast<double>(nl.stat("l1i.l1i_seq_misses"));
-        double cov = b > 0 ? std::max(0.0, 1.0 - n / b) : 0.0;
-        sum += cov;
-        table.addRow({name, std::to_string(base.stat("l1i.l1i_seq_misses")),
+        return b > 0 ? std::max(0.0, 1.0 - n / b) : 0.0;
+    };
+    for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
+        const auto &base = grid.at(w, 0);
+        const auto &nl = grid.at(w, 1);
+        table.addRow({grid.workloads()[w],
+                      std::to_string(base.stat("l1i.l1i_seq_misses")),
                       std::to_string(nl.stat("l1i.l1i_seq_misses")),
-                      sim::Table::pct(cov)});
+                      sim::Table::pct(seq_coverage(nl, base))});
     }
     table.addRow({"Average", "", "",
-                  sim::Table::pct(sum / static_cast<double>(names.size()))});
+                  sim::Table::pct(grid.mean(1, 0, seq_coverage))});
     h.report(table, "NL sequential miss coverage");
     return 0;
 }

@@ -14,32 +14,19 @@ main(int argc, char **argv)
     bench::Harness h(argc, argv, "Fig. 4 - CMAL for sequential prefetchers",
                   "NL 65%, N2L 80%, N4L 88%, N8L 85% (N8L inverts)");
 
-    const sim::Preset depths[] = {sim::Preset::NL, sim::Preset::N2L,
-                                  sim::Preset::N4L, sim::Preset::N8L};
     sim::Table table({"design", "CMAL (avg over workloads)",
                       "ext. requests (avg)"});
-    // Workload-major, so each workload's designs share one warmup.
-    auto names = bench::allWorkloads();
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &name : names) {
-        for (auto preset : depths)
-            cfgs.push_back(
-                sim::makeConfig(workload::serverProfile(name), preset));
-    }
-    auto results = bench::simulateAll("fig04 NXL grid", std::move(cfgs),
-                                      bench::windows());
-    for (std::size_t p = 0; p < std::size(depths); ++p) {
-        auto preset = depths[p];
-        double sum = 0.0;
-        std::uint64_t reqs = 0;
-        for (std::size_t w = 0; w < names.size(); ++w) {
-            const auto &res = results[w * std::size(depths) + p];
-            sum += res.cmal();
-            reqs += res.stat("l1i.l1i_external_requests");
-        }
-        table.addRow({sim::presetName(preset),
-                      sim::Table::pct(sum / 7.0),
-                      std::to_string(reqs / 7)});
+    auto grid = exec::runGrid(
+        "fig04 NXL grid", bench::allWorkloads(),
+        exec::presetVariants({sim::Preset::NL, sim::Preset::N2L,
+                              sim::Preset::N4L, sim::Preset::N8L}),
+        bench::windows());
+    for (std::size_t v = 0; v < grid.variants().size(); ++v) {
+        table.addRow({grid.variants()[v],
+                      sim::Table::pct(grid.mean(v, &sim::RunResult::cmal)),
+                      std::to_string(
+                          grid.total(v, "l1i.l1i_external_requests") /
+                          grid.workloads().size())});
     }
     h.report(table, "Covered Memory Access Latency (CMAL)");
     return 0;

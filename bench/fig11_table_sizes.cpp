@@ -8,80 +8,61 @@
 
 #include "bench_common.h"
 
-namespace {
-
-using namespace dcfb;
-
-sim::SystemConfig
-sweepConfig(const std::string &name, sim::Preset preset,
-            std::size_t seq_entries, std::size_t dis_entries)
-{
-    auto cfg = sim::makeConfig(workload::serverProfile(name), preset);
-    cfg.sn4l.seqTableEntries = seq_entries;
-    cfg.sn4l.disTable.entries = dis_entries;
-    return cfg;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
+    using namespace dcfb;
     bench::Harness h(argc, argv, "Fig. 11 - miss coverage vs. metadata table size",
                   "16K SeqTable ~ 96% of unlimited; 4K DisTable ~ 97%");
 
-    auto names = bench::sweepWorkloads();
-    std::vector<sim::SystemConfig> base_cfgs;
-    for (const auto &name : names) {
-        base_cfgs.push_back(sim::makeConfig(workload::serverProfile(name),
-                                            sim::Preset::Baseline));
-    }
-    auto base = bench::simulateAll("fig11 baselines", std::move(base_cfgs),
-                                   bench::windows());
-    std::map<std::string, std::uint64_t> base_misses;
-    for (std::size_t i = 0; i < names.size(); ++i)
-        base_misses[names[i]] = base[i].stat("l1i.l1i_misses");
-
+    // Column 0 is the no-prefetcher baseline both sweeps measure
+    // coverage against; then one column per (table, size) point.
     const std::vector<std::size_t> seq_sizes{256, 1024, 4096, 16384,
                                              65536, 0};
-    std::vector<sim::SystemConfig> seq_cfgs;
+    const std::vector<std::size_t> dis_sizes{64, 128, 256, 1024, 4096, 0};
+    auto size_label = [](std::size_t entries) {
+        return entries ? std::to_string(entries) : std::string("unlimited");
+    };
+    auto sized = [](sim::Preset preset, std::string label,
+                    std::size_t seq_entries, std::size_t dis_entries) {
+        return exec::Variant{std::move(label), preset,
+                             [=](sim::SystemConfig &cfg) {
+            cfg.sn4l.seqTableEntries = seq_entries;
+            cfg.sn4l.disTable.entries = dis_entries;
+        }};
+    };
+    std::vector<exec::Variant> variants{
+        {"Baseline", sim::Preset::Baseline}};
     for (std::size_t entries : seq_sizes) {
-        for (const auto &name : names)
-            seq_cfgs.push_back(
-                sweepConfig(name, sim::Preset::SN4L, entries, 4096));
+        variants.push_back(sized(sim::Preset::SN4L,
+                                 "SeqTable " + size_label(entries), entries,
+                                 4096));
     }
-    auto seq_res = bench::simulateAll("fig11 SeqTable sweep",
-                                      std::move(seq_cfgs), bench::windows());
+    for (std::size_t entries : dis_sizes) {
+        variants.push_back(sized(sim::Preset::SN4LDis,
+                                 "DisTable " + size_label(entries), 16384,
+                                 entries));
+    }
+    auto grid = exec::runGrid("fig11 table-size sweep",
+                              bench::sweepWorkloads(), std::move(variants),
+                              bench::windows());
+    auto coverage = [](const sim::RunResult &res,
+                       const sim::RunResult &base) {
+        return res.coverage(base.stat("l1i.l1i_misses"));
+    };
 
     sim::Table seq({"SeqTable entries", "SN4L coverage (avg)"});
-    std::size_t idx = 0;
-    for (std::size_t entries : seq_sizes) {
-        double sum = 0.0;
-        for (const auto &name : names)
-            sum += seq_res[idx++].coverage(base_misses[name]);
-        seq.addRow({entries ? std::to_string(entries) : "unlimited",
-                    sim::Table::pct(sum / names.size())});
+    for (std::size_t i = 0; i < seq_sizes.size(); ++i) {
+        seq.addRow({size_label(seq_sizes[i]),
+                    sim::Table::pct(grid.mean(1 + i, 0, coverage))});
     }
     h.report(seq, "SN4L miss coverage vs. SeqTable size");
 
-    const std::vector<std::size_t> dis_sizes{64, 128, 256, 1024, 4096, 0};
-    std::vector<sim::SystemConfig> dis_cfgs;
-    for (std::size_t entries : dis_sizes) {
-        for (const auto &name : names)
-            dis_cfgs.push_back(
-                sweepConfig(name, sim::Preset::SN4LDis, 16384, entries));
-    }
-    auto dis_res = bench::simulateAll("fig11 DisTable sweep",
-                                      std::move(dis_cfgs), bench::windows());
-
     sim::Table dis({"DisTable entries", "SN4L+Dis coverage (avg)"});
-    idx = 0;
-    for (std::size_t entries : dis_sizes) {
-        double sum = 0.0;
-        for (const auto &name : names)
-            sum += dis_res[idx++].coverage(base_misses[name]);
-        dis.addRow({entries ? std::to_string(entries) : "unlimited",
-                    sim::Table::pct(sum / names.size())});
+    for (std::size_t i = 0; i < dis_sizes.size(); ++i) {
+        dis.addRow({size_label(dis_sizes[i]),
+                    sim::Table::pct(grid.mean(1 + seq_sizes.size() + i, 0,
+                                              coverage))});
     }
     h.report(dis, "SN4L+Dis miss coverage vs. DisTable size");
     return 0;

@@ -14,94 +14,62 @@ main(int argc, char **argv)
     bench::Harness h(argc, argv, "Fig. 13 - timeliness (CMAL) of the proposed designs",
                   "N4L 88%, SN4L 93%, Dis 89%, SN4L+Dis+BTB 91%");
 
-    const std::vector<sim::Preset> designs = {
-        sim::Preset::N4LPlain, sim::Preset::SN4L, sim::Preset::DisOnly,
-        sim::Preset::SN4LDisBtb};
-    std::vector<sim::SystemConfig> cmal_cfgs;
-    for (auto preset : designs) {
-        for (const auto &name : bench::allWorkloads())
-            cmal_cfgs.push_back(
-                sim::makeConfig(workload::serverProfile(name), preset));
-    }
-    auto cmal_res = bench::simulateAll("fig13 CMAL grid",
-                                       std::move(cmal_cfgs),
-                                       bench::windows());
+    auto cmal = exec::runGrid(
+        "fig13 CMAL grid", bench::allWorkloads(),
+        exec::presetVariants({sim::Preset::N4LPlain, sim::Preset::SN4L,
+                              sim::Preset::DisOnly,
+                              sim::Preset::SN4LDisBtb}),
+        bench::windows());
 
     sim::Table table({"design", "CMAL (avg)"});
-    std::size_t idx = 0;
-    for (auto preset : designs) {
-        double sum = 0.0;
-        for (std::size_t w = 0; w < bench::allWorkloads().size(); ++w)
-            sum += cmal_res[idx++].cmal();
-        table.addRow({sim::presetName(preset), sim::Table::pct(sum / 7.0)});
+    for (std::size_t v = 0; v < cmal.variants().size(); ++v) {
+        table.addRow({cmal.variants()[v],
+                      sim::Table::pct(cmal.mean(v, &sim::RunResult::cmal))});
     }
     h.report(table, "Timeliness of different prefetchers");
 
-    // The two ablations share one no-prefetcher baseline per workload.
-    auto sweep_names = bench::sweepWorkloads();
-    std::vector<sim::SystemConfig> base_cfgs;
-    for (const auto &name : sweep_names) {
-        base_cfgs.push_back(sim::makeConfig(workload::serverProfile(name),
-                                            sim::Preset::Baseline));
-    }
-    auto bases = bench::simulateAll("fig13 ablation baselines",
-                                    std::move(base_cfgs), bench::windows());
-
-    // Ablation: proactive chain depth limit (paper picks 4).
+    // Two ablations of SN4L+Dis+BTB over one no-prefetcher baseline
+    // column: the proactive chain depth limit (paper picks 4), and SN1L
+    // vs. SN4L for the sequential tails of discontinuity regions (the
+    // paper chooses SN1L to protect accuracy at depth).
     const std::vector<unsigned> limits{1, 2, 4, 8};
-    std::vector<sim::SystemConfig> depth_cfgs;
+    std::vector<exec::Variant> variants{{"Baseline", sim::Preset::Baseline}};
     for (unsigned limit : limits) {
-        for (const auto &name : sweep_names) {
-            auto cfg = sim::makeConfig(workload::serverProfile(name),
-                                       sim::Preset::SN4LDisBtb);
+        variants.push_back({"chain depth " + std::to_string(limit),
+                            sim::Preset::SN4LDisBtb,
+                            [limit](sim::SystemConfig &cfg) {
             cfg.sn4l.chainDepthLimit = limit;
-            depth_cfgs.push_back(std::move(cfg));
-        }
+        }});
     }
-    auto depth_res = bench::simulateAll("fig13 chain-depth ablation",
-                                        std::move(depth_cfgs),
-                                        bench::windows());
+    const std::size_t tail_column = variants.size();
+    for (bool sn1l : {true, false}) {
+        variants.push_back({sn1l ? "SN1L tails (paper)" : "SN4L tails",
+                            sim::Preset::SN4LDisBtb,
+                            [sn1l](sim::SystemConfig &cfg) {
+            cfg.sn4l.sn1lTails = sn1l;
+        }});
+    }
+    auto ablation = exec::runGrid("fig13 ablations", bench::sweepWorkloads(),
+                                  std::move(variants), bench::windows());
 
     sim::Table depth({"chain depth limit", "CMAL (avg)", "speedup (avg)"});
-    idx = 0;
-    for (unsigned limit : limits) {
-        double cmal_sum = 0.0, speed_sum = 0.0;
-        for (std::size_t w = 0; w < sweep_names.size(); ++w, ++idx) {
-            cmal_sum += depth_res[idx].cmal();
-            speed_sum += sim::speedup(depth_res[idx], bases[w]);
-        }
-        depth.addRow({std::to_string(limit),
-                      sim::Table::pct(cmal_sum / 3.0),
-                      sim::Table::num(speed_sum / 3.0, 3)});
+    for (std::size_t i = 0; i < limits.size(); ++i) {
+        depth.addRow(
+            {std::to_string(limits[i]),
+             sim::Table::pct(ablation.mean(1 + i, &sim::RunResult::cmal)),
+             sim::Table::num(ablation.mean(1 + i, 0, sim::speedup), 3)});
     }
     h.report(depth, "Ablation: proactive chain depth limit");
 
-    // Ablation: SN1L vs. SN4L for the sequential tails of discontinuity
-    // regions (the paper chooses SN1L to protect accuracy at depth).
-    std::vector<sim::SystemConfig> tail_cfgs;
-    for (bool sn1l : {true, false}) {
-        for (const auto &name : sweep_names) {
-            auto cfg = sim::makeConfig(workload::serverProfile(name),
-                                       sim::Preset::SN4LDisBtb);
-            cfg.sn4l.sn1lTails = sn1l;
-            tail_cfgs.push_back(std::move(cfg));
-        }
-    }
-    auto tail_res = bench::simulateAll("fig13 tail-policy ablation",
-                                       std::move(tail_cfgs),
-                                       bench::windows());
-
+    auto pf_accuracy = [](const sim::RunResult &res) {
+        return res.ratio("l1i.pf_useful", "l1i.pf_issued");
+    };
     sim::Table tails({"tail policy", "pf accuracy (avg)", "speedup (avg)"});
-    idx = 0;
-    for (bool sn1l : {true, false}) {
-        double acc_sum = 0.0, speed_sum = 0.0;
-        for (std::size_t w = 0; w < sweep_names.size(); ++w, ++idx) {
-            acc_sum += tail_res[idx].ratio("l1i.pf_useful", "l1i.pf_issued");
-            speed_sum += sim::speedup(tail_res[idx], bases[w]);
-        }
-        tails.addRow({sn1l ? "SN1L tails (paper)" : "SN4L tails",
-                      sim::Table::pct(acc_sum / 3.0),
-                      sim::Table::num(speed_sum / 3.0, 3)});
+    for (std::size_t v = tail_column; v < ablation.variants().size(); ++v) {
+        tails.addRow(
+            {ablation.variants()[v],
+             sim::Table::pct(ablation.mean(v, pf_accuracy)),
+             sim::Table::num(ablation.mean(v, 0, sim::speedup), 3)});
     }
     h.report(tails, "Ablation: sequential-tail depth beyond discontinuities");
     return 0;

@@ -14,49 +14,28 @@ main(int argc, char **argv)
     bench::Harness h(argc, argv, "Fig. 14 - cache lookups, normalized to baseline",
                   "Confluence lowest; SN4L+Dis+BTB ~ Shotgun; RLU=8 enough");
 
-    struct Design
-    {
-        const char *label;
-        sim::Preset preset;
-        unsigned rlu;
-    };
-    const Design designs[] = {
-        {"Baseline", sim::Preset::Baseline, 8},
-        {"SN4L+Dis+BTB (no RLU)", sim::Preset::SN4LDisBtb, 0},
-        {"SN4L+Dis+BTB (RLU=4)", sim::Preset::SN4LDisBtb, 4},
-        {"SN4L+Dis+BTB (RLU=8)", sim::Preset::SN4LDisBtb, 8},
-        {"SN4L+Dis+BTB (RLU=16)", sim::Preset::SN4LDisBtb, 16},
-        {"Shotgun", sim::Preset::Shotgun, 8},
-        {"Confluence", sim::Preset::Confluence, 8},
-    };
-    auto names = bench::allWorkloads();
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &name : names) {
-        for (const auto &d : designs) {
-            auto cfg = sim::makeConfig(workload::serverProfile(name),
-                                       d.preset);
-            if (d.rlu != 8)
-                cfg.sn4l.rluEntries = d.rlu;
-            cfgs.push_back(std::move(cfg));
-        }
+    std::vector<exec::Variant> variants{{"Baseline", sim::Preset::Baseline}};
+    for (unsigned rlu : {0u, 4u, 8u, 16u}) {
+        variants.push_back(
+            {rlu ? "SN4L+Dis+BTB (RLU=" + std::to_string(rlu) + ")"
+                 : std::string("SN4L+Dis+BTB (no RLU)"),
+             sim::Preset::SN4LDisBtb,
+             [rlu](sim::SystemConfig &cfg) { cfg.sn4l.rluEntries = rlu; }});
     }
-    auto results = bench::simulateAll("fig14 lookup grid", std::move(cfgs),
-                                      bench::windows());
-    auto avg_lookups = [&](std::size_t d) {
-        double sum = 0.0;
-        for (std::size_t w = 0; w < names.size(); ++w) {
-            const auto &res = results[w * std::size(designs) + d];
-            sum += static_cast<double>(res.stat("l1i.l1i_lookups"));
-        }
-        return sum / static_cast<double>(names.size());
+    variants.push_back({"Shotgun", sim::Preset::Shotgun});
+    variants.push_back({"Confluence", sim::Preset::Confluence});
+    auto grid = exec::runGrid("fig14 lookup grid", bench::allWorkloads(),
+                              std::move(variants), bench::windows());
+    auto lookups = [](const sim::RunResult &res) {
+        return static_cast<double>(res.stat("l1i.l1i_lookups"));
     };
 
-    double base = avg_lookups(0);
+    double base = grid.mean(0, lookups);
     sim::Table table({"design", "lookups (norm.)"});
     table.addRow({"Baseline", "1.00"});
-    for (std::size_t d = 1; d < std::size(designs); ++d) {
-        table.addRow(
-            {designs[d].label, sim::Table::num(avg_lookups(d) / base)});
+    for (std::size_t v = 1; v < grid.variants().size(); ++v) {
+        table.addRow({grid.variants()[v],
+                      sim::Table::num(grid.mean(v, lookups) / base)});
     }
     h.report(table, "Number of cache lookups, normalized to baseline");
     return 0;

@@ -13,31 +13,24 @@ main(int argc, char **argv)
     bench::Harness h(argc, argv, "Fig. 15 - Frontend Stall Cycle Reduction",
                   "SN4L+Dis+BTB 61%, Shotgun 35%, Confluence 32% (avg)");
 
-    std::vector<sim::Preset> designs = {sim::Preset::SN4LDisBtb,
-                                        sim::Preset::Shotgun,
-                                        sim::Preset::Confluence};
-    sim::ExperimentGrid grid({sim::Preset::Baseline, sim::Preset::SN4LDisBtb,
-                              sim::Preset::Shotgun, sim::Preset::Confluence},
-                             bench::windows());
-    grid.run();
+    // Column 0 is the baseline every design's FSCR is measured against.
+    auto grid = exec::runGrid(
+        "fig15 FSCR grid", bench::allWorkloads(),
+        exec::presetVariants({sim::Preset::Baseline, sim::Preset::SN4LDisBtb,
+                              sim::Preset::Shotgun, sim::Preset::Confluence}),
+        bench::windows());
 
     sim::Table table({"workload", "SN4L+Dis+BTB", "Shotgun", "Confluence"});
-    std::vector<double> sums(designs.size(), 0.0);
-    for (const auto &name : grid.workloads()) {
-        const auto &base = grid.at(name, sim::Preset::Baseline);
-        std::vector<std::string> row{name};
-        for (std::size_t d = 0; d < designs.size(); ++d) {
-            double f = sim::fscr(grid.at(name, designs[d]), base);
-            sums[d] += f;
-            row.push_back(sim::Table::pct(f));
-        }
+    for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
+        std::vector<std::string> row{grid.workloads()[w]};
+        for (std::size_t v = 1; v < grid.variants().size(); ++v)
+            row.push_back(sim::Table::pct(sim::fscr(grid.at(w, v),
+                                                    grid.at(w, 0))));
         table.addRow(row);
     }
     std::vector<std::string> avg{"Average"};
-    for (double s : sums)
-        avg.push_back(
-            sim::Table::pct(s / static_cast<double>(
-                                    grid.workloads().size())));
+    for (std::size_t v = 1; v < grid.variants().size(); ++v)
+        avg.push_back(sim::Table::pct(grid.mean(v, 0, sim::fscr)));
     table.addRow(avg);
     h.report(table, "Frontend Stall Cycle Reduction (FSCR)");
     return 0;

@@ -15,42 +15,37 @@ main(int argc, char **argv)
     bench::Harness h(argc, argv, "Fig. 16 - speedup over no-prefetcher baseline",
                   "ours 1.19 avg (1.07-1.50); +5% vs Shotgun, +16% on DB A");
 
-    std::vector<sim::Preset> designs = {
-        sim::Preset::NL, sim::Preset::SN4LDisBtb, sim::Preset::Shotgun,
-        sim::Preset::Confluence};
-    std::vector<sim::Preset> all = designs;
-    all.push_back(sim::Preset::Baseline);
-    sim::ExperimentGrid grid(all, bench::windows());
-    grid.run();
+    // The designs, then the no-prefetcher baseline in the last column.
+    auto grid = exec::runGrid(
+        "fig16 speedup grid", bench::allWorkloads(),
+        exec::presetVariants({sim::Preset::NL, sim::Preset::SN4LDisBtb,
+                              sim::Preset::Shotgun, sim::Preset::Confluence,
+                              sim::Preset::Baseline}),
+        bench::windows());
+    const std::size_t ours = 1, shotgun = 2, base = 4;
 
     sim::Table table(
         {"workload", "NL", "SN4L+Dis+BTB", "Shotgun", "Confluence"});
-    for (const auto &name : grid.workloads()) {
-        const auto &base = grid.at(name, sim::Preset::Baseline);
-        std::vector<std::string> row{name};
-        for (auto d : designs) {
-            row.push_back(
-                sim::Table::num(sim::speedup(grid.at(name, d), base), 3));
+    for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
+        std::vector<std::string> row{grid.workloads()[w]};
+        for (std::size_t v = 0; v < base; ++v) {
+            row.push_back(sim::Table::num(
+                sim::speedup(grid.at(w, v), grid.at(w, base)), 3));
         }
         table.addRow(row);
     }
     std::vector<std::string> avg{"GeoMean"};
-    for (auto d : designs) {
-        avg.push_back(sim::Table::num(
-            grid.gmeanSpeedup(d, sim::Preset::Baseline), 3));
-    }
+    for (std::size_t v = 0; v < base; ++v)
+        avg.push_back(sim::Table::num(grid.gmean(v, base), 3));
     table.addRow(avg);
     h.report(table, "Speedup over baseline without instruction/BTB prefetch");
 
-    double ours = grid.gmeanSpeedup(sim::Preset::SN4LDisBtb,
-                                    sim::Preset::Baseline);
-    double shotgun =
-        grid.gmeanSpeedup(sim::Preset::Shotgun, sim::Preset::Baseline);
-    std::printf("\nSN4L+Dis+BTB over Shotgun (avg): %.1f%%\n",
-                (ours / shotgun - 1.0) * 100.0);
-    h.note("sn4l_over_shotgun_avg_pct", (ours / shotgun - 1.0) * 100.0);
-    const auto &dba_ours = grid.at("OLTP (DB A)", sim::Preset::SN4LDisBtb);
-    const auto &dba_sg = grid.at("OLTP (DB A)", sim::Preset::Shotgun);
+    double over_shotgun =
+        (grid.gmean(ours, base) / grid.gmean(shotgun, base) - 1.0) * 100.0;
+    std::printf("\nSN4L+Dis+BTB over Shotgun (avg): %.1f%%\n", over_shotgun);
+    h.note("sn4l_over_shotgun_avg_pct", over_shotgun);
+    const auto &dba_ours = grid.at("OLTP (DB A)", "SN4L+Dis+BTB");
+    const auto &dba_sg = grid.at("OLTP (DB A)", "Shotgun");
     std::printf("SN4L+Dis+BTB over Shotgun (OLTP DB A): %.1f%%\n",
                 (dba_ours.ipc() / dba_sg.ipc() - 1.0) * 100.0);
     h.note("sn4l_over_shotgun_dba_pct",

@@ -15,20 +15,21 @@ main(int argc, char **argv)
                   "N4L < SN4L 13% < +Dis 15% < +BTB 19% <= PerfectL1i; "
                   "PerfectL1i+BTBinf 29%");
 
-    std::vector<sim::Preset> designs = {
-        sim::Preset::N4LPlain, sim::Preset::SN4L, sim::Preset::SN4LDis,
-        sim::Preset::SN4LDisBtb, sim::Preset::PerfectL1i,
-        sim::Preset::PerfectL1iBtb};
-    std::vector<sim::Preset> all = designs;
-    all.push_back(sim::Preset::Baseline);
-    sim::ExperimentGrid grid(all, bench::windows());
-    grid.run();
+    // The designs, then the no-prefetcher baseline in the last column.
+    auto grid = exec::runGrid(
+        "fig17 breakdown grid", bench::allWorkloads(),
+        exec::presetVariants({sim::Preset::N4LPlain, sim::Preset::SN4L,
+                              sim::Preset::SN4LDis, sim::Preset::SN4LDisBtb,
+                              sim::Preset::PerfectL1i,
+                              sim::Preset::PerfectL1iBtb,
+                              sim::Preset::Baseline}),
+        bench::windows());
+    const std::size_t base = grid.variants().size() - 1;
 
     sim::Table table({"design", "speedup (geomean)"});
-    for (auto d : designs) {
-        table.addRow({sim::presetName(d),
-                      sim::Table::num(
-                          grid.gmeanSpeedup(d, sim::Preset::Baseline), 3)});
+    for (std::size_t v = 0; v < base; ++v) {
+        table.addRow({grid.variants()[v],
+                      sim::Table::num(grid.gmean(v, base), 3)});
     }
     h.report(table, "Performance breakdown of SN4L+Dis+BTB");
     return 0;

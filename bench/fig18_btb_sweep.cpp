@@ -5,8 +5,6 @@
  * server workloads).  Paper: the gap grows as the BTB size decreases.
  */
 
-#include <cmath>
-
 #include "bench_common.h"
 
 int
@@ -16,42 +14,33 @@ main(int argc, char **argv)
     bench::Harness h(argc, argv, "Fig. 18 - ours vs. Shotgun with shrinking BTBs",
                   "the gap over Shotgun grows as BTB size decreases");
 
-    // Flatten the (scale x workload x {ours, Shotgun}) sweep into one
-    // scatter/gather pass; rows reduce from the gathered results.
+    // One (ours, Shotgun) column pair per BTB scale.
     const std::vector<unsigned> divs{1, 2, 4, 8};
-    std::vector<sim::SystemConfig> cfgs;
+    std::vector<exec::Variant> variants;
     for (unsigned div : divs) {
-        for (const auto &name : bench::allWorkloads()) {
-            auto profile = workload::serverProfile(name);
-            auto ours_cfg =
-                sim::makeConfig(profile, sim::Preset::SN4LDisBtb);
-            ours_cfg.btbEntries = 2048 / div;
-            cfgs.push_back(std::move(ours_cfg));
-            auto sg_cfg = sim::makeConfig(profile, sim::Preset::Shotgun);
-            sg_cfg.shotgunBtb.ubtbEntries = 1536 / div;
-            sg_cfg.shotgunBtb.cbtbEntries = std::max(128u / div, 16u);
-            sg_cfg.shotgunBtb.ribEntries = std::max(512u / div, 32u);
-            cfgs.push_back(std::move(sg_cfg));
-        }
+        variants.push_back({"ours 1/" + std::to_string(div),
+                            sim::Preset::SN4LDisBtb,
+                            [div](sim::SystemConfig &cfg) {
+            cfg.btbEntries = 2048 / div;
+        }});
+        variants.push_back({"Shotgun 1/" + std::to_string(div),
+                            sim::Preset::Shotgun,
+                            [div](sim::SystemConfig &cfg) {
+            cfg.shotgunBtb.ubtbEntries = 1536 / div;
+            cfg.shotgunBtb.cbtbEntries = std::max(128u / div, 16u);
+            cfg.shotgunBtb.ribEntries = std::max(512u / div, 32u);
+        }});
     }
-    auto res = bench::simulateAll("fig18 BTB sweep", std::move(cfgs),
-                                  bench::windows());
+    auto grid = exec::runGrid("fig18 BTB sweep", bench::allWorkloads(),
+                              std::move(variants), bench::windows());
 
     sim::Table table({"BTB scale", "ours BTB", "Shotgun U-BTB",
                       "ours/Shotgun speedup"});
-    std::size_t idx = 0;
-    for (unsigned div : divs) {
-        double log_sum = 0.0;
-        for (std::size_t w = 0; w < bench::allWorkloads().size(); ++w) {
-            const auto &ours = res[idx++];
-            const auto &sg = res[idx++];
-            log_sum += std::log(ours.ipc() / sg.ipc());
-        }
-        double gmean = std::exp(log_sum / 7.0);
-        table.addRow({"1/" + std::to_string(div),
-                      std::to_string(2048 / div),
-                      std::to_string(1536 / div),
-                      sim::Table::num(gmean, 3)});
+    for (std::size_t i = 0; i < divs.size(); ++i) {
+        table.addRow({"1/" + std::to_string(divs[i]),
+                      std::to_string(2048 / divs[i]),
+                      std::to_string(1536 / divs[i]),
+                      sim::Table::num(grid.gmean(2 * i, 2 * i + 1), 3)});
     }
     h.report(table, "Speedup of SN4L+Dis+BTB over Shotgun, varying BTB size");
     return 0;

@@ -23,37 +23,33 @@ main(int argc, char **argv)
                      "FDIP recovers the L1i side only, Micro BTB the "
                      "BTB side only; the proposal covers both");
 
-    std::vector<sim::Preset> designs = {
-        sim::Preset::Fdip, sim::Preset::MicroBtb, sim::Preset::SN4LDisBtb};
-    std::vector<sim::Preset> all = designs;
-    all.push_back(sim::Preset::Baseline);
-    sim::ExperimentGrid grid(all, bench::windows());
-    grid.run();
+    // The designs, then the no-prefetcher baseline in the last column.
+    auto grid = exec::runGrid(
+        "fig19 competitor grid", bench::allWorkloads(),
+        exec::presetVariants({sim::Preset::Fdip, sim::Preset::MicroBtb,
+                              sim::Preset::SN4LDisBtb,
+                              sim::Preset::Baseline}),
+        bench::windows());
+    const std::size_t base = 3;
 
     sim::Table table({"workload", "FDIP", "MicroBTB", "SN4L+Dis+BTB"});
-    for (const auto &name : grid.workloads()) {
-        const auto &base = grid.at(name, sim::Preset::Baseline);
-        std::vector<std::string> row{name};
-        for (auto d : designs) {
-            row.push_back(
-                sim::Table::num(sim::speedup(grid.at(name, d), base), 3));
+    for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
+        std::vector<std::string> row{grid.workloads()[w]};
+        for (std::size_t v = 0; v < base; ++v) {
+            row.push_back(sim::Table::num(
+                sim::speedup(grid.at(w, v), grid.at(w, base)), 3));
         }
         table.addRow(row);
     }
     std::vector<std::string> avg{"GeoMean"};
-    for (auto d : designs) {
-        avg.push_back(sim::Table::num(
-            grid.gmeanSpeedup(d, sim::Preset::Baseline), 3));
-    }
+    for (std::size_t v = 0; v < base; ++v)
+        avg.push_back(sim::Table::num(grid.gmean(v, base), 3));
     table.addRow(avg);
     h.report(table, "Speedup over baseline: competitors vs the proposal");
 
-    double ours = grid.gmeanSpeedup(sim::Preset::SN4LDisBtb,
-                                    sim::Preset::Baseline);
-    double fdip =
-        grid.gmeanSpeedup(sim::Preset::Fdip, sim::Preset::Baseline);
-    double mbtb =
-        grid.gmeanSpeedup(sim::Preset::MicroBtb, sim::Preset::Baseline);
+    double fdip = grid.gmean(0, base);
+    double mbtb = grid.gmean(1, base);
+    double ours = grid.gmean(2, base);
     h.note("fdip_gmean_speedup", fdip);
     h.note("microbtb_gmean_speedup", mbtb);
     h.note("ours_gmean_speedup", ours);

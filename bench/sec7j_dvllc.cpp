@@ -19,29 +19,24 @@ main(int argc, char **argv)
     sim::Table table({"workload", "instr hit (conv)", "instr hit (DV)",
                       "data hit (conv)", "data hit (DV)",
                       "speedup (conv)", "speedup (DV)"});
-    // Per workload: conventional-LLC Baseline and SN4L+Dis+BTB, then
-    // SN4L+Dis+BTB on the DV-LLC.
-    auto names = bench::sweepWorkloads();
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &name : names) {
-        auto profile = workload::serverProfile(name, /*vl=*/true);
-        for (auto preset : {sim::Preset::Baseline, sim::Preset::SN4LDisBtb}) {
-            auto cfg = sim::makeConfig(profile, preset);
-            cfg.llc.dvllc = false;
-            cfg.l1i.fetchFootprints = false;
-            cfgs.push_back(std::move(cfg));
-        }
-        cfgs.push_back(sim::makeConfig(profile, sim::Preset::SN4LDisBtb));
-    }
-    auto results = bench::simulateAll("sec7j DV-LLC grid", std::move(cfgs),
-                                      bench::windows());
-    for (std::size_t w = 0; w < names.size(); ++w) {
-        const auto &name = names[w];
-        const auto &base = results[3 * w];
-        const auto &conv = results[3 * w + 1];
-        const auto &dv = results[3 * w + 2];
+    // Conventional-LLC Baseline and SN4L+Dis+BTB, then SN4L+Dis+BTB on
+    // the DV-LLC.
+    auto conventional = [](sim::SystemConfig &cfg) {
+        cfg.llc.dvllc = false;
+        cfg.l1i.fetchFootprints = false;
+    };
+    auto grid = exec::runGrid(
+        "sec7j DV-LLC grid", bench::sweepWorkloads(),
+        {{"Baseline (conv)", sim::Preset::Baseline, conventional},
+         {"SN4L+Dis+BTB (conv)", sim::Preset::SN4LDisBtb, conventional},
+         {"SN4L+Dis+BTB (DV)", sim::Preset::SN4LDisBtb}},
+        bench::windows(), 0, /*vl=*/true);
+    for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
+        const auto &base = grid.at(w, 0);
+        const auto &conv = grid.at(w, 1);
+        const auto &dv = grid.at(w, 2);
         table.addRow(
-            {name,
+            {grid.workloads()[w],
              sim::Table::pct(conv.ratio("llc.llc_instr_hits",
                                         "llc.llc_instr_accesses")),
              sim::Table::pct(dv.ratio("llc.llc_instr_hits",

@@ -15,21 +15,15 @@ main(int argc, char **argv)
 
     sim::Table table({"workload", "empty-FTQ stall fraction",
                       "BPU stall cycles"});
-    auto names = bench::allWorkloads();
-    std::vector<sim::SystemConfig> cfgs;
-    for (const auto &name : names) {
-        cfgs.push_back(sim::makeConfig(workload::serverProfile(name),
-                                       sim::Preset::Shotgun));
-    }
-    auto results = bench::simulateAll("tab01 Shotgun", std::move(cfgs),
-                                      bench::windows());
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        const auto &name = names[i];
-        const auto &res = results[i];
+    auto grid = exec::runGrid("tab01 Shotgun", bench::allWorkloads(),
+                              exec::presetVariants({sim::Preset::Shotgun}),
+                              bench::windows());
+    for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
+        const auto &res = grid.at(w, 0);
         double frac =
             static_cast<double>(res.stat("fe.fe_empty_ftq_stall_cycles")) /
             static_cast<double>(res.cycles);
-        table.addRow({name, sim::Table::pct(frac),
+        table.addRow({grid.workloads()[w], sim::Table::pct(frac),
                       std::to_string(res.stat("fe.bpu_stall_cycles"))});
     }
     h.report(table, "Empty-FTQ stall cycles in Shotgun");

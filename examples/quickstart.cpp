@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <string>
 
-#include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
 #include "workload/profiles.h"

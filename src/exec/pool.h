@@ -3,11 +3,11 @@
  * Work-sharing thread pool: fixed worker threads over one bounded task
  * deque.
  *
- * The pool is the execution engine behind the parallel experiment
- * runner (sim::ExperimentGrid, bench::simulateAll): every (workload x
- * design) cell of a sweep is an independent, deterministically-seeded
- * simulation, so a grid schedules each cell as one task and merges the
- * per-cell results after the wait() barrier.
+ * The pool is the execution engine behind the grid runner
+ * (exec::runGrid): every (workload x variant) cell of a sweep is an
+ * independent, deterministically-seeded simulation, so a grid schedules
+ * each cell as one task and reads the per-cell results after the
+ * wait() barrier.
  *
  * Design points, in the order they matter:
  *

@@ -1,14 +1,15 @@
 /**
  * @file
  * Grid scheduling: the process-wide `--jobs` setting, the indexed
- * scatter/gather runner every sweep goes through, and the exec-report
- * log the bench harness drains into the `dcfb-bench-v1` JSON.
+ * scatter/gather loop under the grid runner (exec/grid.h) and the
+ * perfbench cell loop, and the exec-report log the bench harness drains
+ * into the `dcfb-bench-v1` JSON.
  *
  * The model is deliberately small (see DESIGN.md "Execution model"):
  *
  *  - a sweep enumerates its cells up front, on the calling thread, so
- *    config hooks and the process-wide defaults (fault plan, jobs) are
- *    only ever read serially;
+ *    variant tweaks and the process-wide defaults (fault plan, jobs)
+ *    are only ever read serially;
  *  - runIndexed() scatters `body(i)` over a Pool and gathers at the
  *    wait() barrier; the caller merges results *in index order*, so the
  *    merged output is independent of worker interleaving;
@@ -96,9 +97,9 @@ void parallelFor(std::size_t n, unsigned jobs,
                  const std::function<void(std::size_t)> &body);
 
 /**
- * Process-wide log of sweep reports.  ExperimentGrid and
- * bench::simulateAll push here; the bench harness drains the log into
- * the JSON document's "exec" section at exit.  Thread-safe.
+ * Process-wide log of sweep reports.  exec::runGrid pushes one per
+ * grid; the bench harness drains the log into the JSON document's
+ * "exec" section at exit.  Thread-safe.
  */
 class ExecLog
 {

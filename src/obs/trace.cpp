@@ -67,11 +67,16 @@ struct RunBuf
 {
     std::string workload;
     std::string design;
+    std::uint64_t ordinal = 0; //!< tie-break between equal labels
     std::vector<TraceEvent> events;
     std::uint64_t droppedEvents = 0;
 };
 
 thread_local RunBuf *tlRun = nullptr;
+
+constexpr std::uint64_t kUntagged = ~std::uint64_t{0};
+std::atomic<std::uint64_t> gNextOrdinal{0};
+thread_local std::uint64_t tlRunTag = kUntagged;
 
 std::atomic<std::uint64_t> gEmitted{0};
 std::atomic<std::uint64_t> gDropped{0};
@@ -123,6 +128,22 @@ Tracing::open(const Config &config)
     return true;
 }
 
+std::uint64_t
+Tracing::reserveRuns(std::uint64_t n)
+{
+    return gNextOrdinal.fetch_add(n, std::memory_order_relaxed);
+}
+
+Tracing::RunTag::RunTag(std::uint64_t ordinal)
+{
+    tlRunTag = ordinal;
+}
+
+Tracing::RunTag::~RunTag()
+{
+    tlRunTag = kUntagged;
+}
+
 void
 Tracing::beginRun(const std::string &workload, const std::string &design)
 {
@@ -132,6 +153,7 @@ Tracing::beginRun(const std::string &workload, const std::string &design)
     tlRun = new RunBuf;
     tlRun->workload = workload;
     tlRun->design = design;
+    tlRun->ordinal = tlRunTag != kUntagged ? tlRunTag : reserveRuns(1);
     tlRunActive = true;
 }
 
@@ -190,20 +212,21 @@ Tracing::close()
     tlRun = nullptr;
 
     // Deterministic file order regardless of worker interleaving:
-    // runs sorted by (workload, design) label -- stable, so repeated
-    // labels keep arrival order under --jobs 1 -- and events within a
-    // run are already in cycle order (each run records serially).
+    // runs sorted by (workload, design) label, repeated labels by the
+    // ordinal their runner handed out in cell order, and events within
+    // a run are already in cycle order (each run records serially).
     std::vector<RunBuf> runs;
     {
         std::lock_guard<std::mutex> lock(s->mutex);
         runs = std::move(s->completed);
     }
-    std::stable_sort(runs.begin(), runs.end(),
-                     [](const RunBuf &a, const RunBuf &b) {
-                         if (a.workload != b.workload)
-                             return a.workload < b.workload;
-                         return a.design < b.design;
-                     });
+    std::sort(runs.begin(), runs.end(), [](const RunBuf &a, const RunBuf &b) {
+        if (a.workload != b.workload)
+            return a.workload < b.workload;
+        if (a.design != b.design)
+            return a.design < b.design;
+        return a.ordinal < b.ordinal;
+    });
 
     std::ofstream out(s->cfg.path, std::ios::out | std::ios::trunc);
     if (!out.is_open()) {

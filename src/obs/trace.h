@@ -19,9 +19,13 @@
  * thread-local run buffer (a run executes entirely on one worker, so
  * recording takes no lock), endRun() hands the finished buffer to the
  * sink under a mutex, and close() writes every run in a deterministic
- * order -- runs sorted by (workload, design), events within a run in
- * cycle order.  The stream is therefore identical for every `--jobs`
- * value; the PR 3 serial-only clamp is gone.
+ * order -- runs sorted by (workload, design), then by run ordinal, with
+ * events within a run in cycle order.  A grid runner reserves one
+ * ordinal per cell on its calling thread, in cell order, and tags each
+ * cell's run with it, so runs that share a label keep cell order under
+ * any worker interleaving; an untagged run draws the next ordinal when
+ * it begins.  The stream is therefore identical for every `--jobs`
+ * value.
  *
  * Output format is chosen from the file extension: "*.jsonl" emits one
  * JSON object per line; anything else emits a Chrome trace-event array
@@ -110,6 +114,21 @@ class Tracing
      *  different workers record concurrently without synchronizing. */
     static void beginRun(const std::string &workload,
                          const std::string &design);
+
+    /** Reserve @p n consecutive run ordinals and return the first.
+     *  Call on the thread that enumerates the runs, in their order. */
+    static std::uint64_t reserveRuns(std::uint64_t n);
+
+    /** While in scope, runs begun on this thread take @p ordinal (from
+     *  reserveRuns()) instead of drawing their own. */
+    class RunTag
+    {
+      public:
+        explicit RunTag(std::uint64_t ordinal);
+        ~RunTag();
+        RunTag(const RunTag &) = delete;
+        RunTag &operator=(const RunTag &) = delete;
+    };
 
     /** Mark the end of this thread's run: hands the finished buffer to
      *  the sink and disables event recording on the thread. */

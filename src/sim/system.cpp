@@ -432,6 +432,29 @@ System::registerIntegrity()
         }
         return std::nullopt;
     });
+
+    // Cycle accounting: every cycle since the last resetStats lands in
+    // exactly one dispatch bucket, and stall_frontend is the sum of its
+    // three causes.
+    invariants.add("sim.cycle_buckets",
+                   [this](Cycle) -> std::optional<std::string> {
+        std::uint64_t frontend = cStallIcache.value() + cStallBtb.value() +
+            cStallEmptyFtq.value();
+        std::uint64_t bucketed = cDispatchActive.value() +
+            cStallBackend.value() + frontend + cStallMispredict.value() +
+            cStallOther.value();
+        if (bucketed != cycleCount - statsEpoch) {
+            return std::to_string(bucketed) + " bucketed cycles, but " +
+                std::to_string(cycleCount - statsEpoch) +
+                " simulated since the last resetStats";
+        }
+        if (cStallFrontend.value() != frontend) {
+            return "stall_frontend " +
+                std::to_string(cStallFrontend.value()) +
+                " != icache + btb + empty_ftq " + std::to_string(frontend);
+        }
+        return std::nullopt;
+    });
 }
 
 obs::JsonValue
@@ -523,6 +546,7 @@ System::resetStats()
         p->stats().reset();
     injector.stats().reset();
     simStats.reset();
+    statsEpoch = cycleCount;
 }
 
 void

@@ -172,6 +172,7 @@ class System
     StepFn stepFn = nullptr;
 
     Cycle cycleCount = 0;
+    Cycle statsEpoch = 0; //!< cycleCount at the last resetStats
     std::uint64_t instructionsRetired = 0;
 
     // Typed handles for the per-cycle dispatch accounting.

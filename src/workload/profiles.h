@@ -45,7 +45,7 @@ std::vector<WorkloadProfile> allServerProfiles(bool variable_length = false);
 /**
  * Canonical key covering every knob that shapes the built program.
  * Keying on the full parameterization (not just the name) keeps custom
- * or hook-tweaked profiles from aliasing a stock entry.  Used by both
+ * or tweaked profiles from aliasing a stock entry.  Used by both
  * the ImageCache and the exec::ResultCache fingerprint.
  */
 std::string profileKey(const WorkloadProfile &profile);

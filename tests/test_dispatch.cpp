@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/experiment.h"
+#include "exec/grid.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
 #include "workload/profiles.h"
@@ -87,14 +87,16 @@ TEST(DispatchEquivalence, GenericMatchesSpecializedOnFourWorkers)
         cfg.genericStep = true;
     };
 
-    ExperimentGrid specialized(allPresets(), tinyWindows(), hook);
-    specialized.run(workloads, 4);
-    ExperimentGrid generic(allPresets(), tinyWindows(), generic_hook);
-    generic.run(workloads, 4);
+    auto specialized = exec::runGrid("specialized", workloads,
+                                     exec::presetVariants(allPresets(), hook),
+                                     tinyWindows(), 4);
+    auto generic = exec::runGrid(
+        "generic", workloads, exec::presetVariants(allPresets(), generic_hook),
+        tinyWindows(), 4);
 
     for (Preset preset : allPresets()) {
-        const auto &a = specialized.at(workloads[0], preset);
-        const auto &b = generic.at(workloads[0], preset);
+        const auto &a = specialized.at(workloads[0], presetName(preset));
+        const auto &b = generic.at(workloads[0], presetName(preset));
         EXPECT_EQ(a, b) << presetName(preset);
         EXPECT_EQ(toJson(a).dump(2), toJson(b).dump(2))
             << presetName(preset);

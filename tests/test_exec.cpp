@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -33,13 +34,14 @@
 #include <vector>
 
 #include "exec/fingerprint.h"
+#include "exec/grid.h"
 #include "exec/pool.h"
 #include "exec/result_cache.h"
 #include "exec/schedule.h"
 #include "obs/trace.h"
+#include "rt/error.h"
 #include "rt/faults.h"
 #include "rt/watchdog.h"
-#include "sim/experiment.h"
 #include "sim/report.h"
 #include "sim/system.h"
 #include "sim/warm_cache.h"
@@ -266,7 +268,7 @@ gridWindows()
     return sim::RunWindows{10000, 15000};
 }
 
-sim::ExperimentGrid::ConfigHook
+exec::Tweak
 fastWarmHook()
 {
     return [](sim::SystemConfig &cfg) { cfg.functionalWarmInstrs = 150000; };
@@ -290,16 +292,17 @@ TEST(ParallelGrid, JobsOneMatchesJobsFourAcrossAllPresets)
 {
     const std::vector<std::string> workloads = {"Web Frontend"};
 
-    sim::ExperimentGrid serial(allPresets(), gridWindows(), fastWarmHook());
-    serial.run(workloads, 1);
-    sim::ExperimentGrid parallel(allPresets(), gridWindows(),
-                                 fastWarmHook());
-    parallel.run(workloads, 4);
+    auto serial = exec::runGrid(
+        "serial", workloads, exec::presetVariants(allPresets(), fastWarmHook()),
+        gridWindows(), 1);
+    auto parallel = exec::runGrid(
+        "parallel", workloads,
+        exec::presetVariants(allPresets(), fastWarmHook()), gridWindows(), 4);
 
     for (const auto &name : workloads) {
         for (auto preset : allPresets()) {
-            const auto &a = serial.at(name, preset);
-            const auto &b = parallel.at(name, preset);
+            const auto &a = serial.at(name, sim::presetName(preset));
+            const auto &b = parallel.at(name, sim::presetName(preset));
             // Full structural equality: counters, histograms, identity.
             EXPECT_EQ(a, b) << name << "/" << sim::presetName(preset);
         }
@@ -312,33 +315,44 @@ TEST(ParallelGrid, JobsOneMatchesJobsFourAcrossAllPresets)
 TEST(ParallelGrid, GridReusesCachedImagesAcrossRuns)
 {
     auto &cache = workload::ImageCache::global();
-    sim::ExperimentGrid first({sim::Preset::Baseline, sim::Preset::SN4L},
-                              gridWindows(), fastWarmHook());
-    first.run({"Web (Apache)"}, 2);
+    auto variants = exec::presetVariants(
+        {sim::Preset::Baseline, sim::Preset::SN4L}, fastWarmHook());
+    auto first = exec::runGrid("first", {"Web (Apache)"}, variants,
+                               gridWindows(), 2);
     std::size_t after_first = cache.built();
 
-    sim::ExperimentGrid second({sim::Preset::Baseline, sim::Preset::SN4L},
-                               gridWindows(), fastWarmHook());
-    second.run({"Web (Apache)"}, 2);
+    auto second = exec::runGrid("second", {"Web (Apache)"}, variants,
+                                gridWindows(), 2);
     // Same profile, same knobs: the second grid built nothing new.
     EXPECT_EQ(cache.built(), after_first);
-    EXPECT_EQ(first.at("Web (Apache)", sim::Preset::SN4L),
-              second.at("Web (Apache)", sim::Preset::SN4L));
+    EXPECT_EQ(first.at(0, 1), second.at(0, 1));
 }
 
 /** The tracer merges per-thread run buffers at close in a canonical
- *  (workload, design) order, so the stream written by a parallel grid
- *  must be byte-identical to the serial one.  This is the regression
- *  gate for removing the PR 3 serial-only trace clamp. */
+ *  (workload, design, cell) order, so the stream written by a parallel
+ *  grid must be byte-identical to the serial one.  The second grid's two
+ *  cells share one (workload, design) label, and the first walks a far
+ *  longer warmup, so on two or more workers it finishes last: merging
+ *  such runs in arrival order instead of cell order fails here. */
 TEST(ParallelGrid, TraceMergeIsJobCountInvariant)
 {
     auto tracedGrid = [](const std::string &path, unsigned jobs) {
         ASSERT_TRUE(obs::Tracing::open(path));
-        sim::ExperimentGrid grid(
-            {sim::Preset::Baseline, sim::Preset::NL, sim::Preset::SN4L,
-             sim::Preset::SN4LDisBtb},
-            gridWindows(), fastWarmHook());
-        grid.run({"Web Frontend", "Web (Apache)"}, jobs);
+        exec::runGrid("presets", {"Web Frontend", "Web (Apache)"},
+                      exec::presetVariants(
+                          {sim::Preset::Baseline, sim::Preset::NL,
+                           sim::Preset::SN4L, sim::Preset::SN4LDisBtb},
+                          fastWarmHook()),
+                      gridWindows(), jobs);
+        auto warmed = [](std::uint64_t instrs) {
+            return [instrs](sim::SystemConfig &cfg) {
+                cfg.functionalWarmInstrs = instrs;
+            };
+        };
+        exec::runGrid("same label", {"Web (Apache)"},
+                      {{"long warmup", sim::Preset::SN4L, warmed(3000000)},
+                       {"short warmup", sim::Preset::SN4L, warmed(150000)}},
+                      gridWindows(), jobs);
         obs::Tracing::close();
     };
     auto slurp = [](const std::string &path) {
@@ -351,12 +365,12 @@ TEST(ParallelGrid, TraceMergeIsJobCountInvariant)
     const std::string serial_path = "trace_merge_serial.jsonl";
     const std::string parallel_path = "trace_merge_parallel.jsonl";
     tracedGrid(serial_path, 1);
-    tracedGrid(parallel_path, 4);
-
     std::string serial = slurp(serial_path);
-    std::string parallel = slurp(parallel_path);
     ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial, parallel);
+    for (unsigned jobs : {2u, 4u}) {
+        tracedGrid(parallel_path, jobs);
+        EXPECT_EQ(serial, slurp(parallel_path)) << "jobs " << jobs;
+    }
     std::remove(serial_path.c_str());
     std::remove(parallel_path.c_str());
 }
@@ -365,14 +379,102 @@ TEST(ParallelGrid, TraceMergeIsJobCountInvariant)
  *  cell of one workload sharing one immutable image. */
 TEST(ParallelGrid, ParallelRunIsRaceFree)
 {
-    sim::ExperimentGrid grid(
-        {sim::Preset::Baseline, sim::Preset::SN4L, sim::Preset::SN4LDisBtb,
-         sim::Preset::Shotgun},
-        gridWindows(), fastWarmHook());
-    grid.run({"Web Frontend", "Web (Apache)"}, 4);
-    EXPECT_GT(grid.at("Web Frontend", sim::Preset::Baseline).ipc(), 0.0);
+    auto grid = exec::runGrid(
+        "race", {"Web Frontend", "Web (Apache)"},
+        exec::presetVariants({sim::Preset::Baseline, sim::Preset::SN4L,
+                              sim::Preset::SN4LDisBtb, sim::Preset::Shotgun},
+                             fastWarmHook()),
+        gridWindows(), 4);
+    EXPECT_GT(grid.at("Web Frontend", "Baseline").ipc(), 0.0);
     EXPECT_EQ(grid.execReport().cells, 8u);
     EXPECT_GT(grid.execReport().occupancy(), 0.0);
+}
+
+/** A tweaked variant's cell is exactly sim::simulate() of the tweaked
+ *  config -- profile tweaks included, so the cell's image must be keyed
+ *  on the post-tweak profile. */
+TEST(Grid, TweakedVariantMatchesDirectSimulate)
+{
+    auto tweak = [](sim::SystemConfig &cfg) {
+        fastWarmHook()(cfg);
+        cfg.profile.numFunctions = 24;
+        cfg.btbEntries = 512;
+    };
+    auto grid = exec::runGrid(
+        "tweaked", {"Web (Apache)"},
+        {{"Baseline", sim::Preset::Baseline, fastWarmHook()},
+         {"small BTB", sim::Preset::SN4LDisBtb, tweak}},
+        gridWindows(), 1);
+
+    sim::SystemConfig cfg = sim::makeConfig(
+        workload::serverProfile("Web (Apache)"), sim::Preset::SN4LDisBtb);
+    tweak(cfg);
+    EXPECT_EQ(grid.at("Web (Apache)", "small BTB"),
+              sim::simulate(cfg, gridWindows()));
+}
+
+/** A lookup outside the grid raises an rt::Error that says what was
+ *  asked for and what the grid holds. */
+TEST(Grid, LookupOutsideTheGridNamesWhatItHolds)
+{
+    auto grid = exec::runGrid(
+        "lookup", {"Web (Apache)"},
+        exec::presetVariants({sim::Preset::Baseline, sim::Preset::SN4L},
+                             fastWarmHook()),
+        sim::RunWindows{2000, 3000}, 1);
+    auto context = [&](auto lookup) {
+        std::map<std::string, std::string> out;
+        try {
+            lookup();
+            ADD_FAILURE() << "lookup did not raise";
+        } catch (const rt::Exception &e) {
+            EXPECT_EQ(e.error().kind, rt::ErrorKind::Result);
+            for (const auto &kv : e.error().context)
+                out[kv.first] = kv.second;
+        }
+        return out;
+    };
+
+    auto by_name = context([&] { grid.at("Web (Apache)", "Shotgun"); });
+    EXPECT_EQ(by_name["requested"], "Web (Apache)/Shotgun");
+    EXPECT_EQ(by_name["workloads"], "Web (Apache)");
+    EXPECT_EQ(by_name["variants"], "Baseline, SN4L");
+    auto by_workload = context([&] { grid.at("OLTP (DB A)", "SN4L"); });
+    EXPECT_EQ(by_workload["requested"], "OLTP (DB A)/SN4L");
+    auto by_index = context([&] { grid.at(0, 2); });
+    EXPECT_EQ(by_index["requested"], "workload #0 / variant #2");
+    EXPECT_EQ(by_index["variants"], "Baseline, SN4L");
+    context([&] { grid.at(1, 0); });
+}
+
+/** Cells run workload-major, so the variants of a workload take turns
+ *  on sim::WarmCache's one slot: per workload, the first walks, the
+ *  second walks and stores, and the rest restore.  Design-major order
+ *  would alternate keys and restore nothing. */
+TEST(Grid, WorkloadMajorOrderSharesTheWarmCheckpoint)
+{
+    std::vector<exec::Variant> variants;
+    for (unsigned limit : {1u, 2u, 4u, 8u}) {
+        variants.push_back({"depth " + std::to_string(limit),
+                            sim::Preset::SN4LDisBtb,
+                            [limit](sim::SystemConfig &cfg) {
+            fastWarmHook()(cfg);
+            cfg.sn4l.chainDepthLimit = limit;
+        }});
+    }
+    sim::WarmCache &warm = sim::WarmCache::global();
+    const sim::RunWindows windows{2000, 3000};
+
+    warm.clear();
+    exec::runGrid("one workload", {"Web (Apache)"}, variants, windows, 1);
+    EXPECT_EQ(warm.stats().misses, 1u);
+    EXPECT_EQ(warm.stats().stores, 1u);
+    EXPECT_EQ(warm.stats().hits, 2u);
+
+    warm.clear();
+    exec::runGrid("two workloads", {"Web (Apache)", "Web Frontend"},
+                  variants, windows, 1);
+    EXPECT_EQ(warm.stats().hits, 4u);
 }
 
 // ------------------------------------------------- result cache (--cache)
@@ -655,16 +757,16 @@ TEST(ResultCache, WarmGridSweepServesEveryCellAndIsIdentical)
     std::vector<std::string> workloads = {"Web (Apache)"};
     sim::RunWindows windows{20000, 30000};
 
-    sim::ExperimentGrid cold(presets, windows, shrink);
-    cold.run(workloads);
+    auto cold = exec::runGrid("cold", workloads,
+                              exec::presetVariants(presets, shrink), windows);
     exec::ResultCacheStats after_cold = exec::ResultCache::global()->stats();
     EXPECT_EQ(after_cold.misses, presets.size());
     EXPECT_EQ(after_cold.stores, presets.size());
     EXPECT_EQ(after_cold.hits, 0u);
 
     sim::WarmCache::global().clear();
-    sim::ExperimentGrid warm(presets, windows, shrink);
-    warm.run(workloads);
+    auto warm = exec::runGrid("warm", workloads,
+                              exec::presetVariants(presets, shrink), windows);
     exec::ResultCacheStats after_warm = exec::ResultCache::global()->stats();
     EXPECT_EQ(after_warm.hits, presets.size());
     EXPECT_EQ(after_warm.misses, after_cold.misses); // no new simulations
@@ -673,8 +775,8 @@ TEST(ResultCache, WarmGridSweepServesEveryCellAndIsIdentical)
     sim::WarmCacheStats warmups = sim::WarmCache::global().stats();
     EXPECT_EQ(warmups.misses + warmups.stores + warmups.hits, 0u);
 
-    for (sim::Preset p : presets)
-        EXPECT_EQ(cold.at("Web (Apache)", p), warm.at("Web (Apache)", p));
+    for (std::size_t v = 0; v < presets.size(); ++v)
+        EXPECT_EQ(cold.at(0, v), warm.at(0, v));
 }
 
 // ------------------------------------------- functional-warmup checkpoints
@@ -867,20 +969,22 @@ TEST(WarmCache, JobsOneMatchesJobsFourWithRestoredCells)
                                                 "Web (Apache)"};
     sim::WarmCache &warm = sim::WarmCache::global();
 
+    auto variants = exec::presetVariants(presets, fastWarmHook());
+
     warm.clear();
-    sim::ExperimentGrid serial(presets, gridWindows(), fastWarmHook());
-    serial.run(workloads, 1);
+    auto serial =
+        exec::runGrid("serial", workloads, variants, gridWindows(), 1);
     EXPECT_EQ(warm.stats().hits, 2 * (presets.size() - 2));
 
     warm.clear();
-    sim::ExperimentGrid parallel(presets, gridWindows(), fastWarmHook());
-    parallel.run(workloads, 4);
+    auto parallel =
+        exec::runGrid("parallel", workloads, variants, gridWindows(), 4);
     EXPECT_GT(warm.stats().hits, 0u);
 
-    for (const auto &name : workloads) {
-        for (auto preset : presets) {
-            EXPECT_EQ(serial.at(name, preset), parallel.at(name, preset))
-                << name << "/" << sim::presetName(preset);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        for (std::size_t v = 0; v < presets.size(); ++v) {
+            EXPECT_EQ(serial.at(w, v), parallel.at(w, v))
+                << workloads[w] << "/" << serial.variants()[v];
         }
     }
 }

@@ -69,6 +69,20 @@ TEST_P(GoldenCell, ReproducesCommittedResultBitForBit)
     warm.clear();
     for (const char *run : {"cold", "stored", "restored"}) {
         sim::RunResult result = sim::simulate(cfg, golden::windows());
+        // Cycle accounting: the dispatch buckets partition the measured
+        // cycles, and stall_frontend is the sum of its three causes.
+        auto sim_stat = [&](const char *key) {
+            return result.stat(std::string("sim.") + key);
+        };
+        std::uint64_t frontend = sim_stat("stall_icache") +
+            sim_stat("stall_btb") + sim_stat("stall_empty_ftq");
+        EXPECT_EQ(sim_stat("dispatch_active_cycles") +
+                      sim_stat("stall_backend") + frontend +
+                      sim_stat("stall_mispredict") + sim_stat("stall_other"),
+                  result.cycles)
+            << golden::fileName(cell) << " (" << run << " warmup)";
+        EXPECT_EQ(sim_stat("stall_frontend"), frontend)
+            << golden::fileName(cell) << " (" << run << " warmup)";
         std::string actual = sim::toJson(result).dump(2) + "\n";
         if (actual == expected)
             continue;

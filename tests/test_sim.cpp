@@ -11,9 +11,10 @@
 #include <map>
 #include <set>
 
-#include "sim/experiment.h"
+#include "exec/grid.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
+#include "sim/system.h"
 #include "workload/profiles.h"
 
 namespace dcfb::sim {
@@ -227,17 +228,35 @@ TEST(FidelityGap, WarmWindowLeaksIntoPfAndBbCounters)
 
 TEST(Experiment, GridRunsSubset)
 {
-    ExperimentGrid grid({Preset::Baseline, Preset::SN4L},
-                        RunWindows{20000, 30000});
-    grid.run({"Web Frontend"});
-    const auto &b = grid.at("Web Frontend", Preset::Baseline);
-    const auto &s = grid.at("Web Frontend", Preset::SN4L);
-    EXPECT_GT(b.ipc(), 0.0);
-    EXPECT_GE(grid.gmeanSpeedup(Preset::SN4L, Preset::Baseline), 0.9);
-    EXPECT_GT(grid.mean(Preset::SN4L,
-                        [](const RunResult &r) { return r.ipc(); }),
+    auto grid = exec::runGrid(
+        "subset", {"Web Frontend"},
+        exec::presetVariants({Preset::Baseline, Preset::SN4L}),
+        RunWindows{20000, 30000});
+    EXPECT_GT(grid.at("Web Frontend", "Baseline").ipc(), 0.0);
+    EXPECT_GE(grid.gmean(1, 0), 0.9);
+    EXPECT_GT(grid.mean(1, [](const RunResult &r) { return r.ipc(); }),
               0.0);
-    (void)s;
+}
+
+/** The sim.cycle_buckets invariant counts from the last resetStats: it
+ *  holds mid-run, and again after a reset partway through. */
+TEST(Integrity, CycleBucketsPartitionCyclesSinceReset)
+{
+    for (Preset preset : {Preset::Baseline, Preset::SN4LDisBtb,
+                          Preset::Shotgun, Preset::Fdip}) {
+        SystemConfig cfg = fastConfig(preset);
+        cfg.functionalWarmInstrs = 20000;
+        System system(cfg);
+        for (int i = 0; i < 3000; ++i)
+            system.step();
+        EXPECT_TRUE(system.invariants.check(system.now()).ok())
+            << presetName(preset);
+        system.resetStats();
+        for (int i = 0; i < 5000; ++i)
+            system.step();
+        EXPECT_TRUE(system.invariants.check(system.now()).ok())
+            << presetName(preset);
+    }
 }
 
 TEST(Report, TableRendersAligned)
