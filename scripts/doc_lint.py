@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency lint (the CI docs job).
 
-Three checks, all over the committed tree (no build needed):
+Four checks, all over the committed tree (no build needed):
 
 1. Markdown link check: every relative link target in README.md,
    DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md and docs/*.md must
@@ -21,6 +21,14 @@ Three checks, all over the committed tree (no build needed):
    (README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md) and src/, tools/,
    bench/, tests/, scripts/.  CHANGES.md and ROADMAP.md are history and
    keep the numbering of their day.
+
+4. Repository-path check: every backticked path under src/, tests/,
+   bench/, tools/, scripts/, perfbench/, examples/ or docs/ in the live
+   docs (README.md, DESIGN.md, EXPERIMENTS.md, docs/*.md) must exist.
+   A `:line` suffix and any command arguments after the path are
+   ignored; a `{a,b}` group must resolve for every alternative, a glob
+   must match something, and a `<placeholder>` component checks only
+   the directory before it.
 
 Exit status: 0 clean, 1 with findings listed on stderr.
 """
@@ -61,6 +69,10 @@ HEADING_RE = re.compile(r"^## (\d+)\.", re.M)
 SECTION_REF_RE = re.compile(
     r"DESIGN\.md[\s*#/]*(?:section[\s*#/]+|§)(\d+(?:\s*/\s*§?\d+)*)")
 BARE_REF_RE = re.compile(r"§(\d+)")
+
+PATH_REF_RE = re.compile(
+    r"`((?:src|tests|bench|tools|scripts|perfbench|examples|docs)/[^`\s]*)")
+BRACE_RE = re.compile(r"\{([^{}]*)\}")
 
 
 def check_links(errors):
@@ -152,18 +164,43 @@ def check_section_refs(errors):
                     f"{number} does not exist")
 
 
+def path_exists(ref):
+    """True when repository path @ref (globs and {a,b} allowed) exists."""
+    m = BRACE_RE.search(ref)
+    if m:
+        return all(path_exists(ref[:m.start()] + alt + ref[m.end():])
+                   for alt in m.group(1).split(","))
+    if "<" in ref:
+        return (ROOT / ref.split("<", 1)[0]).is_dir()
+    if any(c in ref for c in "*?["):
+        return any(ROOT.glob(ref))
+    return (ROOT / ref).exists()
+
+
+def check_paths(errors):
+    for doc in SECTION_DOCS:
+        text = doc.read_text(encoding="utf-8")
+        for m in PATH_REF_RE.finditer(text):
+            ref = re.sub(r":\d[\d-]*$", "", m.group(1))
+            if not path_exists(ref):
+                line = text[: m.start()].count("\n") + 1
+                errors.append(f"{doc.relative_to(ROOT)}:{line}: path "
+                              f"{m.group(1)} does not exist")
+
+
 def main():
     errors = []
     check_links(errors)
     check_schemas(errors)
     check_section_refs(errors)
+    check_paths(errors)
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
         print(f"doc_lint: {len(errors)} finding(s)", file=sys.stderr)
         return 1
-    print(f"doc_lint: {len(DOC_FILES)} documents, links, schema registry "
-          "and DESIGN.md section references clean")
+    print(f"doc_lint: {len(DOC_FILES)} documents, links, schema registry, "
+          "DESIGN.md section references and repository paths clean")
     return 0
 
 

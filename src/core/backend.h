@@ -17,10 +17,10 @@
 #include <bit>
 #include <cstdint>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "exec/arena.h"
 #include "isa/encoding.h"
+#include "obs/registry.h"
 
 namespace dcfb::core {
 
@@ -47,9 +47,9 @@ class Backend
                                                           : 1}),
               exec::ArenaAlloc<Cycle>(arena)),
           robMask(rob.size() - 1),
-          cDispatched(statSet.lazy("dispatched")),
-          cRobFullCycles(statSet.lazy("rob_full_cycles")),
-          cSquashes(statSet.lazy("squashes"))
+          cDispatched(statReg.lazyCounter("dispatched")),
+          cRobFullCycles(statReg.lazyCounter("rob_full_cycles")),
+          cSquashes(statReg.lazyCounter("squashes"))
     {}
 
     /** Can another instruction be dispatched this cycle? */
@@ -110,8 +110,8 @@ class Backend
         cSquashes.add();
     }
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
     const BackendConfig &config() const { return cfg; }
 
   private:
@@ -125,10 +125,9 @@ class Backend
     std::size_t robCount = 0;
     unsigned dispatchedThisCycle = 0;
     std::uint64_t retiredTotal = 0;
-    StatSet statSet;
-    // Lazily-bound handles preserving key-presence semantics of the
-    // previous string-keyed adds (dispatched fired per instruction --
-    // a string hash on the hottest path in the simulator).
+    obs::StatRegistry statReg;
+    // Lazily bound: a key is reported only once it fires (see
+    // obs::LazyCounter).
     obs::LazyCounter cDispatched;
     obs::LazyCounter cRobFullCycles;
     obs::LazyCounter cSquashes;

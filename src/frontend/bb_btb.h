@@ -14,10 +14,10 @@
 
 #include <cstdint>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "isa/encoding.h"
 #include "mem/cache.h"
+#include "obs/registry.h"
 
 namespace dcfb::frontend {
 
@@ -37,18 +37,21 @@ class BbBtb
 {
   public:
     explicit BbBtb(unsigned entries = 2048, unsigned assoc = 4)
-        : array(entries / assoc, assoc)
+        : array(entries / assoc, assoc),
+          cLookups(statReg.lazyCounter("bbbtb_lookups")),
+          cHits(statReg.lazyCounter("bbbtb_hits")),
+          cMisses(statReg.lazyCounter("bbbtb_misses"))
     {}
 
     const BbBtbEntry *
     lookup(Addr bb_start)
     {
-        statSet.add("bbbtb_lookups");
+        cLookups.add();
         if (auto *line = array.lookup(key(bb_start))) {
-            statSet.add("bbbtb_hits");
+            cHits.add();
             return &line->meta;
         }
-        statSet.add("bbbtb_misses");
+        cMisses.add();
         return nullptr;
     }
 
@@ -64,14 +67,15 @@ class BbBtb
         array.touchOrInsert(key(bb_start), entry).line->meta = entry;
     }
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     static Addr key(Addr pc) { return pc << kBlockShift; }
 
     mem::SetAssocCache<BbBtbEntry> array;
-    StatSet statSet;
+    obs::StatRegistry statReg;
+    obs::LazyCounter cLookups, cHits, cMisses;
 };
 
 } // namespace dcfb::frontend

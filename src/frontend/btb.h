@@ -13,10 +13,10 @@
 
 #include <cstdint>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "isa/encoding.h"
 #include "mem/cache.h"
+#include "obs/registry.h"
 
 namespace dcfb::frontend {
 
@@ -41,9 +41,9 @@ class Btb
     explicit Btb(unsigned entries = 2048, unsigned assoc = 4,
                  exec::Arena *arena = nullptr)
         : array(entries / assoc, assoc, arena),
-          cLookups(statSet.lazy("btb_lookups")),
-          cHits(statSet.lazy("btb_hits")),
-          cMisses(statSet.lazy("btb_misses"))
+          cLookups(statReg.lazyCounter("btb_lookups")),
+          cHits(statReg.lazyCounter("btb_hits")),
+          cMisses(statReg.lazyCounter("btb_misses"))
     {}
 
     /** Arena bytes an (entries, assoc) geometry wants. */
@@ -78,8 +78,8 @@ class Btb
         array.touchOrInsert(key(pc), entry).line->meta = entry;
     }
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
     std::size_t entryCount() const
     {
         return std::size_t{array.sets()} * array.ways();
@@ -93,7 +93,7 @@ class Btb
      */
     static Addr key(Addr pc) { return pc << kBlockShift; }
 
-    StatSet statSet;
+    obs::StatRegistry statReg;
     mem::SetAssocCache<BtbEntry> array;
     obs::LazyCounter cLookups;
     obs::LazyCounter cHits;

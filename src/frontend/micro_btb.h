@@ -23,10 +23,10 @@
 
 #include <cstdint>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "exec/arena.h"
 #include "isa/encoding.h"
+#include "obs/registry.h"
 
 namespace dcfb::frontend {
 
@@ -63,13 +63,13 @@ class MicroBtb
         : cfg(config), numSets(config.entries / config.assoc),
           ways(std::size_t{numSets} * config.assoc,
                exec::ArenaAlloc<Way>(arena)),
-          cProbes(statSet.lazy("mbtb_probes")),
-          cHits(statSet.lazy("mbtb_hits")),
-          cMisses(statSet.lazy("mbtb_misses")),
-          cFills(statSet.lazy("mbtb_fills")),
-          cEvicts(statSet.lazy("mbtb_evicts")),
-          cPromotes(statSet.lazy("mbtb_promotes")),
-          cPromoteStallCycles(statSet.lazy("mbtb_promote_stall_cycles"))
+          cProbes(statReg.lazyCounter("mbtb_probes")),
+          cHits(statReg.lazyCounter("mbtb_hits")),
+          cMisses(statReg.lazyCounter("mbtb_misses")),
+          cFills(statReg.lazyCounter("mbtb_fills")),
+          cEvicts(statReg.lazyCounter("mbtb_evicts")),
+          cPromotes(statReg.lazyCounter("mbtb_promotes")),
+          cPromoteStallCycles(statReg.lazyCounter("mbtb_promote_stall_cycles"))
     {}
 
     /** Arena bytes the configured geometry wants. */
@@ -152,8 +152,8 @@ class MicroBtb
     }
 
     unsigned sets() const { return numSets; }
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     struct Way
@@ -191,7 +191,7 @@ class MicroBtb
     exec::ArenaVector<Way> ways;
     std::uint64_t tick = 0;
 
-    StatSet statSet;
+    obs::StatRegistry statReg;
     obs::LazyCounter cProbes, cHits, cMisses, cFills, cEvicts, cPromotes,
         cPromoteStallCycles;
 };

@@ -23,10 +23,10 @@
 
 #include <cstdint>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "isa/encoding.h"
 #include "mem/cache.h"
+#include "obs/registry.h"
 
 namespace dcfb::frontend {
 
@@ -74,22 +74,33 @@ class ShotgunBtb
     explicit ShotgunBtb(const ShotgunBtbConfig &config = ShotgunBtbConfig{})
         : ubtb(config.ubtbEntries / config.ubtbAssoc, config.ubtbAssoc),
           cbtb(config.cbtbEntries / config.cbtbAssoc, config.cbtbAssoc),
-          rib(config.ribEntries / config.ribAssoc, config.ribAssoc)
+          rib(config.ribEntries / config.ribAssoc, config.ribAssoc),
+          cUbtbLookups(statReg.lazyCounter("ubtb_lookups")),
+          cUbtbHits(statReg.lazyCounter("ubtb_hits")),
+          cUbtbMisses(statReg.lazyCounter("ubtb_misses")),
+          cUbtbFootprintMisses(statReg.lazyCounter("ubtb_footprint_misses")),
+          cUbtbPrefillInstalls(statReg.lazyCounter("ubtb_prefill_installs")),
+          cCbtbLookups(statReg.lazyCounter("cbtb_lookups")),
+          cCbtbHits(statReg.lazyCounter("cbtb_hits")),
+          cCbtbMisses(statReg.lazyCounter("cbtb_misses")),
+          cRibLookups(statReg.lazyCounter("rib_lookups")),
+          cRibHits(statReg.lazyCounter("rib_hits")),
+          cRibMisses(statReg.lazyCounter("rib_misses"))
     {}
 
     /** U-BTB lookup for the unconditional branch at @p pc. */
     UBtbEntry *
     lookupU(Addr pc)
     {
-        statSet.add("ubtb_lookups");
+        cUbtbLookups.add();
         if (auto *line = ubtb.lookup(key(pc))) {
-            statSet.add("ubtb_hits");
+            cUbtbHits.add();
             if (!line->meta.callFpValid)
-                statSet.add("ubtb_footprint_misses");
+                cUbtbFootprintMisses.add();
             return &line->meta;
         }
-        statSet.add("ubtb_misses");
-        statSet.add("ubtb_footprint_misses");
+        cUbtbMisses.add();
+        cUbtbFootprintMisses.add();
         return nullptr;
     }
 
@@ -97,12 +108,12 @@ class ShotgunBtb
     const CBtbEntry *
     lookupC(Addr pc)
     {
-        statSet.add("cbtb_lookups");
+        cCbtbLookups.add();
         if (auto *line = cbtb.lookup(key(pc))) {
-            statSet.add("cbtb_hits");
+            cCbtbHits.add();
             return &line->meta;
         }
-        statSet.add("cbtb_misses");
+        cCbtbMisses.add();
         return nullptr;
     }
 
@@ -110,12 +121,12 @@ class ShotgunBtb
     bool
     lookupRib(Addr pc)
     {
-        statSet.add("rib_lookups");
+        cRibLookups.add();
         if (rib.lookup(key(pc))) {
-            statSet.add("rib_hits");
+            cRibHits.add();
             return true;
         }
-        statSet.add("rib_misses");
+        cRibMisses.add();
         return false;
     }
 
@@ -135,7 +146,7 @@ class ShotgunBtb
             t.line->meta.target = target;
             t.line->meta.kind = kind;
         } else if (from_prefill) {
-            statSet.add("ubtb_prefill_installs");
+            cUbtbPrefillInstalls.add();
         }
         return t.line->meta;
     }
@@ -168,8 +179,8 @@ class ShotgunBtb
     bool containsC(Addr pc) const { return cbtb.lookup(key(pc)) != nullptr; }
     bool containsRib(Addr pc) const { return rib.lookup(key(pc)) != nullptr; }
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     static Addr key(Addr pc) { return pc << kBlockShift; }
@@ -177,7 +188,10 @@ class ShotgunBtb
     mem::SetAssocCache<UBtbEntry> ubtb;
     mem::SetAssocCache<CBtbEntry> cbtb;
     mem::SetAssocCache<RibEntry> rib;
-    StatSet statSet;
+    obs::StatRegistry statReg;
+    obs::LazyCounter cUbtbLookups, cUbtbHits, cUbtbMisses,
+        cUbtbFootprintMisses, cUbtbPrefillInstalls, cCbtbLookups, cCbtbHits,
+        cCbtbMisses, cRibLookups, cRibHits, cRibMisses;
 };
 
 } // namespace dcfb::frontend

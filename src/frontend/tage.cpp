@@ -11,10 +11,10 @@ Tage::Tage(const TageConfig &config, exec::Arena *arena)
     : cfg(config), base(std::size_t{1} << config.baseEntriesLog2,
                         SatCounter(2, 2), exec::ArenaAlloc<SatCounter>(arena)),
       history(exec::ArenaAlloc<std::uint8_t>(arena)), useAltOnNa(4, 8),
-      cPredictions(statSet.lazy("tage_predictions")),
-      cCorrect(statSet.lazy("tage_correct")),
-      cMispredict(statSet.lazy("tage_mispredict")),
-      cAllocations(statSet.lazy("tage_allocations"))
+      cPredictions(statReg.lazyCounter("tage_predictions")),
+      cCorrect(statReg.lazyCounter("tage_correct")),
+      cMispredict(statReg.lazyCounter("tage_mispredict")),
+      cAllocations(statReg.lazyCounter("tage_allocations"))
 {
     assert(cfg.numTables >= 2);
     assert(cfg.numTables <= kMaxTageTables);
@@ -216,7 +216,7 @@ Tage::saveWarm() const
     s.histHead = histHead;
     s.useAltOnNa = useAltOnNa;
     s.allocSeed = allocSeed;
-    s.counters = statSet.all();
+    s.counters = statReg.counters();
     return s;
 }
 
@@ -236,7 +236,7 @@ Tage::restoreWarm(const WarmState &s)
     allocSeed = s.allocSeed;
     lastFresh = false;
     for (const auto &[name, value] : s.counters)
-        statSet.add(name, value);
+        statReg.counter(name).add(value);
 }
 
 void

@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "common/sat_counter.h"
-#include "common/stats.h"
 #include "common/types.h"
 #include "exec/arena.h"
+#include "obs/registry.h"
 
 namespace dcfb::frontend {
 
@@ -80,8 +80,8 @@ class Tage
      *  jumps, returns shift path history too). */
     void updateHistoryUnconditional(Addr pc);
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     struct TaggedEntry
@@ -190,7 +190,7 @@ class Tage
     Lookup last;
     Addr lastPc = 0;
     bool lastFresh = false;
-    StatSet statSet;
+    obs::StatRegistry statReg;
     obs::LazyCounter cPredictions;
     obs::LazyCounter cCorrect;
     obs::LazyCounter cMispredict;

@@ -13,10 +13,10 @@
 #ifndef DCFB_MEM_L1D_H
 #define DCFB_MEM_L1D_H
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "mem/cache.h"
 #include "mem/llc.h"
+#include "obs/registry.h"
 
 namespace dcfb::mem {
 
@@ -39,10 +39,10 @@ class L1dCache
         : cfg(config), llc(llc_),
           array(SetAssocCache<Empty>::fromBytes(config.capacityBytes,
                                                 config.assoc, arena)),
-          cAccesses(statSet.lazy("l1d_accesses")),
-          cStores(statSet.lazy("l1d_stores")),
-          cHits(statSet.lazy("l1d_hits")),
-          cMisses(statSet.lazy("l1d_misses"))
+          cAccesses(statReg.lazyCounter("l1d_accesses")),
+          cStores(statReg.lazyCounter("l1d_stores")),
+          cHits(statReg.lazyCounter("l1d_hits")),
+          cMisses(statReg.lazyCounter("l1d_misses"))
     {}
 
     /** Arena bytes this configuration's line array wants. */
@@ -78,8 +78,8 @@ class L1dCache
         array.touchOrInsert(addr, Empty{});
     }
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     struct Empty
@@ -97,10 +97,10 @@ class L1dCache
   private:
     L1dConfig cfg;
     Llc &llc;
-    StatSet statSet;
+    obs::StatRegistry statReg;
     SetAssocCache<Empty> array;
-    // Lazily-bound handles preserving the key-presence semantics of the
-    // previous per-access string adds (see obs::LazyCounter).
+    // Lazily bound: a key is reported only once it fires (see
+    // obs::LazyCounter).
     obs::LazyCounter cAccesses, cStores, cHits, cMisses;
 };
 

@@ -30,30 +30,30 @@ L1iCache::L1iCache(const L1iConfig &config, Llc &llc_, exec::Arena *arena)
     // The MSHR file is bounded by cfg.mshrs; reserving it keeps the
     // entries inside the slab (growth would abandon the old block).
     mshrs.reserve(cfg.mshrs);
-    cLookups = statSet.counter("l1i_lookups");
-    cAccesses = statSet.counter("l1i_accesses");
-    cWpAccesses = statSet.counter("l1i_wp_accesses");
-    cHits = statSet.counter("l1i_hits");
-    cPfBufferHits = statSet.counter("l1i_pf_buffer_hits");
-    cMisses = statSet.counter("l1i_misses");
-    cSeqMisses = statSet.counter("l1i_seq_misses");
-    cDiscMisses = statSet.counter("l1i_disc_misses");
-    cWpMisses = statSet.counter("l1i_wp_misses");
-    cEvictions = statSet.counter("l1i_evictions");
-    cExternalRequests = statSet.counter("l1i_external_requests");
-    cPfAttempts = statSet.counter("pf_attempts");
-    cPfIssued = statSet.counter("pf_issued");
-    cPfUseful = statSet.counter("pf_useful");
-    cPfLate = statSet.counter("pf_late");
-    cPfUseless = statSet.counter("pf_useless");
-    cPfDroppedMshr = statSet.counter("pf_dropped_mshr");
-    cMshrPressure = statSet.counter("l1i_mshr_pressure");
-    cCmalCovered = statSet.counter("cmal_covered_cycles");
-    cCmalFull = statSet.counter("cmal_full_cycles");
-    cDemandMissCycles = statSet.counter("demand_miss_cycles");
-    hMissLatency = statSet.histogram("miss_latency");
-    hPfToUse = statSet.histogram("pf_to_use_distance");
-    hMshrOccupancy = statSet.histogram("mshr_occupancy");
+    cLookups = statReg.counter("l1i_lookups");
+    cAccesses = statReg.counter("l1i_accesses");
+    cWpAccesses = statReg.counter("l1i_wp_accesses");
+    cHits = statReg.counter("l1i_hits");
+    cPfBufferHits = statReg.counter("l1i_pf_buffer_hits");
+    cMisses = statReg.counter("l1i_misses");
+    cSeqMisses = statReg.counter("l1i_seq_misses");
+    cDiscMisses = statReg.counter("l1i_disc_misses");
+    cWpMisses = statReg.counter("l1i_wp_misses");
+    cEvictions = statReg.counter("l1i_evictions");
+    cExternalRequests = statReg.counter("l1i_external_requests");
+    cPfAttempts = statReg.counter("pf_attempts");
+    cPfIssued = statReg.counter("pf_issued");
+    cPfUseful = statReg.counter("pf_useful");
+    cPfLate = statReg.counter("pf_late");
+    cPfUseless = statReg.counter("pf_useless");
+    cPfDroppedMshr = statReg.counter("pf_dropped_mshr");
+    cMshrPressure = statReg.counter("l1i_mshr_pressure");
+    cCmalCovered = statReg.counter("cmal_covered_cycles");
+    cCmalFull = statReg.counter("cmal_full_cycles");
+    cDemandMissCycles = statReg.counter("demand_miss_cycles");
+    hMissLatency = statReg.histogram("miss_latency");
+    hPfToUse = statReg.histogram("pf_to_use_distance");
+    hMshrOccupancy = statReg.histogram("mshr_occupancy");
 }
 
 L1iCache::MshrEntry *
@@ -505,9 +505,9 @@ L1iCache::registerInvariants(rt::InvariantRegistry &reg,
     // hit or a miss, with nothing double-counted or lost.
     reg.add("l1i.access_conservation",
             [this](Cycle) -> std::optional<std::string> {
-        std::uint64_t accesses = statSet.get("l1i_accesses");
-        std::uint64_t hits = statSet.get("l1i_hits");
-        std::uint64_t misses = statSet.get("l1i_misses");
+        std::uint64_t accesses = statReg.get("l1i_accesses");
+        std::uint64_t hits = statReg.get("l1i_hits");
+        std::uint64_t misses = statReg.get("l1i_misses");
         if (accesses != hits + misses) {
             return std::to_string(accesses) + " accesses != " +
                 std::to_string(hits) + " hits + " +

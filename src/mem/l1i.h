@@ -23,12 +23,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "exec/arena.h"
 #include "mem/cache.h"
 #include "mem/llc.h"
 #include "mem/prefetch_buffer.h"
+#include "obs/registry.h"
 
 namespace dcfb::rt {
 class FaultInjector;
@@ -231,8 +231,8 @@ class L1iCache
     /** The branch footprint delivered with the block's last fill. */
     const BranchFootprint *footprintFor(Addr addr) const;
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
     const L1iConfig &config() const { return cfg; }
 
   private:
@@ -283,7 +283,7 @@ class L1iCache
     L1iListener *observer = nullptr;
     rt::FaultInjector *injector = nullptr;
     Addr lastDemandBlock = kInvalidAddr;
-    StatSet statSet;
+    obs::StatRegistry statReg;
 
     // Typed handles for the per-access hot path (registered once in the
     // constructor; no string hashing per event).

@@ -10,7 +10,28 @@ Llc::Llc(const LlcConfig &config, noc::MeshModel &mesh_, MemoryModel &mem_,
     : cfg(config), mesh(mesh_), memory(mem_), coreTile(core_tile),
       array(SetAssocCache<LineMeta>::fromBytes(config.capacityBytes,
                                                config.assoc, arena)),
-      bfSets(config.dvllc ? array.sets() : 0, exec::ArenaAlloc<BfSet>(arena))
+      bfSets(config.dvllc ? array.sets() : 0, exec::ArenaAlloc<BfSet>(arena)),
+      cAccesses(statReg.lazyCounter("llc_accesses")),
+      cInstrAccesses(statReg.lazyCounter("llc_instr_accesses")),
+      cDataAccesses(statReg.lazyCounter("llc_data_accesses")),
+      cHits(statReg.lazyCounter("llc_hits")),
+      cInstrHits(statReg.lazyCounter("llc_instr_hits")),
+      cDataHits(statReg.lazyCounter("llc_data_hits")),
+      cMisses(statReg.lazyCounter("llc_misses")),
+      cEvictions(statReg.lazyCounter("llc_evictions")),
+      cLatencySum(statReg.lazyCounter("llc_latency_sum")),
+      cBfFetchAttempts(statReg.lazyCounter("bf_fetch_attempts")),
+      cBfFetchHits(statReg.lazyCounter("bf_fetch_hits")),
+      cBfFetchUncovered(statReg.lazyCounter("bf_fetch_uncovered")),
+      cBfRecordAttempts(statReg.lazyCounter("bf_record_attempts")),
+      cBfRecordNoHolder(statReg.lazyCounter("bf_record_no_holder")),
+      cBfBranchesUncovered(statReg.lazyCounter("bf_branches_uncovered")),
+      cBfBranchesRecorded(statReg.lazyCounter("bf_branches_recorded")),
+      cBlocksDisplaced(statReg.lazyCounter("dvllc_blocks_displaced")),
+      cHolderActivations(statReg.lazyCounter("dvllc_holder_activations")),
+      cHolderDeactivations(
+          statReg.lazyCounter("dvllc_holder_deactivations")),
+      cBfReplacements(statReg.lazyCounter("dvllc_bf_replacements"))
 {
     assert(core_tile < mesh.numTiles());
     assert(cfg.banks <= mesh.numTiles());
@@ -51,15 +72,15 @@ Llc::updateHolderMode(unsigned set_index)
             // it happened to land in the last way.
             auto *victim = array.lruWay(set_index, cfg.assoc - 1);
             if (victim->valid)
-                statSet.add("dvllc_blocks_displaced");
+                cBlocksDisplaced.add();
             *victim = last;
             last.valid = false;
         }
-        statSet.add("dvllc_holder_activations");
+        cHolderActivations.add();
     } else if (!has_instr && bfs.holder) {
         bfs.holder = false;
         bfs.slots.clear();
-        statSet.add("dvllc_holder_deactivations");
+        cHolderDeactivations.add();
     } else if (bfs.holder) {
         // Drop BF slots whose block left the set.
         std::erase_if(bfs.slots, [&](const BfSet::Slot &s) {
@@ -92,7 +113,7 @@ Llc::bfSlot(Addr block_addr, bool allocate)
         [](const BfSet::Slot &a, const BfSet::Slot &b) {
             return a.lastUse < b.lastUse;
         });
-    statSet.add("dvllc_bf_replacements");
+    cBfReplacements.add();
     victim->blockAddr = blockAlign(block_addr);
     victim->bf.offsets.clear();
     victim->lastUse = ++bfTick;
@@ -102,7 +123,7 @@ Llc::bfSlot(Addr block_addr, bool allocate)
 void
 Llc::recordBranchOffset(Addr block_addr, std::uint8_t byte_offset)
 {
-    statSet.add("bf_record_attempts");
+    cBfRecordAttempts.add();
     if (!cfg.dvllc) {
         return;
     }
@@ -110,18 +131,18 @@ Llc::recordBranchOffset(Addr block_addr, std::uint8_t byte_offset)
     // holder mode (i.e. the block is instruction-tagged and resident).
     BfSet::Slot *slot = bfSlot(block_addr, true);
     if (!slot) {
-        statSet.add("bf_record_no_holder");
+        cBfRecordNoHolder.add();
         return;
     }
     auto &offs = slot->bf.offsets;
     if (std::find(offs.begin(), offs.end(), byte_offset) != offs.end())
         return;
     if (offs.size() >= cfg.branchesPerBf) {
-        statSet.add("bf_branches_uncovered");
+        cBfBranchesUncovered.add();
         return;
     }
     offs.push_back(byte_offset);
-    statSet.add("bf_branches_recorded");
+    cBfBranchesRecorded.add();
 }
 
 const BranchFootprint *
@@ -169,7 +190,7 @@ Llc::saveWarm() const
             s.bfSets.emplace_back(static_cast<std::uint32_t>(i), bfSets[i]);
     }
     s.bfTick = bfTick;
-    s.counters = statSet.all();
+    s.counters = statReg.counters();
     return s;
 }
 
@@ -181,15 +202,15 @@ Llc::restoreWarm(const WarmState &s)
         bfSets[index] = set;
     bfTick = s.bfTick;
     for (const auto &[name, value] : s.counters)
-        statSet.add(name, value);
+        statReg.counter(name).add(value);
 }
 
 Llc::AccessResult
 Llc::access(Addr addr, Cycle now, bool is_instruction, bool want_bf)
 {
     AccessResult res;
-    statSet.add("llc_accesses");
-    statSet.add(is_instruction ? "llc_instr_accesses" : "llc_data_accesses");
+    cAccesses.add();
+    (is_instruction ? cInstrAccesses : cDataAccesses).add();
 
     unsigned bank = static_cast<unsigned>(blockNumber(addr) % cfg.banks);
     Cycle req_arrive =
@@ -201,35 +222,35 @@ Llc::access(Addr addr, Cycle now, bool is_instruction, bool want_bf)
                                  cfg.dvllc ? effectiveWays(si) : 0);
     if (t.hit) {
         res.hit = true;
-        statSet.add("llc_hits");
-        statSet.add(is_instruction ? "llc_instr_hits" : "llc_data_hits");
+        cHits.add();
+        (is_instruction ? cInstrHits : cDataHits).add();
         t.line->meta.isInstruction |= is_instruction;
         data_ready = req_arrive + cfg.accessLatency;
         if (is_instruction)
             updateHolderMode(si);
     } else {
-        statSet.add("llc_misses");
+        cMisses.add();
         Cycle mem_ready =
             memory.access(addr, req_arrive + cfg.accessLatency);
         if (t.evicted.valid)
-            statSet.add("llc_evictions");
+            cEvictions.add();
         updateHolderMode(si);
         data_ready = mem_ready;
     }
 
     if (want_bf && is_instruction && cfg.dvllc) {
-        statSet.add("bf_fetch_attempts");
+        cBfFetchAttempts.add();
         if (const BranchFootprint *bf = findFootprint(addr)) {
             res.bfValid = true;
             res.bf = *bf;
-            statSet.add("bf_fetch_hits");
+            cBfFetchHits.add();
         } else {
-            statSet.add("bf_fetch_uncovered");
+            cBfFetchUncovered.add();
         }
     }
 
     res.ready = mesh.traverse(bank, coreTile, data_ready, cfg.replyFlits);
-    statSet.add("llc_latency_sum", res.ready - now);
+    cLatencySum.add(res.ready - now);
     return res;
 }
 

@@ -26,12 +26,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "exec/arena.h"
 #include "mem/cache.h"
 #include "mem/memory.h"
 #include "noc/mesh.h"
+#include "obs/registry.h"
 
 namespace dcfb::mem {
 
@@ -123,8 +123,8 @@ class Llc
      *  without DV-LLC). */
     std::size_t bfHolderSets() const;
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
     const LlcConfig &config() const { return cfg; }
 
   private:
@@ -180,7 +180,14 @@ class Llc
     SetAssocCache<LineMeta> array;
     exec::ArenaVector<BfSet> bfSets; //!< one per set under DV-LLC, else empty
     std::uint64_t bfTick = 0;
-    StatSet statSet;
+    obs::StatRegistry statReg;
+    obs::LazyCounter cAccesses, cInstrAccesses, cDataAccesses, cHits,
+        cInstrHits, cDataHits, cMisses, cEvictions, cLatencySum;
+    // BF fetch/record and DV-LLC holder accounting.
+    obs::LazyCounter cBfFetchAttempts, cBfFetchHits, cBfFetchUncovered,
+        cBfRecordAttempts, cBfRecordNoHolder, cBfBranchesUncovered,
+        cBfBranchesRecorded, cBlocksDisplaced, cHolderActivations,
+        cHolderDeactivations, cBfReplacements;
 };
 
 } // namespace dcfb::mem

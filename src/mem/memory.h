@@ -14,8 +14,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
+#include "obs/registry.h"
 
 namespace dcfb::mem {
 
@@ -35,8 +35,10 @@ struct MemoryConfig
 class MemoryModel
 {
   public:
-    explicit MemoryModel(const MemoryConfig &config) : cfg(config),
-        channelFree(config.channels, 0)
+    explicit MemoryModel(const MemoryConfig &config)
+        : cfg(config), channelFree(config.channels, 0),
+          cAccesses(statReg.lazyCounter("mem_accesses")),
+          cQueueCycles(statReg.lazyCounter("mem_queue_cycles"))
     {}
 
     /**
@@ -50,18 +52,19 @@ class MemoryModel
             cfg.channels;
         Cycle start = std::max(now, channelFree[ch]);
         channelFree[ch] = start + cfg.channelBusyPerBlock;
-        statSet.add("mem_accesses");
-        statSet.add("mem_queue_cycles", start - now);
+        cAccesses.add();
+        cQueueCycles.add(start - now);
         return start + cfg.accessLatency;
     }
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     MemoryConfig cfg;
     std::vector<Cycle> channelFree;
-    StatSet statSet;
+    obs::StatRegistry statReg;
+    obs::LazyCounter cAccesses, cQueueCycles;
 };
 
 } // namespace dcfb::mem

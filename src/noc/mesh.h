@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/types.h"
+#include "obs/registry.h"
 
 namespace dcfb::noc {
 
@@ -55,8 +55,8 @@ class MeshModel
     unsigned hops(unsigned src, unsigned dst) const;
 
     unsigned numTiles() const { return cfg.dim * cfg.dim; }
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     /** Directions for link indexing. */
@@ -72,7 +72,9 @@ class MeshModel
     MeshConfig cfg;
     std::vector<Cycle> linkFree;
     Rng rng;
-    StatSet statSet;
+    obs::StatRegistry statReg;
+    obs::LazyCounter cPackets, cFlits, cTotalLatency, cLinkCrossings,
+        cQueueCycles;
 };
 
 } // namespace dcfb::noc

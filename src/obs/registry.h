@@ -8,25 +8,28 @@
  * single pointer-indirect add, no per-event string hashing -- while the
  * registry keeps the name -> slot mapping for reporting.
  *
- * Hierarchical scoping uses dotted names ("l1i.misses", "pf.chain_depth");
- * the Scope helper prepends a component prefix so subsystems can register
- * against a shared registry without repeating their prefix.
- *
  * Histograms are log2-bucketed: bucket 0 holds exactly the value 0 and
  * bucket i (i >= 1) holds [2^(i-1), 2^i - 1].  That gives cheap constant
  * cost per sample (std::bit_width) and bounded storage for unbounded
  * quantities such as miss latencies, prefetch-to-use distances, proactive
  * chain depths and queue occupancies.
  *
+ * A component that counts owns one registry and exposes it as
+ * stats(); sim::System lists every reported registry in its stat table,
+ * which drives both RunResult collection and the warm/measure reset and
+ * reports each name under a dotted component prefix ("l1i.pf_useful").
+ * Handles keep raw pointers into their registry, so a registry is
+ * neither copyable nor movable.
+ *
  * Threading model: a StatRegistry and its handles are single-threaded
  * by design -- hot-path bumps must never pay for synchronization.  The
  * parallel experiment runner therefore gives every (workload x design)
- * cell its own registries (one per component, inside that cell's
- * System) and merges the per-cell snapshots into the grid only after
- * the pool barrier; no registry is ever touched by two threads.  The
- * shared discard slots that back *default-constructed* handles are
- * thread_local so a not-yet-registered handle bumped on a worker
- * cannot race another worker's.
+ * cell its own registries (inside that cell's System) and merges the
+ * per-cell snapshots into the grid only after the pool barrier; no
+ * registry is ever touched by two threads.  The shared discard slots
+ * that back *default-constructed* handles are thread_local so a
+ * not-yet-registered handle bumped on a worker cannot race another
+ * worker's.
  */
 
 #ifndef DCFB_OBS_REGISTRY_H
@@ -98,16 +101,16 @@ class Counter
 class StatRegistry;
 
 /**
- * Lazily-binding counter handle for hot paths that historically used
- * string adds (StatRegistry::add).
+ * Lazily-binding counter handle: the name is interned on the first
+ * add() (even add(0)), and every later add() is the same single
+ * pointer-indirect bump a Counter does.
  *
- * A string add interns its name on *first use*, so a counter that never
- * fires never appears in the registry -- and therefore never appears in
- * a RunResult's stats map.  Converting such a site to an eagerly
- * registered Counter would create the name at zero and change reported
- * results.  LazyCounter keeps the exact lazy semantics: the name is
- * interned on the first add() and every later add() is the same
- * single pointer-indirect bump a Counter does.
+ * A lazy counter that never fires never appears in the registry -- and
+ * therefore never appears in a RunResult's stats map.  The golden
+ * corpus and the perfbench digests pin which keys a run reports, so a
+ * counter whose key appears only once it fires must stay lazy; an
+ * eagerly registered Counter would create its key at zero.  Once
+ * RunResults carry a dense, up-front key set, Counter alone suffices.
  *
  * The name must outlive the handle (use string literals).  A
  * default-constructed handle discards, like Counter.
@@ -209,14 +212,20 @@ struct HistogramSnapshot
 class StatRegistry
 {
   public:
+    StatRegistry() = default;
+    // Handles point into the registry's slots; a copy or a move would
+    // leave them counting into the wrong place.
+    StatRegistry(const StatRegistry &) = delete;
+    StatRegistry &operator=(const StatRegistry &) = delete;
+
     /** Register (or re-find) counter @p name. */
     Counter counter(std::string_view name);
 
     /** Register (or re-find) histogram @p name. */
     Histogram histogram(std::string_view name);
 
-    /** A counter handle that interns @p name on first add (hot-path
-     *  replacement for string adds; see LazyCounter). */
+    /** A counter handle that interns @p name on its first add (see
+     *  LazyCounter). */
     LazyCounter
     lazyCounter(const char *name)
     {
@@ -227,10 +236,7 @@ class StatRegistry
      *  so tests can assert interning stability. */
     std::size_t counterIndex(std::string_view name);
 
-    /** Cold-path string add: interns on first use. */
-    void add(std::string_view name, std::uint64_t delta = 1);
-
-    /** Cold-path read; absent counters read as zero. */
+    /** Read counter @p name; absent counters read as zero. */
     std::uint64_t get(std::string_view name) const;
 
     /** Zero every counter and histogram; names and slots survive. */
@@ -266,48 +272,6 @@ LazyCounter::add(std::uint64_t delta)
     }
     handle.add(delta);
 }
-
-/**
- * Dotted-prefix view of a registry: Scope(reg, "l1i").counter("misses")
- * registers "l1i.misses".
- */
-class Scope
-{
-  public:
-    Scope(StatRegistry &registry, std::string prefix_)
-        : reg(registry), prefix(std::move(prefix_))
-    {
-    }
-
-    Counter
-    counter(std::string_view name) const
-    {
-        return reg.counter(qualified(name));
-    }
-
-    Histogram
-    histogram(std::string_view name) const
-    {
-        return reg.histogram(qualified(name));
-    }
-
-    Scope
-    scope(std::string_view sub) const
-    {
-        return Scope(reg, qualified(sub));
-    }
-
-    std::string
-    qualified(std::string_view name) const
-    {
-        return prefix.empty() ? std::string(name)
-                              : prefix + "." + std::string(name);
-    }
-
-  private:
-    StatRegistry &reg;
-    std::string prefix;
-};
 
 } // namespace dcfb::obs
 

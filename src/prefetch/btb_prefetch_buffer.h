@@ -19,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "exec/arena.h"
 #include "isa/encoding.h"
@@ -63,10 +62,7 @@ class BtbPrefetchBuffer
      */
     explicit BtbPrefetchBuffer(unsigned entries_ = 32, unsigned assoc_ = 2,
                                exec::Arena *arena = nullptr)
-        : array(entries_ / assoc_, assoc_, arena),
-          cInserts(statSet.lazy("btbpb_inserts")),
-          cProbes(statSet.lazy("btbpb_probes")),
-          cHits(statSet.lazy("btbpb_hits"))
+        : array(entries_ / assoc_, assoc_, arena)
     {}
 
     /** Install the pre-decoded branches of @p block_addr (one access). */
@@ -74,7 +70,6 @@ class BtbPrefetchBuffer
     insertBlock(Addr block_addr,
                 std::span<const isa::PredecodedBranch> branches)
     {
-        cInserts.add();
         BufferedBlock blk;
         for (const auto &b : branches) {
             if (blk.count >= BufferedBlock::kMaxBranches)
@@ -93,16 +88,13 @@ class BtbPrefetchBuffer
     const BufferedBranch *
     findBranch(Addr pc)
     {
-        cProbes.add();
         auto *line = array.lookup(blockAlign(pc));
         if (!line)
             return nullptr;
         unsigned off = blockOffset(pc);
         for (const auto &b : line->meta) {
-            if (b.byteOffset == off) {
-                cHits.add();
+            if (b.byteOffset == off)
                 return &b;
-            }
         }
         return nullptr;
     }
@@ -121,14 +113,8 @@ class BtbPrefetchBuffer
         return std::uint64_t{array.sets()} * array.ways() * (4 * 40 + 52);
     }
 
-    const StatSet &stats() const { return statSet; }
-
   private:
-    StatSet statSet;
     mem::SetAssocCache<BufferedBlock> array;
-    obs::LazyCounter cInserts;
-    obs::LazyCounter cProbes;
-    obs::LazyCounter cHits;
 };
 
 } // namespace dcfb::prefetch

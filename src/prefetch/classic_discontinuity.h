@@ -17,8 +17,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
 #include "exec/arena.h"
+#include "obs/registry.h"
 #include "prefetch/prefetcher.h"
 
 namespace dcfb::prefetch {
@@ -40,9 +40,9 @@ class ClassicDiscontinuity final : public InstrPrefetcher
                          bool with_nl = true, exec::Arena *arena = nullptr)
         : l1i(l1i_), table(entries_, exec::ArenaAlloc<Entry>(arena)),
           withNl(with_nl),
-          cRecorded(statSet.lazy("cdis_recorded")),
-          cReplayed(statSet.lazy("cdis_replayed")),
-          cIssued(statSet.lazy("cdis_issued"))
+          cRecorded(statReg.lazyCounter("cdis_recorded")),
+          cReplayed(statReg.lazyCounter("cdis_replayed")),
+          cIssued(statReg.lazyCounter("cdis_issued"))
     {}
 
     /** Arena bytes an @p entries_ table wants. */
@@ -102,7 +102,7 @@ class ClassicDiscontinuity final : public InstrPrefetcher
         return table.size() * (52 + 52);
     }
 
-    const StatSet &stats() const { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
 
   private:
     struct Entry
@@ -124,7 +124,7 @@ class ClassicDiscontinuity final : public InstrPrefetcher
     Addr lastBlock = kInvalidAddr;
     Addr pending = 0;
     bool havePending = false;
-    StatSet statSet;
+    obs::StatRegistry statReg;
     obs::LazyCounter cRecorded;
     obs::LazyCounter cReplayed;
     obs::LazyCounter cIssued;

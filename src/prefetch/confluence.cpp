@@ -9,12 +9,12 @@ ConfluencePrefetcher::ConfluencePrefetcher(mem::L1iCache &l1i_,
       history(config.historyEntries, kInvalidAddr,
               exec::ArenaAlloc<Addr>(arena)),
       index(config.indexEntries, exec::ArenaAlloc<IndexEntry>(arena)),
-      cRecorded(statSet.lazy("shift_recorded")),
-      cStreamFollows(statSet.lazy("shift_stream_follows")),
-      cIndexMisses(statSet.lazy("shift_index_misses")),
-      cStreamStarts(statSet.lazy("shift_stream_starts")),
-      cStreamOverwritten(statSet.lazy("shift_stream_overwritten")),
-      cIssued(statSet.lazy("shift_issued"))
+      cRecorded(statReg.lazyCounter("shift_recorded")),
+      cStreamFollows(statReg.lazyCounter("shift_stream_follows")),
+      cIndexMisses(statReg.lazyCounter("shift_index_misses")),
+      cStreamStarts(statReg.lazyCounter("shift_stream_starts")),
+      cStreamOverwritten(statReg.lazyCounter("shift_stream_overwritten")),
+      cIssued(statReg.lazyCounter("shift_issued"))
 {
 }
 

@@ -19,8 +19,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
 #include "exec/arena.h"
+#include "obs/registry.h"
 #include "prefetch/prefetcher.h"
 
 namespace dcfb::prefetch {
@@ -54,7 +54,8 @@ class ConfluencePrefetcher final : public InstrPrefetcher
     void onDemandAccess(Addr block_addr, bool hit) override;
     void onDemandMiss(Addr block_addr, bool sequential) override;
 
-    const StatSet &stats() const { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     struct IndexEntry
@@ -83,7 +84,7 @@ class ConfluencePrefetcher final : public InstrPrefetcher
     std::uint64_t issuedUpTo = 0;   //!< last history position prefetched
     Cycle pendingTick = 0;
     bool workPending = false;
-    StatSet statSet;
+    obs::StatRegistry statReg;
     // Lazily-bound per-event counters (see obs::LazyCounter).
     obs::LazyCounter cRecorded, cStreamFollows, cIndexMisses, cStreamStarts,
         cStreamOverwritten, cIssued;

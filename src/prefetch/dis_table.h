@@ -23,9 +23,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "exec/arena.h"
+#include "obs/registry.h"
 
 namespace dcfb::prefetch {
 
@@ -55,8 +55,8 @@ class DisTable
         : cfg(config),
           table(cfg.entries ? cfg.entries : 0,
                 exec::ArenaAlloc<Entry>(arena)),
-          cRecords(statSet.lazy("distable_records")),
-          cLookups(statSet.lazy("distable_lookups"))
+          cRecords(statReg.lazyCounter("distable_records")),
+          cLookups(statReg.lazyCounter("distable_lookups"))
     {
         // Table sizes are powers of two (index() masks), so the tag's
         // "bits above the index" divide becomes a shift.
@@ -132,8 +132,8 @@ class DisTable
         return cfg.entries * (offset_bits + tag_bits + 1);
     }
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
     const DisTableConfig &config() const { return cfg; }
 
   private:
@@ -169,7 +169,7 @@ class DisTable
     exec::ArenaVector<Entry> table;
     std::unordered_map<Addr, std::uint8_t> dedicated;
     std::optional<unsigned> tagShift; //!< set when entries is pow2
-    mutable StatSet statSet;
+    mutable obs::StatRegistry statReg;
     mutable obs::LazyCounter cRecords;
     mutable obs::LazyCounter cLookups;
 };

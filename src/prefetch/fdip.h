@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "common/queue.h"
-#include "common/stats.h"
 #include "common/types.h"
+#include "obs/registry.h"
 #include "prefetch/prefetcher.h"
 
 namespace dcfb::prefetch {
@@ -99,18 +99,18 @@ class Fdip final : public InstrPrefetcher
          exec::Arena *arena = nullptr)
         : l1i(l1i_), cfg(config),
           queue(config.queueEntries, config.recentEntries, arena),
-          cEnqueued(statSet.lazy("fdip_enqueued")),
-          cDuplicates(statSet.lazy("fdip_duplicates")),
-          cDropped(statSet.lazy("fdip_dropped")),
-          cAheadSkipped(statSet.lazy("fdip_ahead_skipped")),
-          cIssued(statSet.lazy("fdip_issued")),
-          cInCache(statSet.lazy("fdip_in_cache")),
-          cInFlight(statSet.lazy("fdip_in_flight")),
-          cNoMshr(statSet.lazy("fdip_no_mshr")),
-          cFills(statSet.lazy("fdip_prefetch_fills")),
-          cUseful(statSet.lazy("fdip_useful"))
+          cEnqueued(statReg.lazyCounter("fdip_enqueued")),
+          cDuplicates(statReg.lazyCounter("fdip_duplicates")),
+          cDropped(statReg.lazyCounter("fdip_dropped")),
+          cAheadSkipped(statReg.lazyCounter("fdip_ahead_skipped")),
+          cIssued(statReg.lazyCounter("fdip_issued")),
+          cInCache(statReg.lazyCounter("fdip_in_cache")),
+          cInFlight(statReg.lazyCounter("fdip_in_flight")),
+          cNoMshr(statReg.lazyCounter("fdip_no_mshr")),
+          cFills(statReg.lazyCounter("fdip_prefetch_fills")),
+          cUseful(statReg.lazyCounter("fdip_useful"))
     {
-        hQueueOcc = statSet.histogram("fdip_queue_occ");
+        hQueueOcc = statReg.histogram("fdip_queue_occ");
     }
 
     std::string name() const override { return "FDIP"; }
@@ -206,15 +206,15 @@ class Fdip final : public InstrPrefetcher
     }
 
     std::size_t queueDepth() const { return queue.size(); }
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     mem::L1iCache &l1i;
     FdipConfig cfg;
     FdipQueue queue;
 
-    StatSet statSet;
+    obs::StatRegistry statReg;
     obs::Histogram hQueueOcc;
     obs::LazyCounter cEnqueued, cDuplicates, cDropped, cAheadSkipped,
         cIssued, cInCache, cInFlight, cNoMshr, cFills, cUseful;

@@ -11,7 +11,6 @@
 #ifndef DCFB_PREFETCH_NEXTLINE_H
 #define DCFB_PREFETCH_NEXTLINE_H
 
-#include "common/stats.h"
 #include "prefetch/prefetcher.h"
 
 namespace dcfb::prefetch {
@@ -27,7 +26,7 @@ class NextLinePrefetcher final : public InstrPrefetcher
      * @param depth X in next-X-line (1 = classic NL)
      */
     NextLinePrefetcher(mem::L1iCache &l1i_, unsigned depth_)
-        : l1i(l1i_), depth(depth_), cIssued(statSet.lazy("nxl_issued"))
+        : l1i(l1i_), depth(depth_)
     {}
 
     std::string
@@ -50,23 +49,15 @@ class NextLinePrefetcher final : public InstrPrefetcher
         if (!havePending)
             return;
         havePending = false;
-        for (unsigned i = 1; i <= depth; ++i) {
-            Addr candidate = pending + Addr{i} * kBlockBytes;
-            auto out = l1i.prefetch(candidate, now);
-            if (out == mem::L1iCache::PfOutcome::Issued)
-                cIssued.add();
-        }
+        for (unsigned i = 1; i <= depth; ++i)
+            l1i.prefetch(pending + Addr{i} * kBlockBytes, now);
     }
-
-    const StatSet &stats() const { return statSet; }
 
   private:
     mem::L1iCache &l1i;
     unsigned depth;
     Addr pending = 0;
     bool havePending = false;
-    StatSet statSet;
-    obs::LazyCounter cIssued;
 };
 
 } // namespace dcfb::prefetch

@@ -15,9 +15,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "exec/arena.h"
+#include "obs/registry.h"
 
 namespace dcfb::prefetch {
 
@@ -30,8 +30,8 @@ class Rlu
     /** @param entries_ filter size; 0 disables filtering entirely. */
     explicit Rlu(std::size_t entries_ = 8, exec::Arena *arena = nullptr)
         : ring(entries_, kInvalidAddr, exec::ArenaAlloc<Addr>(arena)),
-          cChecks(statSet.lazy("rlu_checks")),
-          cHits(statSet.lazy("rlu_hits"))
+          cChecks(statReg.lazyCounter("rlu_checks")),
+          cHits(statReg.lazyCounter("rlu_hits"))
     {}
 
     /** Record a lookup of @p block_addr. */
@@ -64,7 +64,8 @@ class Rlu
     /** Storage: entries x block-address tag (~52 bits each). */
     std::uint64_t storageBits() const { return ring.size() * 52; }
 
-    const StatSet &stats() const { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     bool
@@ -79,9 +80,9 @@ class Rlu
 
     exec::ArenaVector<Addr> ring;
     std::size_t head = 0;
-    StatSet statSet;
-    // Lazily-bound handles preserving the key-presence semantics of the
-    // previous per-check string adds (see obs::LazyCounter).
+    obs::StatRegistry statReg;
+    // Lazily bound: a key is reported only once it fires (see
+    // obs::LazyCounter).
     obs::LazyCounter cChecks;
     obs::LazyCounter cHits;
 };

@@ -17,9 +17,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/types.h"
 #include "exec/arena.h"
+#include "obs/registry.h"
 
 namespace dcfb::prefetch {
 
@@ -40,8 +40,8 @@ class SeqTable
                exec::ArenaAlloc<bool>(arena)),
           owners(entries_ ? entries_ : 0, kInvalidAddr,
                  exec::ArenaAlloc<Addr>(arena)),
-          cConflicts(statSet.lazy("seqtable_conflicts")),
-          cWrites(statSet.lazy("seqtable_writes"))
+          cConflicts(statReg.lazyCounter("seqtable_conflicts")),
+          cWrites(statReg.lazyCounter("seqtable_writes"))
     {}
 
     /** Arena bytes an @p entries_ table wants (bit table + owners). */
@@ -104,8 +104,8 @@ class SeqTable
     /** Storage cost: one bit per entry (tagless). */
     std::uint64_t storageBits() const { return entries; }
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     std::size_t
@@ -118,7 +118,7 @@ class SeqTable
     std::size_t entries;
     std::vector<bool, exec::ArenaAlloc<bool>> bits;
     std::unordered_map<Addr, bool> dedicated; //!< unlimited mode
-    StatSet statSet;
+    obs::StatRegistry statReg;
     exec::ArenaVector<Addr> owners; //!< last writer per entry (stats only)
     obs::LazyCounter cConflicts;
     obs::LazyCounter cWrites;

@@ -19,25 +19,25 @@ Sn4lDisBtb::Sn4lDisBtb(mem::L1iCache &l1i_,
       seqQueue(config.queueEntries, arena), disQueue(config.queueEntries, arena),
       rluQueue(config.queueEntries, arena)
 {
-    cLocalStatusHits = statSet.counter("local_status_hits");
-    cLocalStatusFills = statSet.counter("local_status_fills");
-    cSeqTableReads = statSet.counter("seqtable_reads");
-    cSn4lFiltered = statSet.counter("sn4l_filtered");
-    cSn4lCandidates = statSet.counter("sn4l_candidates");
-    cRluFiltered = statSet.counter("rlu_filtered");
-    cIssued = statSet.counter("issued");
-    hChainDepth = statSet.histogram("chain_depth");
-    hRluQueueOcc = statSet.histogram("rluq_occ");
-    cSeqOverflow = statSet.lazy("seqqueue_overflow");
-    cDisOverflow = statSet.lazy("disqueue_overflow");
-    cRluOverflow = statSet.lazy("rluqueue_overflow");
-    cMissStatusOff = statSet.lazy("miss_with_status_off");
-    cDisRecorded = statSet.lazy("dis_recorded");
-    cDisNotBranch = statSet.lazy("dis_replay_not_branch");
-    cDisNoTarget = statSet.lazy("dis_replay_no_target");
-    cDisCandidates = statSet.lazy("dis_candidates");
-    cPrefillNoFootprint = statSet.lazy("btb_prefill_no_footprint");
-    cPrefillBlocks = statSet.lazy("btb_prefill_blocks");
+    cLocalStatusHits = statReg.counter("local_status_hits");
+    cLocalStatusFills = statReg.counter("local_status_fills");
+    cSeqTableReads = statReg.counter("seqtable_reads");
+    cSn4lFiltered = statReg.counter("sn4l_filtered");
+    cSn4lCandidates = statReg.counter("sn4l_candidates");
+    cRluFiltered = statReg.counter("rlu_filtered");
+    cIssued = statReg.counter("issued");
+    hChainDepth = statReg.histogram("chain_depth");
+    hRluQueueOcc = statReg.histogram("rluq_occ");
+    cSeqOverflow = statReg.lazyCounter("seqqueue_overflow");
+    cDisOverflow = statReg.lazyCounter("disqueue_overflow");
+    cRluOverflow = statReg.lazyCounter("rluqueue_overflow");
+    cMissStatusOff = statReg.lazyCounter("miss_with_status_off");
+    cDisRecorded = statReg.lazyCounter("dis_recorded");
+    cDisNotBranch = statReg.lazyCounter("dis_replay_not_branch");
+    cDisNoTarget = statReg.lazyCounter("dis_replay_no_target");
+    cDisCandidates = statReg.lazyCounter("dis_candidates");
+    cPrefillNoFootprint = statReg.lazyCounter("btb_prefill_no_footprint");
+    cPrefillBlocks = statReg.lazyCounter("btb_prefill_blocks");
 }
 
 std::size_t

@@ -38,9 +38,9 @@
 #include <memory>
 
 #include "common/queue.h"
-#include "common/stats.h"
 #include "frontend/btb.h"
 #include "isa/predecoder.h"
+#include "obs/registry.h"
 #include "prefetch/btb_prefetch_buffer.h"
 #include "prefetch/dis_table.h"
 #include "prefetch/prefetcher.h"
@@ -113,10 +113,13 @@ class Sn4lDisBtb final : public InstrPrefetcher
     void onPrefetchUsed(Addr block_addr) override;
 
     const SeqTable &seqTable() const { return seq; }
+    SeqTable &seqTable() { return seq; }
     const DisTable &disTable() const { return dis; }
+    DisTable &disTable() { return dis; }
     const Rlu &rlu() const { return rluFilter; }
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    Rlu &rlu() { return rluFilter; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
     /** Attach a fault injector: backpressure faults reject pushes into
      *  the engine's SeqQueue/DisQueue/RLUQueue, starving the proactive
@@ -187,14 +190,14 @@ class Sn4lDisBtb final : public InstrPrefetcher
 
     rt::FaultInjector *injector = nullptr;
 
-    StatSet statSet;
+    obs::StatRegistry statReg;
 
     // Typed handles for the per-trigger hot path.
     obs::Counter cLocalStatusHits, cLocalStatusFills, cSeqTableReads,
         cSn4lFiltered, cSn4lCandidates, cRluFiltered, cIssued;
     obs::Histogram hChainDepth, hRluQueueOcc;
-    // Lazily-bound counters for the per-event sites that used string
-    // adds (must stay lazy: see obs::LazyCounter).
+    // Lazily bound: a key is reported only once it fires (see
+    // obs::LazyCounter).
     obs::LazyCounter cSeqOverflow, cDisOverflow, cRluOverflow,
         cMissStatusOff, cDisRecorded, cDisNotBranch, cDisNoTarget,
         cDisCandidates, cPrefillNoFootprint, cPrefillBlocks;

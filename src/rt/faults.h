@@ -38,8 +38,8 @@
 #include <string_view>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/types.h"
+#include "obs/registry.h"
 #include "rt/error.h"
 
 namespace dcfb::rt {
@@ -88,11 +88,11 @@ class FaultInjector
         : plan(plan_), rng(plan_.seed * 0x9e3779b97f4a7c15ull ^ run_seed)
     {
         if (plan.active()) {
-            cDropped = statSet.counter("faults_dropped");
-            cDelayed = statSet.counter("faults_delayed");
-            cDelayCycles = statSet.counter("faults_delay_cycles");
-            cCorrupted = statSet.counter("faults_corrupted");
-            cBackpressure = statSet.counter("faults_backpressure");
+            cDropped = statReg.counter("faults_dropped");
+            cDelayed = statReg.counter("faults_delayed");
+            cDelayCycles = statReg.counter("faults_delay_cycles");
+            cCorrupted = statReg.counter("faults_corrupted");
+            cBackpressure = statReg.counter("faults_backpressure");
         }
     }
 
@@ -142,13 +142,13 @@ class FaultInjector
         return true;
     }
 
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
   private:
     FaultPlan plan;
     Rng rng;
-    StatSet statSet;
+    obs::StatRegistry statReg;
     obs::Counter cDropped, cDelayed, cDelayCycles, cCorrupted,
         cBackpressure;
 };

@@ -28,29 +28,29 @@ DecoupledFetchEngine::DecoupledFetchEngine(
       sgBtb(shotgun_cfg), btbPb(32, 32, arena), convBtb(conv_btb),
       fdip(fdip_), ftq(config.ftqEntries)
 {
-    cFetched = statSet.counter("fe_fetched");
-    cIcacheStallCycles = statSet.counter("fe_icache_stall_cycles");
-    cEmptyFtqStallCycles = statSet.counter("fe_empty_ftq_stall_cycles");
-    cBpuStallCycles = statSet.counter("bpu_stall_cycles");
-    cFtqPushes = statSet.counter("ftq_pushes");
-    hFtqOcc = statSet.histogram("ftq_occ");
-    hBufferOcc = statSet.histogram("fetch_buffer_occ");
-    cReactiveFills = statSet.lazy("bpu_reactive_fills");
-    cSgPrefillBlocks = statSet.lazy("sg_prefill_blocks");
-    cBoomerangPrefillEntries = statSet.lazy("boomerang_prefill_entries");
-    cSgFootprintPrefetches = statSet.lazy("sg_footprint_prefetches");
-    cSgCbtbFills = statSet.lazy("sg_cbtb_buffer_fills");
-    cSgRegionSkipped = statSet.lazy("sg_region_prefetch_skipped");
-    cBpuTargetMispredicts = statSet.lazy("bpu_target_mispredicts");
-    cBpuMispredicts = statSet.lazy("bpu_mispredicts");
-    cBpuRasMispredicts = statSet.lazy("bpu_ras_mispredicts");
-    cSquashes = statSet.lazy("fe_squashes");
-    cWrongPathPrefetches = statSet.lazy("bpu_wrong_path_prefetches");
-    cBbBtbMisses = statSet.lazy("boomerang_bbbtb_miss");
-    cCbtbMisses = statSet.lazy("sg_cbtb_miss");
-    cUbtbMisses = statSet.lazy("sg_ubtb_miss");
-    cRibMisses = statSet.lazy("sg_rib_miss");
-    cFdipBtbMisses = statSet.lazy("fdip_btb_miss");
+    cFetched = statReg.counter("fe_fetched");
+    cIcacheStallCycles = statReg.counter("fe_icache_stall_cycles");
+    cEmptyFtqStallCycles = statReg.counter("fe_empty_ftq_stall_cycles");
+    cBpuStallCycles = statReg.counter("bpu_stall_cycles");
+    cFtqPushes = statReg.counter("ftq_pushes");
+    hFtqOcc = statReg.histogram("ftq_occ");
+    hBufferOcc = statReg.histogram("fetch_buffer_occ");
+    cReactiveFills = statReg.lazyCounter("bpu_reactive_fills");
+    cSgPrefillBlocks = statReg.lazyCounter("sg_prefill_blocks");
+    cBoomerangPrefillEntries = statReg.lazyCounter("boomerang_prefill_entries");
+    cSgFootprintPrefetches = statReg.lazyCounter("sg_footprint_prefetches");
+    cSgCbtbFills = statReg.lazyCounter("sg_cbtb_buffer_fills");
+    cSgRegionSkipped = statReg.lazyCounter("sg_region_prefetch_skipped");
+    cBpuTargetMispredicts = statReg.lazyCounter("bpu_target_mispredicts");
+    cBpuMispredicts = statReg.lazyCounter("bpu_mispredicts");
+    cBpuRasMispredicts = statReg.lazyCounter("bpu_ras_mispredicts");
+    cSquashes = statReg.lazyCounter("fe_squashes");
+    cWrongPathPrefetches = statReg.lazyCounter("bpu_wrong_path_prefetches");
+    cBbBtbMisses = statReg.lazyCounter("boomerang_bbbtb_miss");
+    cCbtbMisses = statReg.lazyCounter("sg_cbtb_miss");
+    cUbtbMisses = statReg.lazyCounter("sg_ubtb_miss");
+    cRibMisses = statReg.lazyCounter("sg_rib_miss");
+    cFdipBtbMisses = statReg.lazyCounter("fdip_btb_miss");
 
     // Pre-size the lookahead ring past the common BPU/fetch separation
     // (FTQ depth x BB-scan bound) so growth is exceptional.

@@ -37,13 +37,13 @@
 #include <cstdint>
 
 #include "common/queue.h"
-#include "common/stats.h"
 #include "exec/arena.h"
 #include "frontend/btb.h"
 #include "frontend/micro_btb.h"
 #include "frontend/ras.h"
 #include "frontend/tage.h"
 #include "mem/l1i.h"
+#include "obs/registry.h"
 #include "obs/trace.h"
 #include "prefetch/btb_prefetch_buffer.h"
 #include "prefetch/prefetcher.h"
@@ -88,8 +88,8 @@ class FetchEngine
     virtual StallReason stallReason(Cycle now) const = 0;
 
     BoundedQueue<FetchedSlot> &buffer() { return fetchBuffer; }
-    const StatSet &stats() const { return statSet; }
-    StatSet &stats() { return statSet; }
+    const obs::StatRegistry &stats() const { return statReg; }
+    obs::StatRegistry &stats() { return statReg; }
 
     /** Attach a last-level BTB (the MicroBTB preset).  Null for every
      *  other preset, so the probe sites stay bit-identical without it. */
@@ -98,7 +98,7 @@ class FetchEngine
   protected:
     FetchConfig cfg;
     BoundedQueue<FetchedSlot> fetchBuffer; //!< ring: drained every cycle
-    StatSet statSet;
+    obs::StatRegistry statReg;
     frontend::MicroBtb *mbtb = nullptr; //!< MicroBTB preset only
 };
 
@@ -136,22 +136,22 @@ class CoupledFetchEngineT final : public FetchEngine
         : FetchEngine(config, arena), walker(walker_), l1i(l1i_), btb(btb_),
           tage(tage_), image(image_), pf(prefetcher), look(kLookahead, arena)
     {
-        cFetched = statSet.counter("fe_fetched");
-        cIcacheStallCycles = statSet.counter("fe_icache_stall_cycles");
-        cBtbStallCycles = statSet.counter("fe_btb_stall_cycles");
+        cFetched = statReg.counter("fe_fetched");
+        cIcacheStallCycles = statReg.counter("fe_icache_stall_cycles");
+        cBtbStallCycles = statReg.counter("fe_btb_stall_cycles");
         cMispredictStallCycles =
-            statSet.counter("fe_mispredict_stall_cycles");
-        cWrongPathBlocks = statSet.counter("fe_wrong_path_blocks");
-        hBufferOcc = statSet.histogram("fetch_buffer_occ");
-        cBtbRedirects = statSet.lazy("fe_btb_redirects");
-        cMispredictRedirects = statSet.lazy("fe_mispredict_redirects");
-        cBtbBufferFills = statSet.lazy("fe_btb_buffer_fills");
-        cBtbMissTaken = statSet.lazy("fe_btb_miss_taken");
-        cBtbMissNotTaken = statSet.lazy("fe_btb_miss_not_taken");
-        cCondMispredicts = statSet.lazy("fe_cond_mispredicts");
-        cStaleTarget = statSet.lazy("fe_stale_target");
-        cIndirectMispredicts = statSet.lazy("fe_indirect_mispredicts");
-        cRasMispredicts = statSet.lazy("fe_ras_mispredicts");
+            statReg.counter("fe_mispredict_stall_cycles");
+        cWrongPathBlocks = statReg.counter("fe_wrong_path_blocks");
+        hBufferOcc = statReg.histogram("fetch_buffer_occ");
+        cBtbRedirects = statReg.lazyCounter("fe_btb_redirects");
+        cMispredictRedirects = statReg.lazyCounter("fe_mispredict_redirects");
+        cBtbBufferFills = statReg.lazyCounter("fe_btb_buffer_fills");
+        cBtbMissTaken = statReg.lazyCounter("fe_btb_miss_taken");
+        cBtbMissNotTaken = statReg.lazyCounter("fe_btb_miss_not_taken");
+        cCondMispredicts = statReg.lazyCounter("fe_cond_mispredicts");
+        cStaleTarget = statReg.lazyCounter("fe_stale_target");
+        cIndirectMispredicts = statReg.lazyCounter("fe_indirect_mispredicts");
+        cRasMispredicts = statReg.lazyCounter("fe_ras_mispredicts");
         refill();
     }
 

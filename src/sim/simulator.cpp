@@ -9,23 +9,6 @@
 
 namespace dcfb::sim {
 
-namespace {
-
-/** Merge a component's counters and histograms under a prefix. */
-void
-merge(RunResult &out, const std::string &prefix, const StatSet &stats)
-{
-    for (const auto &kv : stats.all())
-        out.stats[prefix + "." + kv.first] += kv.second;
-    for (const auto &kv : stats.histograms()) {
-        if (kv.second.count == 0)
-            continue;
-        out.hists[prefix + "." + kv.first].merge(kv.second);
-    }
-}
-
-} // namespace
-
 rt::Expected<RunResult>
 trySimulate(const SystemConfig &config, const RunWindows &windows)
 {
@@ -157,41 +140,7 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
         obs::Profiler::push(std::move(rec));
     }
 
-    merge(res, "sim", system.simStats);
-    merge(res, "fe", system.fetch->stats());
-    merge(res, "l1i", system.l1i->stats());
-    merge(res, "l1d", system.l1d->stats());
-    merge(res, "llc", system.llc->stats());
-    merge(res, "mem", system.memory->stats());
-    merge(res, "noc", system.mesh->stats());
-    merge(res, "btb", system.btb->stats());
-    merge(res, "tage", system.tage->stats());
-    merge(res, "be", system.backend->stats());
-    if (system.decoupled) {
-        merge(res, "sg", system.decoupled->shotgunBtb().stats());
-        merge(res, "bb", system.decoupled->bbBtb().stats());
-    }
-    if (auto *p = dynamic_cast<prefetch::Sn4lDisBtb *>(
-            system.prefetcher.get())) {
-        merge(res, "pf", p->stats());
-        merge(res, "pf", p->seqTable().stats());
-        merge(res, "pf", p->disTable().stats());
-        merge(res, "pf", p->rlu().stats());
-    }
-    if (auto *p = dynamic_cast<prefetch::ConfluencePrefetcher *>(
-            system.prefetcher.get())) {
-        merge(res, "pf", p->stats());
-    }
-    if (auto *p = dynamic_cast<prefetch::Fdip *>(
-            system.prefetcher.get())) {
-        merge(res, "pf", p->stats());
-    }
-    if (system.microBtb)
-        merge(res, "mbtb", system.microBtb->stats());
-    // Fault counters only exist under --inject, keeping uninjected
-    // reports bit-identical to the pre-integrity format.
-    if (system.injector.active())
-        merge(res, "rt", system.injector.stats());
+    system.collectStats(res);
     return res;
 }
 

@@ -7,6 +7,7 @@
 #include "prefetch/fdip.h"
 #include "prefetch/nextline.h"
 #include "prefetch/sn4l_dis_btb.h"
+#include "sim/simulator.h"
 
 namespace dcfb::sim {
 
@@ -85,6 +86,7 @@ System::System(const SystemConfig &config)
     cStallMispredict = simStats.counter("stall_mispredict");
     cStallFrontend = simStats.counter("stall_frontend");
     cStallOther = simStats.counter("stall_other");
+    addStats("sim", simStats);
 
     walker = std::make_unique<workload::TraceWalker>(*program, cfg.runSeed);
     predecoder = std::make_unique<isa::Predecoder>(
@@ -103,6 +105,20 @@ System::System(const SystemConfig &config)
     if (cfg.preset == Preset::MicroBtb)
         microBtb = std::make_unique<frontend::MicroBtb>(cfg.microBtb, &arena);
     backend = std::make_unique<core::Backend>(cfg.backend, &arena);
+    addStats("noc", mesh->stats());
+    addStats("mem", memory->stats());
+    addStats("llc", llc->stats());
+    addStats("l1i", l1i->stats());
+    addStats("l1d", l1d->stats());
+    addStats("tage", tage->stats());
+    addStats("btb", btb->stats());
+    if (microBtb)
+        addStats("mbtb", microBtb->stats());
+    addStats("be", backend->stats());
+    // Fault counters only exist under --inject, keeping uninjected
+    // reports bit-identical to the pre-integrity format.
+    if (injector.active())
+        addStats("rt", injector.stats());
 
     switch (cfg.preset) {
       case Preset::NL:
@@ -125,22 +141,37 @@ System::System(const SystemConfig &config)
       case Preset::SN4L:
       case Preset::DisOnly:
       case Preset::SN4LDis:
-      case Preset::SN4LDisBtb:
-        prefetcher = std::make_unique<prefetch::Sn4lDisBtb>(
+      case Preset::SN4LDisBtb: {
+        auto pf = std::make_unique<prefetch::Sn4lDisBtb>(
             *l1i, *predecoder, btb.get(), cfg.sn4l, &arena);
+        sn4l = pf.get();
+        addStats("pf", sn4l->stats());
+        addStats("pf", sn4l->seqTable().stats(), WarmReset::Gap6Keep);
+        addStats("pf", sn4l->disTable().stats(), WarmReset::Gap6Keep);
+        addStats("pf", sn4l->rlu().stats(), WarmReset::Gap6Keep);
+        prefetcher = std::move(pf);
         break;
+      }
       case Preset::ClassicDis:
+        // No stat row: its cdis_* counters have never been reported,
+        // and adding them would change every ClassicDis RunResult.
         prefetcher = std::make_unique<prefetch::ClassicDiscontinuity>(
             *l1i, kClassicDisEntries, true, &arena);
         break;
-      case Preset::Confluence:
-        prefetcher = std::make_unique<prefetch::ConfluencePrefetcher>(
+      case Preset::Confluence: {
+        auto pf = std::make_unique<prefetch::ConfluencePrefetcher>(
             *l1i, cfg.confluence, &arena);
+        addStats("pf", pf->stats(), WarmReset::Gap6Keep);
+        prefetcher = std::move(pf);
         break;
-      case Preset::Fdip:
-        prefetcher = std::make_unique<prefetch::Fdip>(*l1i, cfg.fdip,
-                                                      &arena);
+      }
+      case Preset::Fdip: {
+        auto pf = std::make_unique<prefetch::Fdip>(*l1i, cfg.fdip, &arena);
+        fdip = pf.get();
+        addStats("pf", fdip->stats());
+        prefetcher = std::move(pf);
         break;
+      }
       default:
         prefetcher = std::make_unique<prefetch::NullPrefetcher>();
         break;
@@ -191,6 +222,7 @@ System::System(const SystemConfig &config)
 
     if (microBtb)
         fetch->setMicroBtb(microBtb.get());
+    addStats("fe", fetch->stats());
 
     selectStepFns();
     registerIntegrity();
@@ -199,9 +231,6 @@ System::System(const SystemConfig &config)
 void
 System::makeDecoupledFetch()
 {
-    prefetch::Fdip *fdip_unit = cfg.preset == Preset::Fdip
-        ? static_cast<prefetch::Fdip *>(prefetcher.get())
-        : nullptr;
     auto engine = std::make_unique<DecoupledFetchEngine>(
         cfg.fetch,
         cfg.preset == Preset::Boomerang
@@ -210,12 +239,14 @@ System::makeDecoupledFetch()
                   ? DecoupledFetchEngine::Kind::Shotgun
                   : DecoupledFetchEngine::Kind::Fdip,
         *walker, *l1i, *tage, *predecoder, cfg.boomerangBtbEntries,
-        cfg.shotgunBtb, btb.get(), fdip_unit, &arena);
+        cfg.shotgunBtb, btb.get(), fdip, &arena);
     decoupled = engine.get();
+    addStats("sg", decoupled->shotgunBtb().stats());
+    addStats("bb", decoupled->bbBtb().stats(), WarmReset::Gap6Keep);
     // FDIP's fills/usefulness land in the prefetcher's accounting;
     // the BTB-directed engines do their own prefill on fills.
-    l1i->setListener(fdip_unit ? static_cast<mem::L1iListener *>(fdip_unit)
-                               : decoupled);
+    l1i->setListener(fdip ? static_cast<mem::L1iListener *>(fdip)
+                          : decoupled);
     fetch = std::move(engine);
 }
 
@@ -405,8 +436,8 @@ System::registerIntegrity()
     if (injector.active()) {
         l1i->setFaultInjector(&injector);
         predecoder->setFaultInjector(&injector);
-        if (auto *p = dynamic_cast<prefetch::Sn4lDisBtb *>(prefetcher.get()))
-            p->setFaultInjector(&injector);
+        if (sn4l)
+            sn4l->setFaultInjector(&injector);
     }
 
     invariants.setEnabled(cfg.integrity.invariants);
@@ -418,8 +449,8 @@ System::registerIntegrity()
     if (miss_bound && cfg.faults.kind == rt::FaultKind::Delay)
         miss_bound += cfg.faults.delayCycles;
     l1i->registerInvariants(invariants, miss_bound);
-    if (auto *p = dynamic_cast<prefetch::Sn4lDisBtb *>(prefetcher.get()))
-        p->registerInvariants(invariants);
+    if (sn4l)
+        sn4l->registerInvariants(invariants);
     if (decoupled)
         decoupled->registerInvariants(invariants);
 
@@ -498,18 +529,17 @@ System::snapshot() const
     aj["overflow_bytes"] = static_cast<std::uint64_t>(as.overflowBytes);
     doc["arena"] = std::move(aj);
 
-    if (auto *p =
-            dynamic_cast<const prefetch::Sn4lDisBtb *>(prefetcher.get())) {
-        auto depths = p->queueDepths();
+    if (sn4l) {
+        auto depths = sn4l->queueDepths();
         obs::JsonValue q = obs::JsonValue::object();
         q["seq"] = static_cast<std::uint64_t>(depths.seq);
         q["dis"] = static_cast<std::uint64_t>(depths.dis);
         q["rlu"] = static_cast<std::uint64_t>(depths.rlu);
         doc["pf_queues"] = std::move(q);
     }
-    if (auto *p = dynamic_cast<const prefetch::Fdip *>(prefetcher.get())) {
+    if (fdip) {
         obs::JsonValue q = obs::JsonValue::object();
-        q["queue"] = static_cast<std::uint64_t>(p->queueDepth());
+        q["queue"] = static_cast<std::uint64_t>(fdip->queueDepth());
         doc["fdip"] = std::move(q);
     }
     if (decoupled) {
@@ -527,26 +557,25 @@ System::snapshot() const
 void
 System::resetStats()
 {
-    mesh->stats().reset();
-    memory->stats().reset();
-    llc->stats().reset();
-    l1i->stats().reset();
-    l1d->stats().reset();
-    tage->stats().reset();
-    btb->stats().reset();
-    backend->stats().reset();
-    fetch->stats().reset();
-    if (decoupled)
-        decoupled->shotgunBtb().stats().reset();
-    if (microBtb)
-        microBtb->stats().reset();
-    if (auto *p = dynamic_cast<prefetch::Sn4lDisBtb *>(prefetcher.get()))
-        p->stats().reset();
-    if (auto *p = dynamic_cast<prefetch::Fdip *>(prefetcher.get()))
-        p->stats().reset();
-    injector.stats().reset();
-    simStats.reset();
+    for (const StatRow &row : statTable) {
+        if (row.reset == WarmReset::Zero)
+            row.stats->reset();
+    }
     statsEpoch = cycleCount;
+}
+
+void
+System::collectStats(RunResult &out) const
+{
+    for (const StatRow &row : statTable) {
+        const std::string prefix = std::string(row.prefix) + ".";
+        for (const auto &[name, value] : row.stats->counters())
+            out.stats[prefix + name] += value;
+        for (const auto &[name, hist] : row.stats->histograms()) {
+            if (hist.count != 0)
+                out.hists[prefix + name].merge(hist);
+        }
+    }
 }
 
 void

@@ -34,6 +34,7 @@
 #define DCFB_SIM_SYSTEM_H
 
 #include <memory>
+#include <vector>
 
 #include "core/backend.h"
 #include "exec/arena.h"
@@ -47,6 +48,7 @@
 #include "noc/mesh.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
+#include "obs/registry.h"
 #include "prefetch/prefetcher.h"
 #include "sim/config.h"
 #include "sim/decoupled.h"
@@ -56,6 +58,8 @@
 #include "workload/trace.h"
 
 namespace dcfb::sim {
+
+struct RunResult;
 
 /**
  * Owns and wires every component of one simulated node.
@@ -71,8 +75,13 @@ class System
     /** Current cycle. */
     Cycle now() const { return cycleCount; }
 
-    /** Reset statistics at the warmup/measure boundary. */
+    /** Reset statistics at the warmup/measure boundary: every stat-table
+     *  row except the gap 6 ones. */
     void resetStats();
+
+    /** Fill @p out's stats and hists from every stat-table row, each
+     *  name under its row's prefix. */
+    void collectStats(RunResult &out) const;
 
     /** BF construction from the retired stream (VL-ISA mode). */
     void recordRetiredFootprints(const workload::TraceEntry &e);
@@ -113,10 +122,12 @@ class System
     std::unique_ptr<core::Backend> backend;
 
     std::unique_ptr<prefetch::InstrPrefetcher> prefetcher;
+    prefetch::Sn4lDisBtb *sn4l = nullptr; //!< the prefetcher, SN4L family
+    prefetch::Fdip *fdip = nullptr;       //!< the prefetcher, FDIP preset
     std::unique_ptr<FetchEngine> fetch;
     DecoupledFetchEngine *decoupled = nullptr; //!< non-null for BTB-directed
 
-    StatSet simStats;
+    obs::StatRegistry simStats;
 
     rt::FaultInjector injector;     //!< active only under --inject
     rt::InvariantRegistry invariants;
@@ -132,6 +143,33 @@ class System
   private:
     /** One step-path entry point (specialized or generic). */
     using StepFn = void (System::*)();
+
+    /** Whether a stat-table row is zeroed at the warm/measure boundary. */
+    enum class WarmReset : std::uint8_t
+    {
+        Zero,
+        /** Fidelity gap 6 (EXPERIMENTS.md): the row keeps its timed
+         *  warm-window counts, which leak into the measured RunResult.
+         *  Closing the gap means deleting this value. */
+        Gap6Keep,
+    };
+
+    /** One reported registry: its counters and histograms appear in the
+     *  RunResult as "<prefix>.<name>"; rows may share a prefix. */
+    struct StatRow
+    {
+        const char *prefix;
+        obs::StatRegistry *stats;
+        WarmReset reset;
+    };
+
+    /** Append a row to the stat table (construction only). */
+    void
+    addStats(const char *prefix, obs::StatRegistry &stats,
+             WarmReset reset = WarmReset::Zero)
+    {
+        statTable.push_back({prefix, &stats, reset});
+    }
 
     /** Wire the fault injector and register every component invariant. */
     void registerIntegrity();
@@ -170,6 +208,10 @@ class System
     template <typename Fe> void dispatchStageImpl(Fe &fe);
 
     StepFn stepFn = nullptr;
+
+    /** What a RunResult reports and what resetStats zeroes, filled as
+     *  the components are built. */
+    std::vector<StatRow> statTable;
 
     Cycle cycleCount = 0;
     Cycle statsEpoch = 0; //!< cycleCount at the last resetStats

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the common layer: address helpers, RNG,
- * bounded queue, saturating counters, stat sets.
+ * bounded queue, saturating counters.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "common/queue.h"
 #include "common/rng.h"
 #include "common/sat_counter.h"
-#include "common/stats.h"
 #include "common/types.h"
 
 namespace dcfb {
@@ -200,42 +199,6 @@ TEST(SatCounter, TakenThreshold)
     EXPECT_FALSE(c.taken());
     c.up();
     EXPECT_TRUE(c.taken());
-}
-
-TEST(StatSet, AddAndGet)
-{
-    StatSet s;
-    s.add("hits");
-    s.add("hits", 4);
-    EXPECT_EQ(s.get("hits"), 5u);
-    EXPECT_EQ(s.get("absent"), 0u);
-}
-
-TEST(StatSet, Ratio)
-{
-    StatSet s;
-    s.add("hits", 3);
-    s.add("accesses", 4);
-    EXPECT_DOUBLE_EQ(s.ratio("hits", "accesses"), 0.75);
-    EXPECT_DOUBLE_EQ(s.ratio("hits", "absent"), 0.0);
-}
-
-TEST(StatSet, ResetZeroesEverything)
-{
-    StatSet s;
-    s.add("a", 10);
-    s.add("b", 20);
-    s.reset();
-    EXPECT_EQ(s.get("a"), 0u);
-    EXPECT_EQ(s.get("b"), 0u);
-    EXPECT_EQ(s.all().size(), 2u); // names survive reset
-}
-
-TEST(StatSet, DumpContainsNames)
-{
-    StatSet s;
-    s.add("cycles", 123);
-    EXPECT_NE(s.dump().find("cycles = 123"), std::string::npos);
 }
 
 } // namespace

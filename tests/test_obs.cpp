@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the observability subsystem: stat-registry ID interning,
- * log2 histogram bucket edges, JSON round-trips (parser, RunResult),
- * trace on/off parity of the final counters, and the dcfb-prof-v1
+ * Tests for the observability subsystem: stat-registry ID interning and
+ * lazy counter handles, log2 histogram bucket edges, JSON round-trips
+ * (parser, RunResult), trace on/off parity of the final counters, and the dcfb-prof-v1
  * profile records with the span timeline drawn from them.
  */
 
@@ -46,6 +46,15 @@ TEST(StatRegistry, CounterInterningIsStable)
     EXPECT_NE(reg.counterIndex("alpha"), reg.counterIndex("beta"));
 }
 
+TEST(StatRegistry, AddAndGet)
+{
+    obs::StatRegistry reg;
+    reg.counter("hits").add();
+    reg.counter("hits").add(4);
+    EXPECT_EQ(reg.get("hits"), 5u);
+    EXPECT_EQ(reg.get("absent"), 0u);
+}
+
 TEST(StatRegistry, HandlesSurviveRegistryGrowth)
 {
     obs::StatRegistry reg;
@@ -73,12 +82,71 @@ TEST(StatRegistry, ResetZeroesCountersAndHistograms)
     obs::Counter c = reg.counter("n");
     obs::Histogram h = reg.histogram("h");
     c.add(9);
+    reg.counter("m").add(20);
     h.sample(16);
     reg.reset();
     EXPECT_EQ(reg.get("n"), 0u);
+    EXPECT_EQ(reg.get("m"), 0u);
+    EXPECT_EQ(reg.counters().size(), 2u); // names survive reset
     auto snap = reg.histograms().at("h");
     EXPECT_EQ(snap.count, 0u);
     EXPECT_EQ(snap.sum, 0u);
+}
+
+TEST(LazyCounter, UnfiredHandleReportsNoKey)
+{
+    obs::StatRegistry reg;
+    reg.lazyCounter("quiet"); // handed out, never fired
+    EXPECT_EQ(reg.counters().count("quiet"), 0u);
+    EXPECT_EQ(reg.counterCount(), 0u);
+}
+
+TEST(LazyCounter, AddZeroCreatesTheKeyAtZero)
+{
+    obs::StatRegistry reg;
+    obs::LazyCounter c = reg.lazyCounter("queue_cycles");
+    c.add(0);
+    auto all = reg.counters();
+    ASSERT_EQ(all.count("queue_cycles"), 1u);
+    EXPECT_EQ(all.at("queue_cycles"), 0u);
+}
+
+TEST(LazyCounter, FiredKeySurvivesResetAtZero)
+{
+    obs::StatRegistry reg;
+    obs::LazyCounter c = reg.lazyCounter("hits");
+    c.add(3);
+    reg.reset();
+    auto all = reg.counters();
+    ASSERT_EQ(all.count("hits"), 1u);
+    EXPECT_EQ(all.at("hits"), 0u);
+    c.add(2); // still bound to the same slot
+    EXPECT_EQ(reg.get("hits"), 2u);
+}
+
+TEST(LazyCounter, HandlesOnOneNameShareASlot)
+{
+    obs::StatRegistry reg;
+    obs::LazyCounter a = reg.lazyCounter("misses");
+    obs::LazyCounter b = reg.lazyCounter("misses");
+    a.add(2);
+    b.add(5);
+    reg.counter("misses").add(1);
+    EXPECT_EQ(reg.get("misses"), 8u);
+    EXPECT_EQ(a.value(), 8u);
+    EXPECT_EQ(reg.counters().size(), 1u);
+}
+
+TEST(LazyCounter, DefaultHandleDiscards)
+{
+    obs::LazyCounter c; // bound to no registry
+    c.add(42);          // must not crash; goes to the discard slot
+    obs::StatRegistry reg;
+    obs::LazyCounter named = reg.lazyCounter("n");
+    named.add(1);
+    c.add(42);
+    EXPECT_EQ(reg.get("n"), 1u);
+    EXPECT_EQ(reg.counters().size(), 1u);
 }
 
 // --------------------------------------------------------------- histogram
