@@ -4,11 +4,12 @@
  * (`tools/dcfb_golden.cpp`, via `scripts/update_golden.py`) and the
  * regression test (`tests/test_golden.cpp`).
  *
- * Sixteen (workload, preset) cells spanning every prefetcher family the
- * paper evaluates -- sequential (NL/SN4L), discontinuity, BTB-directed
- * (Boomerang/Shotgun), Confluence, the competitor designs (FDIP and
- * the micro BTB), the combined proposal, the perfect frontends, and one
- * variable-length-ISA flavour so the VL decode path
+ * Twenty-one (workload, preset) cells covering all eighteen presets
+ * and so every prefetcher family the paper evaluates -- sequential
+ * (NL/N2L/N4L/N8L, the unselective N4L engine, SN4L), discontinuity,
+ * BTB-directed (Boomerang/Shotgun), Confluence, the competitor designs
+ * (FDIP and the micro BTB), the combined proposal, the perfect
+ * frontends, and one variable-length-ISA flavour so the VL decode path
  * is pinned too.  Each cell's RunResult JSON is committed under
  * `tests/golden/`; `test_golden.cpp` asserts that re-simulating the cell
  * reproduces the committed result *bit for bit* (RunResult::operator==
@@ -43,7 +44,7 @@ struct Cell
     bool vl = false;      //!< variable-length-ISA flavour
 };
 
-/** The sixteen pinned cells. */
+/** The twenty-one pinned cells. */
 inline std::vector<Cell>
 cells()
 {
@@ -65,6 +66,11 @@ cells()
         {"Web Frontend", Preset::Fdip},
         {"OLTP (DB A)", Preset::MicroBtb},
         {"Web Frontend", Preset::MicroBtb},
+        {"Web (Zeus)", Preset::N2L},
+        {"OLTP (DB B)", Preset::N4L},
+        {"Media Streaming", Preset::N8L},
+        {"Web (Apache)", Preset::N4LPlain},
+        {"Web Search", Preset::PerfectL1i},
     };
 }
 
