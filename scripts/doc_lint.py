@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency lint (the CI docs job).
 
-Four checks, all over the committed tree (no build needed):
+Five checks, all over the committed tree (no build needed):
 
 1. Markdown link check: every relative link target in README.md,
    DESIGN.md, EXPERIMENTS.md, ROADMAP.md, CHANGES.md and docs/*.md must
@@ -29,6 +29,14 @@ Four checks, all over the committed tree (no build needed):
    ignored; a `{a,b}` group must resolve for every alternative, a glob
    must match something, and a `<placeholder>` component checks only
    the directory before it.
+
+5. Qualified-name check: in every backticked span of the live docs,
+   each C++ qualified name (`ns::name`, `Class::member`, chains such as
+   `a::b::c`) must name real code: every component after the first must
+   be an identifier somewhere in src/, tests/, bench/, tools/,
+   perfbench/, examples/ or scripts/.  A renamed or deleted class,
+   function or namespace member then fails instead of lingering in
+   prose.
 
 Exit status: 0 clean, 1 with findings listed on stderr.
 """
@@ -73,6 +81,12 @@ BARE_REF_RE = re.compile(r"§(\d+)")
 PATH_REF_RE = re.compile(
     r"`((?:src|tests|bench|tools|scripts|perfbench|examples|docs)/[^`\s]*)")
 BRACE_RE = re.compile(r"\{([^{}]*)\}")
+
+NAME_CODE_DIRS = ["src", "tests", "bench", "tools", "perfbench",
+                  "examples", "scripts"]
+BACKTICK_RE = re.compile(r"`([^`\n]+)`")
+QUALIFIED_RE = re.compile(r"\b[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+")
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def check_links(errors):
@@ -188,19 +202,46 @@ def check_paths(errors):
                               f"{m.group(1)} does not exist")
 
 
+def code_identifiers():
+    names = set()
+    for d in NAME_CODE_DIRS:
+        for path in (ROOT / d).rglob("*"):
+            if path.is_file() and path.suffix in CODE_SUFFIXES:
+                names |= set(IDENT_RE.findall(
+                    path.read_text(encoding="utf-8", errors="replace")))
+    return names
+
+
+def check_qualified_names(errors):
+    names = code_identifiers()
+    for doc in SECTION_DOCS:
+        text = doc.read_text(encoding="utf-8")
+        for span in BACKTICK_RE.finditer(text):
+            for m in QUALIFIED_RE.finditer(span.group(1)):
+                missing = [part for part in m.group(0).split("::")[1:]
+                           if part.lstrip("~") not in names]
+                if missing:
+                    line = text[: span.start()].count("\n") + 1
+                    errors.append(
+                        f"{doc.relative_to(ROOT)}:{line}: {m.group(0)}: "
+                        f"no identifier {', '.join(missing)} in the code")
+
+
 def main():
     errors = []
     check_links(errors)
     check_schemas(errors)
     check_section_refs(errors)
     check_paths(errors)
+    check_qualified_names(errors)
     if errors:
         for e in errors:
             print(e, file=sys.stderr)
         print(f"doc_lint: {len(errors)} finding(s)", file=sys.stderr)
         return 1
     print(f"doc_lint: {len(DOC_FILES)} documents, links, schema registry, "
-          "DESIGN.md section references and repository paths clean")
+          "DESIGN.md section references, repository paths and qualified "
+          "names clean")
     return 0
 
 

@@ -22,8 +22,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "exec/arena.h"
-
 namespace dcfb {
 
 /**
@@ -33,9 +31,8 @@ template <typename T>
 class BoundedQueue
 {
   public:
-    explicit BoundedQueue(std::size_t capacity, exec::Arena *arena = nullptr)
-        : cap(capacity), ring(std::bit_ceil(capacity ? capacity : 1),
-                              exec::ArenaAlloc<T>(arena)),
+    explicit BoundedQueue(std::size_t capacity)
+        : cap(capacity), ring(std::bit_ceil(capacity ? capacity : 1)),
           mask(ring.size() - 1)
     {
     }
@@ -142,7 +139,7 @@ class BoundedQueue
 
   private:
     std::size_t cap;
-    exec::ArenaVector<T> ring;
+    std::vector<T> ring;
     std::size_t mask;
     std::size_t head = 0;
     std::size_t count = 0;

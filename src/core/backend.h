@@ -16,9 +16,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "common/types.h"
-#include "exec/arena.h"
 #include "isa/encoding.h"
 #include "obs/registry.h"
 
@@ -40,12 +40,10 @@ struct BackendConfig
 class Backend
 {
   public:
-    explicit Backend(const BackendConfig &config = BackendConfig{},
-                     exec::Arena *arena = nullptr)
+    explicit Backend(const BackendConfig &config = BackendConfig{})
         : cfg(config),
           rob(std::bit_ceil(std::size_t{config.robEntries ? config.robEntries
-                                                          : 1}),
-              exec::ArenaAlloc<Cycle>(arena)),
+                                                          : 1})),
           robMask(rob.size() - 1),
           cDispatched(statReg.lazyCounter("dispatched")),
           cRobFullCycles(statReg.lazyCounter("rob_full_cycles")),
@@ -119,7 +117,7 @@ class Backend
     /** In-order completion cycles as a fixed pow2 ring: the ROB is
      *  bounded by robEntries, so the previous std::deque's node churn
      *  bought nothing. */
-    exec::ArenaVector<Cycle> rob;
+    std::vector<Cycle> rob;
     std::size_t robMask;
     std::size_t robHead = 0;
     std::size_t robCount = 0;

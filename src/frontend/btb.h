@@ -36,23 +36,13 @@ class Btb
     /**
      * @param entries total entry count (power of two)
      * @param assoc   ways
-     * @param arena   optional cell arena backing the entry array
      */
-    explicit Btb(unsigned entries = 2048, unsigned assoc = 4,
-                 exec::Arena *arena = nullptr)
-        : array(entries / assoc, assoc, arena),
+    explicit Btb(unsigned entries = 2048, unsigned assoc = 4)
+        : array(entries / assoc, assoc),
           cLookups(statReg.lazyCounter("btb_lookups")),
           cHits(statReg.lazyCounter("btb_hits")),
           cMisses(statReg.lazyCounter("btb_misses"))
     {}
-
-    /** Arena bytes an (entries, assoc) geometry wants. */
-    static std::size_t
-    arenaBytes(unsigned entries, unsigned assoc)
-    {
-        return mem::SetAssocCache<BtbEntry>::storageBytes(entries / assoc,
-                                                          assoc);
-    }
 
     /** Look up the branch at @p pc; nullptr on miss.  Counts stats. */
     const BtbEntry *

@@ -22,9 +22,9 @@
 #define DCFB_FRONTEND_MICRO_BTB_H
 
 #include <cstdint>
+#include <vector>
 
 #include "common/types.h"
-#include "exec/arena.h"
 #include "isa/encoding.h"
 #include "obs/registry.h"
 
@@ -58,11 +58,9 @@ class MicroBtb
         Addr pc = kInvalidAddr;
     };
 
-    explicit MicroBtb(const MicroBtbConfig &config,
-                      exec::Arena *arena = nullptr)
+    explicit MicroBtb(const MicroBtbConfig &config)
         : cfg(config), numSets(config.entries / config.assoc),
-          ways(std::size_t{numSets} * config.assoc,
-               exec::ArenaAlloc<Way>(arena)),
+          ways(std::size_t{numSets} * config.assoc),
           cProbes(statReg.lazyCounter("mbtb_probes")),
           cHits(statReg.lazyCounter("mbtb_hits")),
           cMisses(statReg.lazyCounter("mbtb_misses")),
@@ -71,14 +69,6 @@ class MicroBtb
           cPromotes(statReg.lazyCounter("mbtb_promotes")),
           cPromoteStallCycles(statReg.lazyCounter("mbtb_promote_stall_cycles"))
     {}
-
-    /** Arena bytes the configured geometry wants. */
-    static std::size_t
-    arenaBytes(const MicroBtbConfig &config)
-    {
-        return std::size_t{config.entries / config.assoc} * config.assoc *
-            sizeof(Way);
-    }
 
     /** Probe for the branch at @p pc; nullptr on miss.  Counts stats and
      *  refreshes the hit way's LRU age. */
@@ -188,7 +178,7 @@ class MicroBtb
 
     MicroBtbConfig cfg;
     unsigned numSets;
-    exec::ArenaVector<Way> ways;
+    std::vector<Way> ways;
     std::uint64_t tick = 0;
 
     obs::StatRegistry statReg;

@@ -7,10 +7,10 @@
 
 namespace dcfb::frontend {
 
-Tage::Tage(const TageConfig &config, exec::Arena *arena)
+Tage::Tage(const TageConfig &config)
     : cfg(config), base(std::size_t{1} << config.baseEntriesLog2,
-                        SatCounter(2, 2), exec::ArenaAlloc<SatCounter>(arena)),
-      history(exec::ArenaAlloc<std::uint8_t>(arena)), useAltOnNa(4, 8),
+                        SatCounter(2, 2)),
+      useAltOnNa(4, 8),
       cPredictions(statReg.lazyCounter("tage_predictions")),
       cCorrect(statReg.lazyCounter("tage_correct")),
       cMispredict(statReg.lazyCounter("tage_mispredict")),
@@ -18,9 +18,7 @@ Tage::Tage(const TageConfig &config, exec::Arena *arena)
 {
     assert(cfg.numTables >= 2);
     assert(cfg.numTables <= kMaxTageTables);
-    tables.resize(cfg.numTables,
-                  exec::ArenaVector<TaggedEntry>(
-                      exec::ArenaAlloc<TaggedEntry>(arena)));
+    tables.resize(cfg.numTables);
     histLengths.resize(cfg.numTables);
     foldedIndex.resize(cfg.numTables);
     foldedTag0.resize(cfg.numTables);

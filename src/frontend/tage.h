@@ -22,7 +22,6 @@
 
 #include "common/sat_counter.h"
 #include "common/types.h"
-#include "exec/arena.h"
 #include "obs/registry.h"
 
 namespace dcfb::frontend {
@@ -51,21 +50,7 @@ inline constexpr unsigned kMaxTageTables = 16;
 class Tage
 {
   public:
-    explicit Tage(const TageConfig &config = TageConfig{},
-                  exec::Arena *arena = nullptr);
-
-    /** Arena bytes this geometry's tables want (base + tagged + ring). */
-    static std::size_t
-    arenaBytes(const TageConfig &config = TageConfig{})
-    {
-        std::size_t bytes =
-            (std::size_t{1} << config.baseEntriesLog2) * sizeof(SatCounter);
-        bytes += std::size_t{config.numTables} *
-            (std::size_t{1} << config.taggedEntriesLog2) *
-            sizeof(TaggedEntry);
-        bytes += std::size_t{config.maxHistory} * 2 + 64;
-        return bytes;
-    }
+    explicit Tage(const TageConfig &config = TageConfig{});
 
     /** Predict the direction of the conditional branch at @p pc. */
     bool predict(Addr pc);
@@ -170,16 +155,14 @@ class Tage
     }
 
     TageConfig cfg;
-    exec::ArenaVector<SatCounter> base;
-    /** Tagged components: outer spine is tiny (heap); the per-component
-     *  entry arrays live in the cell arena. */
-    std::vector<exec::ArenaVector<TaggedEntry>> tables;
+    std::vector<SatCounter> base;
+    std::vector<std::vector<TaggedEntry>> tables; //!< tagged components
     std::vector<unsigned> histLengths;
     std::vector<FoldedHistory> foldedIndex;
     std::vector<FoldedHistory> foldedTag0;
     std::vector<FoldedHistory> foldedTag1;
-    exec::ArenaVector<std::uint8_t> history; //!< global-history ring,
-                                             //!< newest at histHead
+    std::vector<std::uint8_t> history; //!< global-history ring,
+                                       //!< newest at histHead
     std::size_t histHead = 0;
     std::size_t histMask = 0;
     SatCounter useAltOnNa;       //!< use-alt-on-newly-allocated policy

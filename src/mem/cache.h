@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "exec/arena.h"
 
 namespace dcfb::mem {
 
@@ -51,13 +50,10 @@ class SetAssocCache
     /**
      * @param num_sets number of sets (power of two)
      * @param assoc_   ways per set
-     * @param arena    optional cell arena backing the line array
      */
-    SetAssocCache(unsigned num_sets, unsigned assoc_,
-                  exec::Arena *arena = nullptr)
+    SetAssocCache(unsigned num_sets, unsigned assoc_)
         : numSets(num_sets), assoc(assoc_),
-          lines(std::size_t{num_sets} * assoc_,
-                exec::ArenaAlloc<Line>(arena))
+          lines(std::size_t{num_sets} * assoc_)
     {
         assert(isPowerOfTwo(num_sets));
         assert(assoc_ > 0);
@@ -65,20 +61,10 @@ class SetAssocCache
 
     /** Build from capacity in bytes (64-byte blocks). */
     static SetAssocCache
-    fromBytes(std::size_t bytes, unsigned assoc_,
-              exec::Arena *arena = nullptr)
+    fromBytes(std::size_t bytes, unsigned assoc_)
     {
         return SetAssocCache(
-            static_cast<unsigned>(bytes / kBlockBytes / assoc_), assoc_,
-            arena);
-    }
-
-    /** Bytes of line-array storage a (sets, ways) geometry needs --
-     *  arena sizing for cells that place the array in a slab. */
-    static std::size_t
-    storageBytes(unsigned num_sets, unsigned assoc_)
-    {
-        return std::size_t{num_sets} * assoc_ * sizeof(Line);
+            static_cast<unsigned>(bytes / kBlockBytes / assoc_), assoc_);
     }
 
     unsigned setIndex(Addr addr) const
@@ -301,7 +287,7 @@ class SetAssocCache
 
     unsigned numSets;
     unsigned assoc;
-    exec::ArenaVector<Line> lines;
+    std::vector<Line> lines;
     std::uint64_t tick = 0;
 };
 

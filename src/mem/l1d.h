@@ -34,25 +34,15 @@ struct L1dConfig
 class L1dCache
 {
   public:
-    L1dCache(const L1dConfig &config, Llc &llc_,
-             exec::Arena *arena = nullptr)
+    L1dCache(const L1dConfig &config, Llc &llc_)
         : cfg(config), llc(llc_),
           array(SetAssocCache<Empty>::fromBytes(config.capacityBytes,
-                                                config.assoc, arena)),
+                                                config.assoc)),
           cAccesses(statReg.lazyCounter("l1d_accesses")),
           cStores(statReg.lazyCounter("l1d_stores")),
           cHits(statReg.lazyCounter("l1d_hits")),
           cMisses(statReg.lazyCounter("l1d_misses"))
     {}
-
-    /** Arena bytes this configuration's line array wants. */
-    static std::size_t
-    arenaBytes(const L1dConfig &config)
-    {
-        auto sets = static_cast<unsigned>(config.capacityBytes /
-                                          kBlockBytes / config.assoc);
-        return SetAssocCache<Empty>::storageBytes(sets, config.assoc);
-    }
 
     /** Access @p addr at @p now; returns the data-ready cycle. */
     Cycle

@@ -20,15 +20,13 @@ missClassOf(bool sequential)
 
 } // namespace
 
-L1iCache::L1iCache(const L1iConfig &config, Llc &llc_, exec::Arena *arena)
+L1iCache::L1iCache(const L1iConfig &config, Llc &llc_)
     : cfg(config), llc(llc_),
       array(SetAssocCache<L1iMeta>::fromBytes(config.capacityBytes,
-                                              config.assoc, arena)),
-      buffer(config.prefetchBufferEntries),
-      mshrs(exec::ArenaAlloc<MshrEntry>(arena))
+                                              config.assoc)),
+      buffer(config.prefetchBufferEntries)
 {
-    // The MSHR file is bounded by cfg.mshrs; reserving it keeps the
-    // entries inside the slab (growth would abandon the old block).
+    // The MSHR file is bounded by cfg.mshrs: one reservation, no growth.
     mshrs.reserve(cfg.mshrs);
     cLookups = statReg.counter("l1i_lookups");
     cAccesses = statReg.counter("l1i_accesses");

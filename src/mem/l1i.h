@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "exec/arena.h"
 #include "mem/cache.h"
 #include "mem/llc.h"
 #include "mem/prefetch_buffer.h"
@@ -127,19 +126,7 @@ class L1iCache
         NoMshr,   //!< dropped: MSHR file full
     };
 
-    L1iCache(const L1iConfig &config, Llc &llc_,
-             exec::Arena *arena = nullptr);
-
-    /** Arena bytes this configuration's flat tables want (line array +
-     *  MSHR file); used to size a cell's slab up front. */
-    static std::size_t
-    arenaBytes(const L1iConfig &config)
-    {
-        auto sets = static_cast<unsigned>(config.capacityBytes /
-                                          kBlockBytes / config.assoc);
-        return SetAssocCache<L1iMeta>::storageBytes(sets, config.assoc) +
-            config.mshrs * sizeof(MshrEntry);
-    }
+    L1iCache(const L1iConfig &config, Llc &llc_);
 
     void setListener(L1iListener *l) { listener = l; }
 
@@ -278,7 +265,7 @@ class L1iCache
     PrefetchBuffer buffer;
     std::unordered_map<Addr, BufferFill> bufferFillLatency;
     std::unordered_map<Addr, BranchFootprint> footprints;
-    exec::ArenaVector<MshrEntry> mshrs;
+    std::vector<MshrEntry> mshrs;
     L1iListener *listener = nullptr;
     L1iListener *observer = nullptr;
     rt::FaultInjector *injector = nullptr;

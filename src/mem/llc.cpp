@@ -6,11 +6,11 @@
 namespace dcfb::mem {
 
 Llc::Llc(const LlcConfig &config, noc::MeshModel &mesh_, MemoryModel &mem_,
-         unsigned core_tile, exec::Arena *arena)
+         unsigned core_tile)
     : cfg(config), mesh(mesh_), memory(mem_), coreTile(core_tile),
       array(SetAssocCache<LineMeta>::fromBytes(config.capacityBytes,
-                                               config.assoc, arena)),
-      bfSets(config.dvllc ? array.sets() : 0, exec::ArenaAlloc<BfSet>(arena)),
+                                               config.assoc)),
+      bfSets(config.dvllc ? array.sets() : 0),
       cAccesses(statReg.lazyCounter("llc_accesses")),
       cInstrAccesses(statReg.lazyCounter("llc_instr_accesses")),
       cDataAccesses(statReg.lazyCounter("llc_data_accesses")),

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "exec/arena.h"
 #include "mem/cache.h"
 #include "mem/memory.h"
 #include "noc/mesh.h"
@@ -74,19 +73,7 @@ class Llc
     };
 
     Llc(const LlcConfig &config, noc::MeshModel &mesh_, MemoryModel &mem_,
-        unsigned core_tile, exec::Arena *arena = nullptr);
-
-    /** Arena bytes this configuration's flat tables want (line array,
-     *  plus per-set BF state under DV-LLC); used to size a cell's slab
-     *  up front. */
-    static std::size_t
-    arenaBytes(const LlcConfig &config)
-    {
-        auto sets = static_cast<unsigned>(config.capacityBytes /
-                                          kBlockBytes / config.assoc);
-        return SetAssocCache<LineMeta>::storageBytes(sets, config.assoc) +
-            (config.dvllc ? sets * sizeof(BfSet) : 0);
-    }
+        unsigned core_tile);
 
     /**
      * Fetch the block at @p addr, starting at @p now, on behalf of the
@@ -178,7 +165,7 @@ class Llc
     MemoryModel &memory;
     unsigned coreTile;
     SetAssocCache<LineMeta> array;
-    exec::ArenaVector<BfSet> bfSets; //!< one per set under DV-LLC, else empty
+    std::vector<BfSet> bfSets; //!< one per set under DV-LLC, else empty
     std::uint64_t bfTick = 0;
     obs::StatRegistry statReg;
     obs::LazyCounter cAccesses, cInstrAccesses, cDataAccesses, cHits,

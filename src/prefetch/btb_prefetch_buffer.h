@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "exec/arena.h"
 #include "isa/encoding.h"
 #include "isa/predecoder.h"
 #include "mem/cache.h"
@@ -60,9 +59,8 @@ class BtbPrefetchBuffer
      * @param entries_ block entries (paper: 32)
      * @param assoc_   associativity (paper: 2-way; Shotgun: fully assoc.)
      */
-    explicit BtbPrefetchBuffer(unsigned entries_ = 32, unsigned assoc_ = 2,
-                               exec::Arena *arena = nullptr)
-        : array(entries_ / assoc_, assoc_, arena)
+    explicit BtbPrefetchBuffer(unsigned entries_ = 32, unsigned assoc_ = 2)
+        : array(entries_ / assoc_, assoc_)
     {}
 
     /** Install the pre-decoded branches of @p block_addr (one access). */

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/arena.h"
 #include "obs/registry.h"
 #include "prefetch/prefetcher.h"
 
@@ -34,23 +33,15 @@ class ClassicDiscontinuity final : public InstrPrefetcher
      * @param l1i_     cache to prefetch into
      * @param entries_ direct-mapped table size
      * @param with_nl  also prefetch the next line on every access
-     * @param arena    optional cell arena for the address table
      */
     ClassicDiscontinuity(mem::L1iCache &l1i_, std::size_t entries_ = 4096,
-                         bool with_nl = true, exec::Arena *arena = nullptr)
-        : l1i(l1i_), table(entries_, exec::ArenaAlloc<Entry>(arena)),
+                         bool with_nl = true)
+        : l1i(l1i_), table(entries_),
           withNl(with_nl),
           cRecorded(statReg.lazyCounter("cdis_recorded")),
           cReplayed(statReg.lazyCounter("cdis_replayed")),
           cIssued(statReg.lazyCounter("cdis_issued"))
     {}
-
-    /** Arena bytes an @p entries_ table wants. */
-    static std::size_t
-    arenaBytes(std::size_t entries_)
-    {
-        return entries_ * sizeof(Entry) + 64;
-    }
 
     std::string name() const override { return "ClassicDis"; }
 
@@ -119,7 +110,7 @@ class ClassicDiscontinuity final : public InstrPrefetcher
     }
 
     mem::L1iCache &l1i;
-    exec::ArenaVector<Entry> table;
+    std::vector<Entry> table;
     bool withNl;
     Addr lastBlock = kInvalidAddr;
     Addr pending = 0;

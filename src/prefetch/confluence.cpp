@@ -3,12 +3,9 @@
 namespace dcfb::prefetch {
 
 ConfluencePrefetcher::ConfluencePrefetcher(mem::L1iCache &l1i_,
-                                           const ConfluenceConfig &config,
-                                           exec::Arena *arena)
-    : l1i(l1i_), cfg(config),
-      history(config.historyEntries, kInvalidAddr,
-              exec::ArenaAlloc<Addr>(arena)),
-      index(config.indexEntries, exec::ArenaAlloc<IndexEntry>(arena)),
+                                           const ConfluenceConfig &config)
+    : l1i(l1i_), cfg(config), history(config.historyEntries, kInvalidAddr),
+      index(config.indexEntries),
       cRecorded(statReg.lazyCounter("shift_recorded")),
       cStreamFollows(statReg.lazyCounter("shift_stream_follows")),
       cIndexMisses(statReg.lazyCounter("shift_index_misses")),
@@ -16,13 +13,6 @@ ConfluencePrefetcher::ConfluencePrefetcher(mem::L1iCache &l1i_,
       cStreamOverwritten(statReg.lazyCounter("shift_stream_overwritten")),
       cIssued(statReg.lazyCounter("shift_issued"))
 {
-}
-
-std::size_t
-ConfluencePrefetcher::arenaBytes(const ConfluenceConfig &config)
-{
-    return config.historyEntries * sizeof(Addr) +
-        config.indexEntries * sizeof(IndexEntry) + 64;
 }
 
 std::uint64_t

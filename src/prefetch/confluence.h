@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/arena.h"
 #include "obs/registry.h"
 #include "prefetch/prefetcher.h"
 
@@ -41,11 +40,7 @@ class ConfluencePrefetcher final : public InstrPrefetcher
 {
   public:
     ConfluencePrefetcher(mem::L1iCache &l1i_,
-                         const ConfluenceConfig &config = ConfluenceConfig{},
-                         exec::Arena *arena = nullptr);
-
-    /** Arena bytes this configuration's history and index want. */
-    static std::size_t arenaBytes(const ConfluenceConfig &config);
+                         const ConfluenceConfig &config = ConfluenceConfig{});
 
     std::string name() const override { return "Confluence"; }
     void tick(Cycle now) override;
@@ -74,9 +69,9 @@ class ConfluencePrefetcher final : public InstrPrefetcher
 
     mem::L1iCache &l1i;
     ConfluenceConfig cfg;
-    exec::ArenaVector<Addr> history; //!< circular, absolute positions
+    std::vector<Addr> history; //!< circular, absolute positions
     std::uint64_t writePos = 0;
-    exec::ArenaVector<IndexEntry> index;
+    std::vector<IndexEntry> index;
     Addr lastRecorded = kInvalidAddr;
 
     bool streaming = false;

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "exec/arena.h"
 #include "obs/registry.h"
 
 namespace dcfb::prefetch {
@@ -50,11 +49,8 @@ struct DisTableConfig
 class DisTable
 {
   public:
-    explicit DisTable(const DisTableConfig &config = DisTableConfig{},
-                      exec::Arena *arena = nullptr)
-        : cfg(config),
-          table(cfg.entries ? cfg.entries : 0,
-                exec::ArenaAlloc<Entry>(arena)),
+    explicit DisTable(const DisTableConfig &config = DisTableConfig{})
+        : cfg(config), table(cfg.entries),
           cRecords(statReg.lazyCounter("distable_records")),
           cLookups(statReg.lazyCounter("distable_lookups"))
     {
@@ -111,13 +107,6 @@ class DisTable
 
     bool unlimited() const { return cfg.entries == 0; }
 
-    /** Arena bytes this configuration's table wants. */
-    static std::size_t
-    arenaBytes(const DisTableConfig &config)
-    {
-        return config.entries * sizeof(Entry);
-    }
-
     /** Storage: offset bits + tag bits per entry (paper: 4+4 = 1 B for
      *  FL, 6+4 = 10 bits for VL, Section V.D). */
     std::uint64_t
@@ -166,7 +155,7 @@ class DisTable
     }
 
     DisTableConfig cfg;
-    exec::ArenaVector<Entry> table;
+    std::vector<Entry> table;
     std::unordered_map<Addr, std::uint8_t> dedicated;
     std::optional<unsigned> tagShift; //!< set when entries is pow2
     mutable obs::StatRegistry statReg;

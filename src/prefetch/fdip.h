@@ -21,7 +21,6 @@
 #ifndef DCFB_PREFETCH_FDIP_H
 #define DCFB_PREFETCH_FDIP_H
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -56,9 +55,8 @@ class FdipQueue
   public:
     enum class Push { Accepted, Duplicate, Dropped };
 
-    FdipQueue(unsigned entries, unsigned recent_entries,
-              exec::Arena *arena = nullptr)
-        : queue(entries ? entries : 1, arena),
+    FdipQueue(unsigned entries, unsigned recent_entries)
+        : queue(entries ? entries : 1),
           recent(recent_entries ? recent_entries : 1, kInvalidAddr)
     {}
 
@@ -95,10 +93,9 @@ class FdipQueue
 class Fdip final : public InstrPrefetcher
 {
   public:
-    Fdip(mem::L1iCache &l1i_, const FdipConfig &config,
-         exec::Arena *arena = nullptr)
+    Fdip(mem::L1iCache &l1i_, const FdipConfig &config)
         : l1i(l1i_), cfg(config),
-          queue(config.queueEntries, config.recentEntries, arena),
+          queue(config.queueEntries, config.recentEntries),
           cEnqueued(statReg.lazyCounter("fdip_enqueued")),
           cDuplicates(statReg.lazyCounter("fdip_duplicates")),
           cDropped(statReg.lazyCounter("fdip_dropped")),
@@ -114,16 +111,6 @@ class Fdip final : public InstrPrefetcher
     }
 
     std::string name() const override { return "FDIP"; }
-
-    /** Arena bytes the candidate queue ring wants. */
-    static std::size_t
-    arenaBytes(const FdipConfig &config)
-    {
-        return std::bit_ceil(
-                   std::size_t{config.queueEntries ? config.queueEntries
-                                                   : 1}) *
-            sizeof(Addr);
-    }
 
     /**
      * One basic block was appended to the FTQ: enqueue its cache lines

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "exec/arena.h"
 #include "obs/registry.h"
 
 namespace dcfb::prefetch {
@@ -28,8 +27,8 @@ class Rlu
 {
   public:
     /** @param entries_ filter size; 0 disables filtering entirely. */
-    explicit Rlu(std::size_t entries_ = 8, exec::Arena *arena = nullptr)
-        : ring(entries_, kInvalidAddr, exec::ArenaAlloc<Addr>(arena)),
+    explicit Rlu(std::size_t entries_ = 8)
+        : ring(entries_, kInvalidAddr),
           cChecks(statReg.lazyCounter("rlu_checks")),
           cHits(statReg.lazyCounter("rlu_hits"))
     {}
@@ -78,7 +77,7 @@ class Rlu
         return false;
     }
 
-    exec::ArenaVector<Addr> ring;
+    std::vector<Addr> ring;
     std::size_t head = 0;
     obs::StatRegistry statReg;
     // Lazily bound: a key is reported only once it fires (see

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "exec/arena.h"
 #include "obs/registry.h"
 
 namespace dcfb::prefetch {
@@ -33,23 +32,12 @@ class SeqTable
      * @param entries_ table size (power of two); 0 = unlimited (one
      *                 dedicated entry per block, the Fig. 11 reference)
      */
-    explicit SeqTable(std::size_t entries_ = 16 * 1024,
-                      exec::Arena *arena = nullptr)
-        : entries(entries_),
-          bits(entries_ ? entries_ : 0, true,
-               exec::ArenaAlloc<bool>(arena)),
-          owners(entries_ ? entries_ : 0, kInvalidAddr,
-                 exec::ArenaAlloc<Addr>(arena)),
+    explicit SeqTable(std::size_t entries_ = 16 * 1024)
+        : entries(entries_), bits(entries_, true),
+          owners(entries_, kInvalidAddr),
           cConflicts(statReg.lazyCounter("seqtable_conflicts")),
           cWrites(statReg.lazyCounter("seqtable_writes"))
     {}
-
-    /** Arena bytes an @p entries_ table wants (bit table + owners). */
-    static std::size_t
-    arenaBytes(std::size_t entries_)
-    {
-        return entries_ / 8 + entries_ * sizeof(Addr) + 64;
-    }
 
     /** Read the prefetch-status bit for @p block_addr. */
     bool
@@ -116,10 +104,10 @@ class SeqTable
     }
 
     std::size_t entries;
-    std::vector<bool, exec::ArenaAlloc<bool>> bits;
+    std::vector<bool> bits;
     std::unordered_map<Addr, bool> dedicated; //!< unlimited mode
     obs::StatRegistry statReg;
-    exec::ArenaVector<Addr> owners; //!< last writer per entry (stats only)
+    std::vector<Addr> owners; //!< last writer per entry (stats only)
     obs::LazyCounter cConflicts;
     obs::LazyCounter cWrites;
 };

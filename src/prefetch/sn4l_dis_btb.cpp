@@ -1,7 +1,6 @@
 #include "prefetch/sn4l_dis_btb.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "rt/faults.h"
 #include "rt/invariants.h"
@@ -10,14 +9,13 @@ namespace dcfb::prefetch {
 
 Sn4lDisBtb::Sn4lDisBtb(mem::L1iCache &l1i_,
                        const isa::Predecoder &predecoder,
-                       frontend::Btb *btb_, const Sn4lDisBtbConfig &config,
-                       exec::Arena *arena)
+                       frontend::Btb *btb_, const Sn4lDisBtbConfig &config)
     : l1i(l1i_), pd(predecoder), btb(btb_), cfg(config),
-      seq(config.seqTableEntries, arena), dis(config.disTable, arena),
-      rluFilter(config.rluEntries, arena),
-      btbPb(config.btbPbEntries, config.btbPbAssoc, arena),
-      seqQueue(config.queueEntries, arena), disQueue(config.queueEntries, arena),
-      rluQueue(config.queueEntries, arena)
+      seq(config.seqTableEntries), dis(config.disTable),
+      rluFilter(config.rluEntries),
+      btbPb(config.btbPbEntries, config.btbPbAssoc),
+      seqQueue(config.queueEntries), disQueue(config.queueEntries),
+      rluQueue(config.queueEntries)
 {
     cLocalStatusHits = statReg.counter("local_status_hits");
     cLocalStatusFills = statReg.counter("local_status_fills");
@@ -38,21 +36,6 @@ Sn4lDisBtb::Sn4lDisBtb(mem::L1iCache &l1i_,
     cDisCandidates = statReg.lazyCounter("dis_candidates");
     cPrefillNoFootprint = statReg.lazyCounter("btb_prefill_no_footprint");
     cPrefillBlocks = statReg.lazyCounter("btb_prefill_blocks");
-}
-
-std::size_t
-Sn4lDisBtb::arenaBytes(const Sn4lDisBtbConfig &config)
-{
-    // Tables plus the cache-array backing of the BTB prefetch buffer and
-    // the three trigger rings (BoundedQueue rounds up to a power of two).
-    std::size_t queue_slots = std::bit_ceil(
-        std::size_t{config.queueEntries ? config.queueEntries : 1});
-    return SeqTable::arenaBytes(config.seqTableEntries) +
-        DisTable::arenaBytes(config.disTable) +
-        config.rluEntries * sizeof(Addr) +
-        mem::SetAssocCache<BufferedBlock>::storageBytes(
-               config.btbPbEntries / config.btbPbAssoc, config.btbPbAssoc) +
-        3 * queue_slots * (sizeof(Addr) + sizeof(unsigned)) + 256;
 }
 
 std::string

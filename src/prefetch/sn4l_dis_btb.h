@@ -85,15 +85,10 @@ class Sn4lDisBtb final : public InstrPrefetcher
      * @param btb_       core BTB, consulted for indirect Dis targets
      *                   (may be nullptr)
      * @param config     engine configuration
-     * @param arena      optional cell arena for the metadata tables
      */
     Sn4lDisBtb(mem::L1iCache &l1i_, const isa::Predecoder &predecoder,
                frontend::Btb *btb_,
-               const Sn4lDisBtbConfig &config = Sn4lDisBtbConfig{},
-               exec::Arena *arena = nullptr);
-
-    /** Arena bytes this configuration's tables and queues want. */
-    static std::size_t arenaBytes(const Sn4lDisBtbConfig &config);
+               const Sn4lDisBtbConfig &config = Sn4lDisBtbConfig{});
 
     std::string name() const override;
     void tick(Cycle now) override;

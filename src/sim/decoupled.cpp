@@ -22,10 +22,10 @@ DecoupledFetchEngine::DecoupledFetchEngine(
     mem::L1iCache &l1i_, frontend::Tage &tage_,
     const isa::Predecoder &predecoder, unsigned boomerang_btb_entries,
     const frontend::ShotgunBtbConfig &shotgun_cfg,
-    frontend::Btb *conv_btb, prefetch::Fdip *fdip_, exec::Arena *arena)
-    : FetchEngine(config, arena), kind(kind_), walker(walker_), l1i(l1i_),
+    frontend::Btb *conv_btb, prefetch::Fdip *fdip_)
+    : FetchEngine(config), kind(kind_), walker(walker_), l1i(l1i_),
       tage(tage_), pd(predecoder), bbtb(boomerang_btb_entries, 4),
-      sgBtb(shotgun_cfg), btbPb(32, 32, arena), convBtb(conv_btb),
+      sgBtb(shotgun_cfg), btbPb(32, 32), convBtb(conv_btb),
       fdip(fdip_), ftq(config.ftqEntries)
 {
     cFetched = statReg.counter("fe_fetched");

@@ -66,8 +66,7 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
                          unsigned boomerang_btb_entries,
                          const frontend::ShotgunBtbConfig &shotgun_cfg,
                          frontend::Btb *conv_btb = nullptr,
-                         prefetch::Fdip *fdip = nullptr,
-                         exec::Arena *arena = nullptr);
+                         prefetch::Fdip *fdip = nullptr);
 
     void cycle(Cycle now) override;
     StallReason stallReason(Cycle now) const override;

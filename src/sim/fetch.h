@@ -37,7 +37,6 @@
 #include <cstdint>
 
 #include "common/queue.h"
-#include "exec/arena.h"
 #include "frontend/btb.h"
 #include "frontend/micro_btb.h"
 #include "frontend/ras.h"
@@ -75,9 +74,8 @@ struct FetchedSlot
 class FetchEngine
 {
   public:
-    explicit FetchEngine(const FetchConfig &config,
-                         exec::Arena *arena = nullptr)
-        : cfg(config), fetchBuffer(config.fetchBufferEntries, arena)
+    explicit FetchEngine(const FetchConfig &config)
+        : cfg(config), fetchBuffer(config.fetchBufferEntries)
     {}
     virtual ~FetchEngine() = default;
 
@@ -126,15 +124,14 @@ class CoupledFetchEngineT final : public FetchEngine
      * @param tage       direction predictor
      * @param image      program image (wrong-path reconstruction)
      * @param prefetcher bound prefetcher (never null; NullPrefetcher ok)
-     * @param arena      optional cell arena for the fetch rings
      */
     CoupledFetchEngineT(const FetchConfig &config,
                         workload::TraceWalker &walker_, mem::L1iCache &l1i_,
                         frontend::Btb &btb_, frontend::Tage &tage_,
                         const workload::ProgramImage &image_,
-                        Pf &prefetcher, exec::Arena *arena = nullptr)
-        : FetchEngine(config, arena), walker(walker_), l1i(l1i_), btb(btb_),
-          tage(tage_), image(image_), pf(prefetcher), look(kLookahead, arena)
+                        Pf &prefetcher)
+        : FetchEngine(config), walker(walker_), l1i(l1i_), btb(btb_),
+          tage(tage_), image(image_), pf(prefetcher), look(kLookahead)
     {
         cFetched = statReg.counter("fe_fetched");
         cIcacheStallCycles = statReg.counter("fe_icache_stall_cycles");

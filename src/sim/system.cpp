@@ -1,7 +1,5 @@
 #include "sim/system.h"
 
-#include <bit>
-
 #include "prefetch/classic_discontinuity.h"
 #include "prefetch/confluence.h"
 #include "prefetch/fdip.h"
@@ -11,67 +9,8 @@
 
 namespace dcfb::sim {
 
-namespace {
-
-/** Classic-discontinuity table size (the prefetcher's default). */
-constexpr std::size_t kClassicDisEntries = 4096;
-
-} // namespace
-
-std::size_t
-System::estimateArenaBytes(const SystemConfig &config)
-{
-    // Sum of every component's arena appetite.  The estimate errs high
-    // (container headers, allocator rounding); a low estimate would only
-    // cost locality — the arena overflows to the heap, never fails.
-    std::size_t bytes = mem::Llc::arenaBytes(config.llc) +
-        mem::L1iCache::arenaBytes(config.l1i) +
-        mem::L1dCache::arenaBytes(config.l1d) +
-        frontend::Tage::arenaBytes() +
-        frontend::Btb::arenaBytes(config.btbEntries, config.btbAssoc) +
-        std::bit_ceil(std::size_t{config.backend.robEntries
-                                      ? config.backend.robEntries
-                                      : 1}) *
-            sizeof(Cycle);
-
-    // Fetch-side rings: the dispatch buffer and the trace lookahead.
-    bytes += std::bit_ceil(std::size_t{config.fetch.fetchBufferEntries
-                                           ? config.fetch.fetchBufferEntries
-                                           : 1}) *
-        sizeof(FetchedSlot);
-    bytes += 64 * sizeof(workload::TraceEntry);
-
-    switch (config.preset) {
-      case Preset::N4LPlain:
-      case Preset::SN4L:
-      case Preset::DisOnly:
-      case Preset::SN4LDis:
-      case Preset::SN4LDisBtb:
-        bytes += prefetch::Sn4lDisBtb::arenaBytes(config.sn4l);
-        break;
-      case Preset::ClassicDis:
-        bytes +=
-            prefetch::ClassicDiscontinuity::arenaBytes(kClassicDisEntries);
-        break;
-      case Preset::Confluence:
-        bytes += prefetch::ConfluencePrefetcher::arenaBytes(config.confluence);
-        break;
-      case Preset::Fdip:
-        bytes += prefetch::Fdip::arenaBytes(config.fdip);
-        break;
-      case Preset::MicroBtb:
-        bytes += frontend::MicroBtb::arenaBytes(config.microBtb);
-        break;
-      default:
-        break;
-    }
-
-    // Per-allocation alignment waste plus slack for small containers.
-    return bytes + bytes / 8 + 4096;
-}
-
 System::System(const SystemConfig &config)
-    : cfg(config), arena(estimateArenaBytes(config)),
+    : cfg(config),
       program(config.program
                   ? config.program
                   : std::make_shared<const workload::Program>(
@@ -94,17 +33,15 @@ System::System(const SystemConfig &config)
 
     mesh = std::make_unique<noc::MeshModel>(cfg.mesh);
     memory = std::make_unique<mem::MemoryModel>(cfg.memory);
-    llc = std::make_unique<mem::Llc>(cfg.llc, *mesh, *memory, cfg.coreTile,
-                                     &arena);
-    l1i = std::make_unique<mem::L1iCache>(cfg.l1i, *llc, &arena);
-    l1d = std::make_unique<mem::L1dCache>(cfg.l1d, *llc, &arena);
+    llc = std::make_unique<mem::Llc>(cfg.llc, *mesh, *memory, cfg.coreTile);
+    l1i = std::make_unique<mem::L1iCache>(cfg.l1i, *llc);
+    l1d = std::make_unique<mem::L1dCache>(cfg.l1d, *llc);
 
-    tage = std::make_unique<frontend::Tage>(frontend::TageConfig{}, &arena);
-    btb = std::make_unique<frontend::Btb>(cfg.btbEntries, cfg.btbAssoc,
-                                          &arena);
+    tage = std::make_unique<frontend::Tage>();
+    btb = std::make_unique<frontend::Btb>(cfg.btbEntries, cfg.btbAssoc);
     if (cfg.preset == Preset::MicroBtb)
-        microBtb = std::make_unique<frontend::MicroBtb>(cfg.microBtb, &arena);
-    backend = std::make_unique<core::Backend>(cfg.backend, &arena);
+        microBtb = std::make_unique<frontend::MicroBtb>(cfg.microBtb);
+    backend = std::make_unique<core::Backend>(cfg.backend);
     addStats("noc", mesh->stats());
     addStats("mem", memory->stats());
     addStats("llc", llc->stats());
@@ -143,7 +80,7 @@ System::System(const SystemConfig &config)
       case Preset::SN4LDis:
       case Preset::SN4LDisBtb: {
         auto pf = std::make_unique<prefetch::Sn4lDisBtb>(
-            *l1i, *predecoder, btb.get(), cfg.sn4l, &arena);
+            *l1i, *predecoder, btb.get(), cfg.sn4l);
         sn4l = pf.get();
         addStats("pf", sn4l->stats());
         addStats("pf", sn4l->seqTable().stats(), WarmReset::Gap6Keep);
@@ -155,18 +92,17 @@ System::System(const SystemConfig &config)
       case Preset::ClassicDis:
         // No stat row: its cdis_* counters have never been reported,
         // and adding them would change every ClassicDis RunResult.
-        prefetcher = std::make_unique<prefetch::ClassicDiscontinuity>(
-            *l1i, kClassicDisEntries, true, &arena);
+        prefetcher = std::make_unique<prefetch::ClassicDiscontinuity>(*l1i);
         break;
       case Preset::Confluence: {
         auto pf = std::make_unique<prefetch::ConfluencePrefetcher>(
-            *l1i, cfg.confluence, &arena);
+            *l1i, cfg.confluence);
         addStats("pf", pf->stats(), WarmReset::Gap6Keep);
         prefetcher = std::move(pf);
         break;
       }
       case Preset::Fdip: {
-        auto pf = std::make_unique<prefetch::Fdip>(*l1i, cfg.fdip, &arena);
+        auto pf = std::make_unique<prefetch::Fdip>(*l1i, cfg.fdip);
         fdip = pf.get();
         addStats("pf", fdip->stats());
         prefetcher = std::move(pf);
@@ -239,7 +175,7 @@ System::makeDecoupledFetch()
                   ? DecoupledFetchEngine::Kind::Shotgun
                   : DecoupledFetchEngine::Kind::Fdip,
         *walker, *l1i, *tage, *predecoder, cfg.boomerangBtbEntries,
-        cfg.shotgunBtb, btb.get(), fdip, &arena);
+        cfg.shotgunBtb, btb.get(), fdip);
     decoupled = engine.get();
     addStats("sg", decoupled->shotgunBtb().stats());
     addStats("bb", decoupled->bbBtb().stats(), WarmReset::Gap6Keep);
@@ -368,7 +304,7 @@ System::makeCoupledFetch()
 {
     fetch = std::make_unique<CoupledFetchEngineT<Pf>>(
         cfg.fetch, *walker, *l1i, *btb, *tage, program->image,
-        static_cast<Pf &>(*prefetcher), &arena);
+        static_cast<Pf &>(*prefetcher));
 }
 
 template <typename Pf, typename Fe>
@@ -517,17 +453,6 @@ System::snapshot() const
     }
     doc["inflight_prefetches"] = inflight_prefetches;
     doc["mshrs"] = std::move(mshrs);
-
-    // Cell arena health: a persistent overflow means the estimate in
-    // estimateArenaBytes() has drifted from a component's real appetite.
-    const auto &as = arena.stats();
-    obs::JsonValue aj = obs::JsonValue::object();
-    aj["slab_bytes"] = static_cast<std::uint64_t>(as.slabBytes);
-    aj["used_bytes"] = static_cast<std::uint64_t>(as.usedBytes);
-    aj["allocs"] = static_cast<std::uint64_t>(as.allocs);
-    aj["overflow_allocs"] = static_cast<std::uint64_t>(as.overflowAllocs);
-    aj["overflow_bytes"] = static_cast<std::uint64_t>(as.overflowBytes);
-    doc["arena"] = std::move(aj);
 
     if (sn4l) {
         auto depths = sn4l->queueDepths();

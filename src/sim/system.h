@@ -3,27 +3,17 @@
  * System: one fully-wired simulated node (program + walker + memory
  * hierarchy + frontend + backend + the configured prefetcher/engine).
  *
- * Two mechanics make a cell fast without changing any result
- * (DESIGN.md §13):
- *
- *  - **Preset-specialized stepping.**  step() dispatches through a
- *    member-function pointer bound once at construction to a
- *    `stepImpl<Pf, Fe>` instantiation for the preset's concrete
- *    prefetcher and fetch-engine types.  Inside one instantiation every
- *    per-cycle prefetcher/fetch call devirtualizes; a Baseline cell
- *    pays zero SN4L/Dis/BTB branches.  `SystemConfig::genericStep`
- *    forces the fully generic instantiation (virtual dispatch), which
- *    must be bit-identical — the dispatch-equivalence tests assert it.
- *    A System built while obs::Profiler is enabled binds the sampled
- *    profiled instantiation instead; the choice is fixed for the
- *    System's life.
- *
- *  - **Arena-resident state.**  The cell's flat tables (cache line
- *    arrays, TAGE tables, BTB ways, prefetcher tables/queues, ROB ring,
- *    fetch rings) are placed into one per-cell bump arena sized at
- *    construction (exec/arena.h), so a pool thread's working set is one
- *    contiguous slab.  The arena is declared first, hence destroyed
- *    last — after every component that allocated from it.
+ * Preset-specialized stepping makes a cell fast without changing any
+ * result (DESIGN.md §13): step() dispatches through a member-function
+ * pointer bound once at construction to a `stepImpl<Pf, Fe>`
+ * instantiation for the preset's concrete prefetcher and fetch-engine
+ * types.  Inside one instantiation every per-cycle prefetcher/fetch
+ * call devirtualizes; a Baseline cell pays zero SN4L/Dis/BTB branches.
+ * `SystemConfig::genericStep` forces the fully generic instantiation
+ * (virtual dispatch), which must be bit-identical — the
+ * dispatch-equivalence tests assert it.  A System built while
+ * obs::Profiler is enabled binds the sampled profiled instantiation
+ * instead; the choice is fixed for the System's life.
  *
  * The functional warmup itself is shared: the constructor either walks
  * the warm stream or restores the sim::WarmCache checkpoint of an
@@ -37,7 +27,6 @@
 #include <vector>
 
 #include "core/backend.h"
-#include "exec/arena.h"
 #include "frontend/btb.h"
 #include "frontend/tage.h"
 #include "isa/predecoder.h"
@@ -93,15 +82,7 @@ class System
      */
     obs::JsonValue snapshot() const;
 
-    /** Slab size the cell arena is created with for @p config. */
-    static std::size_t estimateArenaBytes(const SystemConfig &config);
-
     SystemConfig cfg;
-
-    /** The cell arena.  Declared before every component so it is
-     *  destroyed last; components hand ArenaAlloc copies to their
-     *  containers, so the slab must outlive them all. */
-    exec::Arena arena;
 
     /** The program under simulation.  Either the shared immutable image
      *  from cfg.program (experiment runners, one build per workload) or
