@@ -91,13 +91,13 @@ BM_CacheLookup(benchmark::State &state)
         cache.insert(rng.below(4096) * kBlockBytes, 0);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            cache.lookup(rng.below(4096) * kBlockBytes, false));
+            cache.peek(rng.below(4096) * kBlockBytes));
     }
 }
 BENCHMARK(BM_CacheLookup);
 
 void
-BM_CacheTouchOrInsert(benchmark::State &state)
+BM_CacheTouchOrAllocate(benchmark::State &state)
 {
     // The warm-walk kernel: mostly hits on a 32 KB, 8-way array, with
     // enough distinct blocks to keep filling and evicting.
@@ -105,10 +105,10 @@ BM_CacheTouchOrInsert(benchmark::State &state)
     Rng rng(7);
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            cache.touchOrInsert(rng.below(1024) * kBlockBytes, 0).hit);
+            cache.touchOrAllocate(rng.below(1024) * kBlockBytes).hit);
     }
 }
-BENCHMARK(BM_CacheTouchOrInsert);
+BENCHMARK(BM_CacheTouchOrAllocate);
 
 void
 BM_BtbLookup(benchmark::State &state)

@@ -47,9 +47,9 @@ class BbBtb
     lookup(Addr bb_start)
     {
         cLookups.add();
-        if (auto *line = array.lookup(key(bb_start))) {
+        if (const BbBtbEntry *entry = array.lookup(key(bb_start))) {
             cHits.add();
-            return &line->meta;
+            return entry;
         }
         cMisses.add();
         return nullptr;
@@ -58,13 +58,13 @@ class BbBtb
     bool
     contains(Addr bb_start) const
     {
-        return array.lookup(key(bb_start)) != nullptr;
+        return array.contains(key(bb_start));
     }
 
     void
     update(Addr bb_start, const BbBtbEntry &entry)
     {
-        array.touchOrInsert(key(bb_start), entry).line->meta = entry;
+        *array.touchOrAllocate(key(bb_start)).meta = entry;
     }
 
     const obs::StatRegistry &stats() const { return statReg; }

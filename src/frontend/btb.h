@@ -49,23 +49,22 @@ class Btb
     lookup(Addr pc)
     {
         cLookups.add();
-        if (auto *line = array.lookup(key(pc))) {
+        if (const BtbEntry *entry = array.lookup(key(pc))) {
             cHits.add();
-            return &line->meta;
+            return entry;
         }
         cMisses.add();
         return nullptr;
     }
 
     /** Presence probe without statistics. */
-    bool contains(Addr pc) const { return array.lookup(key(pc)) != nullptr; }
+    bool contains(Addr pc) const { return array.contains(key(pc)); }
 
     /** Install or update the entry for the branch at @p pc. */
     void
     update(Addr pc, Addr target, isa::InstrKind kind)
     {
-        BtbEntry entry{target, kind};
-        array.touchOrInsert(key(pc), entry).line->meta = entry;
+        *array.touchOrAllocate(key(pc)).meta = BtbEntry{target, kind};
     }
 
     const obs::StatRegistry &stats() const { return statReg; }

@@ -93,11 +93,11 @@ class ShotgunBtb
     lookupU(Addr pc)
     {
         cUbtbLookups.add();
-        if (auto *line = ubtb.lookup(key(pc))) {
+        if (UBtbEntry *entry = ubtb.lookup(key(pc))) {
             cUbtbHits.add();
-            if (!line->meta.callFpValid)
+            if (!entry->callFpValid)
                 cUbtbFootprintMisses.add();
-            return &line->meta;
+            return entry;
         }
         cUbtbMisses.add();
         cUbtbFootprintMisses.add();
@@ -109,9 +109,9 @@ class ShotgunBtb
     lookupC(Addr pc)
     {
         cCbtbLookups.add();
-        if (auto *line = cbtb.lookup(key(pc))) {
+        if (const CBtbEntry *entry = cbtb.lookup(key(pc))) {
             cCbtbHits.add();
-            return &line->meta;
+            return entry;
         }
         cCbtbMisses.add();
         return nullptr;
@@ -138,30 +138,28 @@ class ShotgunBtb
     UBtbEntry &
     updateU(Addr pc, Addr target, isa::InstrKind kind, bool from_prefill)
     {
-        UBtbEntry fresh;
-        fresh.target = target;
-        fresh.kind = kind;
-        auto t = ubtb.touchOrInsert(key(pc), fresh);
-        if (t.hit) {
-            t.line->meta.target = target;
-            t.line->meta.kind = kind;
-        } else if (from_prefill) {
-            cUbtbPrefillInstalls.add();
+        auto t = ubtb.touchOrAllocate(key(pc));
+        UBtbEntry &entry = *t.meta;
+        if (!t.hit) {
+            entry = UBtbEntry{};
+            if (from_prefill)
+                cUbtbPrefillInstalls.add();
         }
-        return t.line->meta;
+        entry.target = target;
+        entry.kind = kind;
+        return entry;
     }
 
     void
     updateC(Addr pc, Addr target)
     {
-        cbtb.touchOrInsert(key(pc), CBtbEntry{target}).line->meta.target =
-            target;
+        *cbtb.touchOrAllocate(key(pc)).meta = CBtbEntry{target};
     }
 
     void
     updateRib(Addr pc)
     {
-        rib.touchOrInsert(key(pc), RibEntry{});
+        rib.touchOrAllocate(key(pc));
     }
 
     /** Stat-free mutable U-BTB access (footprint construction paths;
@@ -170,14 +168,13 @@ class ShotgunBtb
     UBtbEntry *
     findU(Addr pc)
     {
-        auto *line = ubtb.lookup(key(pc), /*touch=*/false);
-        return line ? &line->meta : nullptr;
+        return ubtb.peek(key(pc));
     }
 
     /** Presence probes without stats (tests). */
-    bool containsU(Addr pc) const { return ubtb.lookup(key(pc)) != nullptr; }
-    bool containsC(Addr pc) const { return cbtb.lookup(key(pc)) != nullptr; }
-    bool containsRib(Addr pc) const { return rib.lookup(key(pc)) != nullptr; }
+    bool containsU(Addr pc) const { return ubtb.contains(key(pc)); }
+    bool containsC(Addr pc) const { return cbtb.contains(key(pc)); }
+    bool containsRib(Addr pc) const { return rib.contains(key(pc)); }
 
     const obs::StatRegistry &stats() const { return statReg; }
     obs::StatRegistry &stats() { return statReg; }

@@ -3,18 +3,18 @@
  * Generic set-associative cache with true-LRU replacement.
  *
  * Used for the L1i, L1d and LLC data arrays as well as associative
- * metadata structures (the BTB prefetch buffer).  The cache stores only
- * presence and per-line metadata; actual instruction bytes always come
- * from the ProgramImage (the cache models *where* bytes are, not the
- * bytes themselves).
+ * metadata structures (the BTBs and the BTB prefetch buffer).  The cache
+ * stores only presence and per-line metadata; actual instruction bytes
+ * always come from the ProgramImage (the cache models *where* bytes are,
+ * not the bytes themselves).
  */
 
 #ifndef DCFB_MEM_CACHE_H
 #define DCFB_MEM_CACHE_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,12 +25,22 @@ namespace dcfb::mem {
 /**
  * Set-associative cache indexed by block address.
  *
+ * The array is three flat struct-of-arrays columns, each laid out set
+ * by set: the tag of every way (the block address, or kInvalidAddr
+ * when the way holds nothing, so the valid bit lives in the tag), its
+ * LRU stamp, and its payload.  A hit scans only the tags, 8 bytes per
+ * way; a miss also reads the stamps to pick the victim.  A way that
+ * is invalidated keeps its stamp and payload: the stamp still steers
+ * lruWay(), and a caller that refills the way gets the old payload
+ * back to overwrite in place.
+ *
  * @tparam Meta per-line metadata (prefetch flags, isInstruction bit, ...)
  */
 template <typename Meta>
 class SetAssocCache
 {
   public:
+    /** One way as warmup checkpoints store it (WarmState). */
     struct Line
     {
         Addr blockAddr = kInvalidAddr; //!< block-aligned address
@@ -53,7 +63,9 @@ class SetAssocCache
      */
     SetAssocCache(unsigned num_sets, unsigned assoc_)
         : numSets(num_sets), assoc(assoc_),
-          lines(std::size_t{num_sets} * assoc_)
+          tags(std::size_t{num_sets} * assoc_, kInvalidAddr),
+          stamps(std::size_t{num_sets} * assoc_),
+          payloads(std::size_t{num_sets} * assoc_)
     {
         assert(isPowerOfTwo(num_sets));
         assert(assoc_ > 0);
@@ -72,108 +84,144 @@ class SetAssocCache
         return static_cast<unsigned>(blockNumber(addr) & (numSets - 1));
     }
 
-    /** Find the line holding @p addr; optionally refresh its LRU age. */
-    Line *
-    lookup(Addr addr, bool touch = true)
+    /** Payload of the line holding @p addr, refreshing its LRU age. */
+    Meta *
+    lookup(Addr addr)
     {
-        Addr want = blockAlign(addr);
-        for (Line &line : set(setIndex(addr))) {
-            if (line.valid && line.blockAddr == want) {
-                if (touch)
-                    line.lastUse = ++tick;
-                return &line;
-            }
-        }
-        return nullptr;
+        std::size_t i = find(addr);
+        if (i == kNone)
+            return nullptr;
+        stamps[i] = ++tick;
+        return &payloads[i];
     }
 
-    const Line *
-    lookup(Addr addr) const
+    /** Payload of the line holding @p addr; the LRU age is left alone. */
+    Meta *
+    peek(Addr addr)
     {
-        Addr want = blockAlign(addr);
-        for (const Line &line : set(setIndex(addr))) {
-            if (line.valid && line.blockAddr == want)
-                return &line;
-        }
-        return nullptr;
+        std::size_t i = find(addr);
+        return i == kNone ? nullptr : &payloads[i];
     }
 
-    bool contains(Addr addr) const { return lookup(addr) != nullptr; }
+    bool contains(Addr addr) const { return find(addr) != kNone; }
 
     /**
      * Insert @p addr with @p meta, evicting the LRU way if the set is
-     * full.  @p way_limit, when non-zero, restricts the insertion to the
-     * first @p way_limit ways of the set (DV-LLC shrinks a set by one way
-     * when its LRU way is a BF-holder).
+     * full, and copy out what the way held.  @p way_limit, when non-zero,
+     * restricts the insertion to the first @p way_limit ways of the set
+     * (DV-LLC shrinks a set by one way when its LRU way is a BF-holder).
      */
     Evicted
     insert(Addr addr, const Meta &meta, unsigned way_limit = 0)
     {
-        return fill(*scanSet(addr, way_limit, false).line, addr, meta);
+        std::size_t i = victim(setBase(addr), way_limit);
+        Evicted ev;
+        if (tags[i] != kInvalidAddr)
+            ev = {true, tags[i], payloads[i]};
+        claim(i, addr);
+        payloads[i] = meta;
+        return ev;
     }
 
-    /** Result of touchOrInsert(). */
-    struct Touched
+    /** Result of touchOrAllocate(). */
+    struct Slot
     {
-        Line *line = nullptr; //!< the line now holding the block
+        Meta *meta = nullptr; //!< payload of the way now holding the block
         bool hit = false;     //!< the block was already resident
-        Evicted evicted;      //!< what a miss displaced
+        /** On a miss, the valid block the way held (kInvalidAddr when
+         *  the way was free); *meta still holds the way's old payload. */
+        Addr evicted = kInvalidAddr;
     };
 
     /**
-     * lookup() and, on a miss, insert() in one pass over the set: a hit
-     * refreshes the line's age and leaves its meta alone; a miss fills
-     * the way insert() would pick with @p meta.
+     * lookup() and, on a miss, insert()'s victim choice without the
+     * copy: a hit refreshes the line's age; a miss gives the victim way
+     * to @p addr and hands back its payload, unchanged, for the caller
+     * to fill in place.
      */
-    Touched
-    touchOrInsert(Addr addr, const Meta &meta, unsigned way_limit = 0)
+    Slot
+    touchOrAllocate(Addr addr, unsigned way_limit = 0)
     {
-        auto [line, hit] = scanSet(addr, way_limit, true);
-        if (hit) {
-            line->lastUse = ++tick;
-            return {line, true, {}};
+        std::size_t i = find(addr);
+        if (i != kNone) {
+            stamps[i] = ++tick;
+            return {&payloads[i], true, kInvalidAddr};
         }
-        return {line, false, fill(*line, addr, meta)};
+        i = victim(setBase(addr), way_limit);
+        Addr old = tags[i];
+        claim(i, addr);
+        return {&payloads[i], false, old};
     }
 
     /** Invalidate the line holding @p addr (no-op when absent). */
     void
     invalidate(Addr addr)
     {
-        if (Line *line = lookup(addr, false))
-            line->valid = false;
+        std::size_t i = find(addr);
+        if (i != kNone)
+            tags[i] = kInvalidAddr;
     }
 
-    /** Mutable view of one set (DV-LLC and tests iterate sets). */
-    std::span<Line>
-    set(unsigned set_index)
+    /** @name Way-indexed access (DV-LLC, invariants and tests). */
+    ///@{
+    /** Block held by a way, or kInvalidAddr. */
+    Addr tag(unsigned set_index, unsigned way) const
     {
-        assert(set_index < numSets);
-        return {lines.data() + std::size_t{set_index} * assoc, assoc};
+        return tags[at(set_index, way)];
+    }
+    bool valid(unsigned set_index, unsigned way) const
+    {
+        return tag(set_index, way) != kInvalidAddr;
+    }
+    std::uint64_t stamp(unsigned set_index, unsigned way) const
+    {
+        return stamps[at(set_index, way)];
+    }
+    Meta &payload(unsigned set_index, unsigned way)
+    {
+        return payloads[at(set_index, way)];
+    }
+    const Meta &payload(unsigned set_index, unsigned way) const
+    {
+        return payloads[at(set_index, way)];
     }
 
-    std::span<const Line>
-    set(unsigned set_index) const
+    /**
+     * LRU-ordered victim of a set among the first @p ways ways (0 =
+     * all): the first invalid way after way 0, else the first oldest.
+     * Way 0 is the starting candidate even when invalid.
+     */
+    unsigned
+    lruWay(unsigned set_index, unsigned ways = 0) const
     {
-        assert(set_index < numSets);
-        return {lines.data() + std::size_t{set_index} * assoc, assoc};
-    }
-
-    /** LRU-ordered victim of a set among the first @p ways ways. */
-    Line *
-    lruWay(unsigned set_index, unsigned ways = 0)
-    {
-        auto s = set(set_index);
+        std::size_t base = at(set_index, 0);
         unsigned limit = ways == 0 ? assoc : ways;
-        Line *victim = &s[0];
+        unsigned lru = 0;
         for (unsigned w = 1; w < limit; ++w) {
-            if (!s[w].valid)
-                return &s[w];
-            if (s[w].lastUse < victim->lastUse)
-                victim = &s[w];
+            if (tags[base + w] == kInvalidAddr)
+                return w;
+            if (stamps[base + w] < stamps[base + lru])
+                lru = w;
         }
-        return victim;
+        return lru;
     }
+
+    /**
+     * Move way @p from's line (tag, age and payload) into way @p to and
+     * invalidate @p from, which keeps its age and payload.  DV-LLC's
+     * holder flip.
+     */
+    void
+    moveWay(unsigned set_index, unsigned from, unsigned to)
+    {
+        std::size_t f = at(set_index, from);
+        std::size_t t = at(set_index, to);
+        tags[t] = tags[f];
+        stamps[t] = stamps[f];
+        payloads[t] = payloads[f];
+        tags[f] = kInvalidAddr;
+    }
+    ///@}
 
     unsigned sets() const { return numSets; }
     unsigned ways() const { return assoc; }
@@ -187,17 +235,17 @@ class SetAssocCache
     occupancy() const
     {
         std::size_t n = 0;
-        for (const Line &line : lines)
-            n += line.valid;
+        for (Addr t : tags)
+            n += t != kInvalidAddr;
         return n;
     }
 
     /**
-     * Sparse image of the array for warmup checkpoints: every line ever
+     * Sparse image of the array for warmup checkpoints: every way ever
      * written (by flat index) plus the LRU clock.  Every write stamps
-     * lastUse from the clock, which starts at 1, so a line with
-     * lastUse == 0 still holds its defaults and is left out; invalidated
-     * lines are kept, because their stale age still steers lruWay().
+     * the way from the clock, which starts at 1, so a way with stamp 0
+     * still holds its defaults and is left out; invalidated ways are
+     * kept, because their stale age still steers lruWay().
      */
     struct WarmState
     {
@@ -210,9 +258,13 @@ class SetAssocCache
     {
         WarmState s;
         s.tick = tick;
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-            if (lines[i].lastUse != 0)
-                s.lines.emplace_back(static_cast<std::uint32_t>(i), lines[i]);
+        for (std::size_t i = 0; i < tags.size(); ++i) {
+            if (stamps[i] != 0) {
+                s.lines.emplace_back(
+                    static_cast<std::uint32_t>(i),
+                    Line{tags[i], tags[i] != kInvalidAddr, stamps[i],
+                         payloads[i]});
+            }
         }
         return s;
     }
@@ -222,72 +274,74 @@ class SetAssocCache
     restoreWarm(const WarmState &s)
     {
         for (const auto &[index, line] : s.lines) {
-            assert(index < lines.size());
-            lines[index] = line;
+            assert(index < tags.size());
+            tags[index] = line.valid ? line.blockAddr : kInvalidAddr;
+            stamps[index] = line.lastUse;
+            payloads[index] = line.meta;
         }
         tick = s.tick;
     }
 
   private:
-    struct Way
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    // A block-aligned address never equals kInvalidAddr, so a free way
+    // never matches a lookup.
+    static_assert(blockAlign(kInvalidAddr) != kInvalidAddr);
+
+    std::size_t at(unsigned set_index, unsigned way) const
     {
-        Line *line;
-        bool hit;
-    };
+        assert(set_index < numSets && way < assoc);
+        return std::size_t{set_index} * assoc + way;
+    }
+
+    std::size_t setBase(Addr addr) const { return at(setIndex(addr), 0); }
+
+    /** Flat index of the way holding @p addr, else kNone. */
+    std::size_t
+    find(Addr addr) const
+    {
+        std::size_t base = setBase(addr);
+        Addr want = blockAlign(addr);
+        for (std::size_t i = base; i < base + assoc; ++i) {
+            if (tags[i] == want)
+                return i;
+        }
+        return kNone;
+    }
 
     /**
-     * One pass over @p addr's set.  With @p find, the first way holding
-     * the block is a hit.  Otherwise, or when no way holds it, the
-     * result is insert()'s victim among the first @p way_limit ways
-     * (0 = all): the first invalid way, else the first oldest.  One
-     * pass matters: on a miss-heavy stream into a 32 KB 8-way array,
-     * lookup() followed by a separate victim scan cost twice as much.
+     * insert()'s victim among the first @p way_limit ways (0 = all) of
+     * the set at @p base: the first invalid way, else the first oldest.
      */
-    Way
-    scanSet(Addr addr, unsigned way_limit, bool find)
+    std::size_t
+    victim(std::size_t base, unsigned way_limit) const
     {
         unsigned ways = way_limit == 0 ? assoc : way_limit;
         assert(ways <= assoc);
-        Addr want = blockAlign(addr);
-        auto s = set(setIndex(addr));
-        unsigned victim = 0;
-        bool free = false;
-        for (unsigned w = 0; w < (find ? assoc : ways); ++w) {
-            const Line &line = s[w];
-            if (find && line.valid && line.blockAddr == want)
-                return {&s[w], true};
-            if (w >= ways || free)
-                continue;
-            if (!line.valid) {
-                victim = w;
-                free = true;
-            } else if (line.lastUse < s[victim].lastUse) {
-                victim = w;
-            }
+        std::size_t lru = base;
+        for (std::size_t i = base; i < base + ways; ++i) {
+            if (tags[i] == kInvalidAddr)
+                return i;
+            if (stamps[i] < stamps[lru])
+                lru = i;
         }
-        return {&s[victim], false};
+        return lru;
     }
 
-    /** Overwrite @p victim with a fresh line; report what it held. */
-    Evicted
-    fill(Line &victim, Addr addr, const Meta &meta)
+    /** Give way @p i to @p addr's block as the most recent line. */
+    void
+    claim(std::size_t i, Addr addr)
     {
-        Evicted ev;
-        if (victim.valid) {
-            ev.valid = true;
-            ev.blockAddr = victim.blockAddr;
-            ev.meta = victim.meta;
-        }
-        victim.valid = true;
-        victim.blockAddr = blockAlign(addr);
-        victim.lastUse = ++tick;
-        victim.meta = meta;
-        return ev;
+        tags[i] = blockAlign(addr);
+        stamps[i] = ++tick;
     }
 
     unsigned numSets;
     unsigned assoc;
-    std::vector<Line> lines;
+    std::vector<Addr> tags;
+    std::vector<std::uint64_t> stamps;
+    std::vector<Meta> payloads;
     std::uint64_t tick = 0;
 };
 

@@ -51,7 +51,7 @@ class L1dCache
         cAccesses.add();
         if (is_store)
             cStores.add();
-        if (array.touchOrInsert(addr, Empty{}).hit) {
+        if (array.touchOrAllocate(addr).hit) {
             cHits.add();
             return now + cfg.hitLatency;
         }
@@ -65,7 +65,7 @@ class L1dCache
     void
     warmInsert(Addr addr)
     {
-        array.touchOrInsert(addr, Empty{});
+        array.touchOrAllocate(addr);
     }
 
     const obs::StatRegistry &stats() const { return statReg; }

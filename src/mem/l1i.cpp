@@ -149,14 +149,14 @@ L1iCache::demandAccess(Addr addr, Cycle now, bool wrong_path)
     bool sequential = lastDemandBlock != kInvalidAddr &&
         blockNumber(block) == blockNumber(lastDemandBlock) + 1;
 
-    if (auto *line = array.lookup(block)) {
+    if (L1iMeta *meta = array.lookup(block)) {
         res.hit = true;
         res.ready = now;
         if (!wrong_path)
             cHits.add();
-        if (line->meta.prefetched && !line->meta.demanded)
-            notePrefetchedLineUse(block, line->meta, now, sequential);
-        line->meta.demanded = true;
+        if (meta->prefetched && !meta->demanded)
+            notePrefetchedLineUse(block, *meta, now, sequential);
+        meta->demanded = true;
         if (listener)
             listener->onDemandAccess(block, true);
         if (observer)
@@ -279,7 +279,7 @@ L1iCache::prefetch(Addr addr, Cycle now)
     cLookups.add();
     cPfAttempts.add();
 
-    if (array.lookup(block, false))
+    if (array.contains(block))
         return PfOutcome::InCache;
     if (cfg.usePrefetchBuffer && buffer.contains(block))
         return PfOutcome::InBuffer;
@@ -359,13 +359,12 @@ void
 L1iCache::warmInsert(Addr addr)
 {
     Addr block = blockAlign(addr);
-    L1iMeta meta;
-    meta.demanded = true;
-    auto t = array.touchOrInsert(block, meta);
-    if (t.hit)
-        t.line->meta.demanded = true;
-    else
+    auto t = array.touchOrAllocate(block);
+    if (!t.hit) {
+        *t.meta = L1iMeta{};
         lastDemandBlock = block;
+    }
+    t.meta->demanded = true;
 }
 
 bool
@@ -378,7 +377,7 @@ L1iCache::lookup(Addr addr)
 bool
 L1iCache::probe(Addr addr) const
 {
-    if (array.lookup(addr))
+    if (array.contains(addr))
         return true;
     return cfg.usePrefetchBuffer && buffer.contains(addr);
 }
@@ -399,8 +398,7 @@ L1iCache::fillReadyCycle(Addr addr) const
 L1iMeta *
 L1iCache::lineMeta(Addr addr)
 {
-    auto *line = array.lookup(addr, false);
-    return line ? &line->meta : nullptr;
+    return array.peek(addr);
 }
 
 const BranchFootprint *
@@ -481,17 +479,18 @@ L1iCache::registerInvariants(rt::InvariantRegistry &reg,
     reg.add("l1i.line_meta",
             [this](Cycle) -> std::optional<std::string> {
         for (unsigned s = 0; s < array.sets(); ++s) {
-            for (const auto &line : array.set(s)) {
-                if (!line.valid)
+            for (unsigned w = 0; w < array.ways(); ++w) {
+                if (!array.valid(s, w))
                     continue;
-                if (line.meta.prefetched && line.meta.demanded) {
-                    return "block " + std::to_string(line.blockAddr) +
+                const L1iMeta &meta = array.payload(s, w);
+                if (meta.prefetched && meta.demanded) {
+                    return "block " + std::to_string(array.tag(s, w)) +
                         " is both prefetched and demanded";
                 }
-                if (line.meta.localStatus > 0xf) {
-                    return "block " + std::to_string(line.blockAddr) +
+                if (meta.localStatus > 0xf) {
+                    return "block " + std::to_string(array.tag(s, w)) +
                         " local status 0x" +
-                        std::to_string(line.meta.localStatus) +
+                        std::to_string(meta.localStatus) +
                         " exceeds 4 bits";
                 }
             }

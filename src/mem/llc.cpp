@@ -53,8 +53,9 @@ Llc::updateHolderMode(unsigned set_index)
         return;
     BfSet &bfs = bfSets[set_index];
     bool has_instr = false;
-    for (const auto &line : array.set(set_index)) {
-        if (line.valid && line.meta.isInstruction) {
+    for (unsigned w = 0; w < cfg.assoc; ++w) {
+        if (array.valid(set_index, w) &&
+            array.payload(set_index, w).isInstruction) {
             has_instr = true;
             break;
         }
@@ -63,18 +64,16 @@ Llc::updateHolderMode(unsigned set_index)
         // The LRU way flips to BF-holder: its resident block (if any) is
         // evicted.  We model the holder as the last way of the set.
         bfs.holder = true;
-        auto set = array.set(set_index);
-        auto &last = set[cfg.assoc - 1];
-        if (last.valid) {
+        unsigned last = cfg.assoc - 1;
+        if (array.valid(set_index, last)) {
             // The block resident in the would-be holder way is moved into
             // the LRU way of the remaining ways (displacing that block);
             // this keeps the just-inserted instruction block alive when
             // it happened to land in the last way.
-            auto *victim = array.lruWay(set_index, cfg.assoc - 1);
-            if (victim->valid)
+            unsigned victim = array.lruWay(set_index, last);
+            if (array.valid(set_index, victim))
                 cBlocksDisplaced.add();
-            *victim = last;
-            last.valid = false;
+            array.moveWay(set_index, last, victim);
         }
         cHolderActivations.add();
     } else if (!has_instr && bfs.holder) {
@@ -82,10 +81,11 @@ Llc::updateHolderMode(unsigned set_index)
         bfs.slots.clear();
         cHolderDeactivations.add();
     } else if (bfs.holder) {
-        // Drop BF slots whose block left the set.
+        // Drop BF slots whose block left the set.  Fidelity gap 7
+        // (EXPERIMENTS.md): this presence check is the touching lookup,
+        // so it refreshes the LRU age of every slot's block.
         std::erase_if(bfs.slots, [&](const BfSet::Slot &s) {
-            const auto *line = array.lookup(s.blockAddr);
-            return line == nullptr;
+            return array.lookup(s.blockAddr) == nullptr;
         });
     }
 }
@@ -173,9 +173,11 @@ void
 Llc::warmTouch(Addr addr, bool is_instruction)
 {
     unsigned si = array.setIndex(addr);
-    auto t = array.touchOrInsert(addr, LineMeta{is_instruction},
-                                 cfg.dvllc ? effectiveWays(si) : 0);
-    t.line->meta.isInstruction |= is_instruction;
+    auto t = array.touchOrAllocate(addr, cfg.dvllc ? effectiveWays(si) : 0);
+    if (t.hit)
+        t.meta->isInstruction |= is_instruction;
+    else
+        *t.meta = LineMeta{is_instruction};
     if (is_instruction)
         updateHolderMode(si);
 }
@@ -218,21 +220,21 @@ Llc::access(Addr addr, Cycle now, bool is_instruction, bool want_bf)
     Cycle data_ready;
 
     unsigned si = array.setIndex(addr);
-    auto t = array.touchOrInsert(addr, LineMeta{is_instruction},
-                                 cfg.dvllc ? effectiveWays(si) : 0);
+    auto t = array.touchOrAllocate(addr, cfg.dvllc ? effectiveWays(si) : 0);
     if (t.hit) {
         res.hit = true;
         cHits.add();
         (is_instruction ? cInstrHits : cDataHits).add();
-        t.line->meta.isInstruction |= is_instruction;
+        t.meta->isInstruction |= is_instruction;
         data_ready = req_arrive + cfg.accessLatency;
         if (is_instruction)
             updateHolderMode(si);
     } else {
         cMisses.add();
+        *t.meta = LineMeta{is_instruction};
         Cycle mem_ready =
             memory.access(addr, req_arrive + cfg.accessLatency);
-        if (t.evicted.valid)
+        if (t.evicted != kInvalidAddr)
             cEvictions.add();
         updateHolderMode(si);
         data_ready = mem_ready;

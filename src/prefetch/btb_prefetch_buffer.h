@@ -37,7 +37,8 @@ struct BufferedBranch
 
 /** All branches of one pre-decoded cache block.  Inline fixed storage
  *  (a block has at most one branch per byte offset) so installing or
- *  replacing a block never heap-allocates. */
+ *  replacing a block never heap-allocates; only the first @c count
+ *  entries are meaningful, so a refill rewrites the block in place. */
 struct BufferedBlock
 {
     static constexpr unsigned kMaxBranches = kBlockBytes;
@@ -68,7 +69,8 @@ class BtbPrefetchBuffer
     insertBlock(Addr block_addr,
                 std::span<const isa::PredecodedBranch> branches)
     {
-        BufferedBlock blk;
+        BufferedBlock &blk = *array.touchOrAllocate(block_addr).meta;
+        blk.count = 0;
         for (const auto &b : branches) {
             if (blk.count >= BufferedBlock::kMaxBranches)
                 break;
@@ -76,7 +78,6 @@ class BtbPrefetchBuffer
                 static_cast<std::uint8_t>(b.byteOffset), b.kind, b.target,
                 b.hasTarget};
         }
-        array.touchOrInsert(block_addr, blk).line->meta = blk;
     }
 
     /**
@@ -86,11 +87,11 @@ class BtbPrefetchBuffer
     const BufferedBranch *
     findBranch(Addr pc)
     {
-        auto *line = array.lookup(blockAlign(pc));
-        if (!line)
+        const BufferedBlock *blk = array.lookup(blockAlign(pc));
+        if (!blk)
             return nullptr;
         unsigned off = blockOffset(pc);
-        for (const auto &b : line->meta) {
+        for (const auto &b : *blk) {
             if (b.byteOffset == off)
                 return &b;
         }
@@ -100,7 +101,7 @@ class BtbPrefetchBuffer
     bool
     containsBlock(Addr block_addr) const
     {
-        return array.lookup(block_addr) != nullptr;
+        return array.contains(block_addr);
     }
 
     /** Storage: per entry, up to 4 branches x (6-bit offset + 32-bit

@@ -23,14 +23,16 @@
  * both over seeded random streams including non-power-of-two
  * geometries.
  *
- * The functional warmup brings two more: the single-pass cache kernel against a two-scan model, and the block-run warm walk against
- * the per-instruction loop it replaced (plus TAGE's lookup reuse
- * against fresh lookups).
+ * The functional warmup brings two more: the struct-of-arrays cache
+ * kernel against a two-scan model of the padded-line array it replaced,
+ * and the block-run warm walk against the per-instruction loop it
+ * replaced (plus TAGE's lookup reuse against fresh lookups).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <deque>
 #include <map>
 #include <optional>
@@ -710,7 +712,7 @@ INSTANTIATE_TEST_SUITE_P(
         MicroBtbCase{12, 2, 305}, MicroBtbCase{6, 1, 306}));
 
 // ---------------------------------------------------------------------
-// Cache kernel: single-pass touchOrInsert vs two-scan model.
+// Cache kernel: struct-of-arrays SetAssocCache vs two-scan model.
 // ---------------------------------------------------------------------
 
 struct CacheCase
@@ -718,50 +720,68 @@ struct CacheCase
     unsigned sets;
     unsigned assoc;
     std::uint64_t seed;
+    bool widePayload = false; //!< four-word payloads instead of one int
 };
 
-class SetAssocCacheDifferential : public ::testing::TestWithParam<CacheCase>
-{};
+using WidePayload = std::array<int, 4>;
 
-TEST_P(SetAssocCacheDifferential, AgreesWithTwoScanModelOnRandomStream)
+int
+drawPayload(Rng &rng, int)
 {
-    const CacheCase c = GetParam();
-    mem::SetAssocCache<int> opt(c.sets, c.assoc);
-    ref::SetAssocCache<int> model(c.sets, c.assoc);
+    return static_cast<int>(rng.below(1000));
+}
 
-    // The way a line sits in, so lines of the two arrays compare.
-    auto opt_way = [&](const auto *line, unsigned si) -> long {
-        return line ? line - opt.set(si).data() : -1;
+WidePayload
+drawPayload(Rng &rng, WidePayload)
+{
+    WidePayload p;
+    for (int &word : p)
+        word = static_cast<int>(rng.below(1000));
+    return p;
+}
+
+template <typename Meta>
+void
+runCacheDifferential(const CacheCase &c)
+{
+    mem::SetAssocCache<Meta> opt(c.sets, c.assoc);
+    ref::SetAssocCache<Meta> model(c.sets, c.assoc);
+
+    // The way a payload or line sits in, so the two arrays compare.
+    auto opt_way = [&](const Meta *meta, unsigned si) -> long {
+        return meta ? meta - &opt.payload(si, 0) : -1;
     };
     auto model_way = [&](const auto *line, unsigned si) -> long {
         return line ? line - model.set(si) : -1;
     };
+    // Invalid ways are compared too: their stamps steer lruWay(), and
+    // their payloads come back to a caller that refills them.
     auto expect_same_set = [&](unsigned si, int op) {
-        auto got = opt.set(si);
         const auto *want = model.set(si);
         for (unsigned w = 0; w < c.assoc; ++w) {
-            ASSERT_EQ(got[w].valid, want[w].valid) << "op " << op;
-            ASSERT_EQ(got[w].lastUse, want[w].lastUse) << "op " << op;
-            if (!got[w].valid)
-                continue;
-            ASSERT_EQ(got[w].blockAddr, want[w].blockAddr) << "op " << op;
-            ASSERT_EQ(got[w].meta, want[w].meta) << "op " << op;
+            ASSERT_EQ(opt.valid(si, w), want[w].valid) << "op " << op;
+            ASSERT_EQ(opt.tag(si, w),
+                      want[w].valid ? want[w].blockAddr : kInvalidAddr)
+                << "op " << op;
+            ASSERT_EQ(opt.stamp(si, w), want[w].lastUse) << "op " << op;
+            ASSERT_EQ(opt.payload(si, w), want[w].meta) << "op " << op;
         }
     };
 
     Rng rng(c.seed);
-    for (int op = 0; op < 40000; ++op) {
+    const int ops = std::max(40000, static_cast<int>(c.sets * c.assoc * 40));
+    for (int op = 0; op < ops; ++op) {
         // ~6 blocks per way of every set: hits, misses and evictions mix.
         Addr addr = rng.below(std::uint64_t{c.sets} * c.assoc * 6) *
                 kBlockBytes +
             rng.below(kBlockBytes);
         unsigned si = opt.setIndex(addr);
         auto way_limit = static_cast<unsigned>(rng.below(c.assoc + 1));
-        int meta = static_cast<int>(rng.below(1000));
+        Meta meta = drawPayload(rng, Meta{});
         switch (rng.below(7)) {
           case 0: {
             bool touch = rng.chance(0.7);
-            auto *got = opt.lookup(addr, touch);
+            Meta *got = touch ? opt.lookup(addr) : opt.peek(addr);
             auto *want = model.lookup(addr, touch);
             ASSERT_EQ(opt_way(got, si), model_way(want, si))
                 << "lookup diverged at op " << op;
@@ -773,20 +793,26 @@ TEST_P(SetAssocCacheDifferential, AgreesWithTwoScanModelOnRandomStream)
             break;
           }
           case 2: {
-            // The victim is checked by the way the block lands in and
-            // by the record of what that way held.
-            auto got = opt.touchOrInsert(addr, meta, way_limit);
+            // The victim is checked by the way the block lands in, by
+            // the block it displaced, and by the payload handed back:
+            // the way's old one, valid or not, for the caller to fill.
+            std::vector<Meta> before;
+            for (unsigned w = 0; w < c.assoc; ++w)
+                before.push_back(model.set(si)[w].meta);
+            auto got = opt.touchOrAllocate(addr, way_limit);
             auto *hit = model.lookup(addr);
             ASSERT_EQ(got.hit, hit != nullptr) << "op " << op;
-            ref::SetAssocCache<int>::Evicted ev;
+            typename ref::SetAssocCache<Meta>::Evicted ev;
             if (!hit)
                 ev = model.insert(addr, meta, way_limit);
-            ASSERT_EQ(got.evicted.valid, ev.valid) << "op " << op;
-            ASSERT_EQ(got.evicted.blockAddr, ev.blockAddr) << "op " << op;
-            ASSERT_EQ(got.evicted.meta, ev.meta) << "op " << op;
-            ASSERT_EQ(opt_way(got.line, si),
-                      model_way(model.lookup(addr, false), si))
-                << "touchOrInsert landed in another way at op " << op;
+            long way = model_way(model.lookup(addr, false), si);
+            ASSERT_EQ(opt_way(got.meta, si), way)
+                << "touchOrAllocate landed in another way at op " << op;
+            ASSERT_EQ(*got.meta, before[way]) << "op " << op;
+            ASSERT_EQ(got.evicted, ev.valid ? ev.blockAddr : kInvalidAddr)
+                << "op " << op;
+            if (!got.hit)
+                *got.meta = meta;
             break;
           }
           case 3: {
@@ -805,41 +831,60 @@ TEST_P(SetAssocCacheDifferential, AgreesWithTwoScanModelOnRandomStream)
             break;
           case 5: {
             unsigned ways = way_limit;
-            auto *got = opt.lruWay(si, ways);
-            auto *want = model.lruWay(si, ways);
-            ASSERT_EQ(opt_way(got, si), model_way(want, si))
+            ASSERT_EQ(long{opt.lruWay(si, ways)},
+                      model_way(model.lruWay(si, ways), si))
                 << "lruWay diverged at op " << op;
             break;
           }
           default: {
-            // DV-LLC's holder flip: the last way's line moves into the
-            // LRU way of the others through the mutable set view.
+            // DV-LLC's holder flip, through the primitive Llc uses: the
+            // last way's line moves into the LRU way of the others.
             if (c.assoc < 2)
                 break;
-            auto s = opt.set(si);
-            if (s[c.assoc - 1].valid) {
-                *opt.lruWay(si, c.assoc - 1) = s[c.assoc - 1];
-                s[c.assoc - 1].valid = false;
-            }
+            unsigned last = c.assoc - 1;
+            if (opt.valid(si, last))
+                opt.moveWay(si, last, opt.lruWay(si, last));
             auto *m = model.set(si);
-            if (m[c.assoc - 1].valid) {
-                *model.lruWay(si, c.assoc - 1) = m[c.assoc - 1];
-                m[c.assoc - 1].valid = false;
+            if (m[last].valid) {
+                *model.lruWay(si, last) = m[last];
+                m[last].valid = false;
             }
             break;
           }
         }
         expect_same_set(si, op);
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
-    for (unsigned si = 0; si < c.sets; ++si)
+    for (unsigned si = 0; si < c.sets; ++si) {
         expect_same_set(si, -1);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+class SetAssocCacheDifferential : public ::testing::TestWithParam<CacheCase>
+{};
+
+TEST_P(SetAssocCacheDifferential, AgreesWithTwoScanModelOnRandomStream)
+{
+    const CacheCase c = GetParam();
+    if (c.widePayload)
+        runCacheDifferential<WidePayload>(c);
+    else
+        runCacheDifferential<int>(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, SetAssocCacheDifferential,
     ::testing::Values(CacheCase{1, 1, 401}, CacheCase{4, 2, 402},
                       CacheCase{8, 4, 403}, CacheCase{16, 8, 404},
-                      CacheCase{4, 16, 405}));
+                      CacheCase{4, 16, 405},
+                      // The LLC's 16 ways over enough sets that misses
+                      // rarely land in a set just checked.
+                      CacheCase{256, 16, 406},
+                      CacheCase{8, 4, 407, true},
+                      CacheCase{256, 16, 408, true}));
 
 // ---------------------------------------------------------------------
 // Functional warmup: coalesced block runs vs the per-instruction loop.

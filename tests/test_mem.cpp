@@ -71,23 +71,72 @@ TEST(SetAssocCache, CapacityBytes)
     EXPECT_EQ(c.ways(), 8u);
 }
 
-TEST(SetAssocCache, TouchOrInsertHitsThenFills)
+TEST(SetAssocCache, TouchOrAllocateHandsBackTheVictimsPayload)
 {
     SetAssocCache<int> c(1, 2);
-    auto miss = c.touchOrInsert(0x000, 7);
+    auto miss = c.touchOrAllocate(0x000);
     EXPECT_FALSE(miss.hit);
-    EXPECT_EQ(miss.line->meta, 7);
-    auto hit = c.touchOrInsert(0x000, 9);
+    EXPECT_EQ(miss.evicted, kInvalidAddr); // the way was free
+    *miss.meta = 7;
+    auto hit = c.touchOrAllocate(0x000);
     EXPECT_TRUE(hit.hit);
-    EXPECT_EQ(hit.line, miss.line);
-    EXPECT_EQ(hit.line->meta, 7); // a hit leaves the meta alone
-    c.touchOrInsert(0x040, 1);
-    c.touchOrInsert(0x000, 0); // 0x040 is now LRU
-    auto fill = c.touchOrInsert(0x080, 2);
+    EXPECT_EQ(hit.meta, miss.meta);
+    EXPECT_EQ(*hit.meta, 7); // a hit leaves the payload alone
+    *c.touchOrAllocate(0x040).meta = 1;
+    c.touchOrAllocate(0x000); // 0x040 is now LRU
+    auto fill = c.touchOrAllocate(0x080);
     EXPECT_FALSE(fill.hit);
+    EXPECT_EQ(fill.evicted, 0x040u);
+    EXPECT_EQ(*fill.meta, 1); // the victim's payload, to overwrite
     EXPECT_FALSE(c.contains(0x040));
     EXPECT_TRUE(c.contains(0x000));
-    EXPECT_EQ(fill.line->meta, 2);
+    EXPECT_TRUE(c.contains(0x080));
+}
+
+TEST(SetAssocCache, PeekLeavesLruOrderAlone)
+{
+    SetAssocCache<int> c(1, 2);
+    c.insert(0x000, 1);
+    c.insert(0x040, 2);
+    ASSERT_NE(c.peek(0x000), nullptr);
+    EXPECT_EQ(*c.peek(0x000), 1);
+    EXPECT_TRUE(c.contains(0x000));
+    auto ev = c.insert(0x080, 3);
+    EXPECT_EQ(ev.blockAddr, 0x000u); // still the LRU line
+    EXPECT_EQ(ev.meta, 1);
+}
+
+TEST(SetAssocCache, WarmStateKeepsInvalidatedWays)
+{
+    // A holder flip leaves the last way invalid with its stamp and
+    // payload; a checkpoint must carry both, because lruWay() and a
+    // later refill read them.
+    SetAssocCache<int> c(2, 4);
+    for (int i = 0; i < 4; ++i)
+        c.insert(Addr(i) * 2 * kBlockBytes, 10 + i);
+    c.lookup(0);
+    unsigned lru = c.lruWay(0, 3);
+    EXPECT_EQ(lru, 1u);
+    c.moveWay(0, 3, lru);
+    EXPECT_FALSE(c.valid(0, 3));
+    EXPECT_EQ(c.tag(0, 1), 6 * kBlockBytes);
+    EXPECT_EQ(c.payload(0, 1), 13);
+    EXPECT_EQ(c.stamp(0, 1), c.stamp(0, 3));
+
+    SetAssocCache<int> restored(2, 4);
+    restored.restoreWarm(c.saveWarm());
+    for (unsigned w = 0; w < 4; ++w) {
+        EXPECT_EQ(restored.tag(0, w), c.tag(0, w)) << "way " << w;
+        EXPECT_EQ(restored.stamp(0, w), c.stamp(0, w)) << "way " << w;
+        EXPECT_EQ(restored.payload(0, w), c.payload(0, w)) << "way " << w;
+        EXPECT_FALSE(restored.valid(1, w));
+    }
+    EXPECT_EQ(restored.occupancy(), 3u);
+    // Both arrays refill the invalid way next, on the same clock.
+    EXPECT_EQ(c.touchOrAllocate(0x1000).meta - &c.payload(0, 0), 3);
+    EXPECT_EQ(restored.touchOrAllocate(0x1000).meta - &restored.payload(0, 0),
+              3);
+    EXPECT_EQ(restored.stamp(0, 3), c.stamp(0, 3));
 }
 
 /** Property: occupancy never exceeds sets*ways under random traffic. */
@@ -379,6 +428,38 @@ TEST_F(DvLlcTest, EffectiveCapacityShrinksByOneWay)
     for (unsigned i = 0; i < 16; ++i)
         resident += llc.contains(setZeroBlock(i));
     EXPECT_EQ(resident, 15u);
+}
+
+/**
+ * Fidelity gap 7 (EXPERIMENTS.md): on each instruction access to a
+ * BF-holder set, Llc::updateHolderMode checks that every BF slot's block
+ * is still resident with the touching lookup, so the check counts as a
+ * use of those blocks.  One set of 4 ways (the holder leaves 3): A owns
+ * a BF slot, B and C are instruction accesses after it, and the miss D
+ * evicts B, where true LRU would evict A.  The test flips when the gap
+ * closes.
+ */
+TEST(FidelityGap, DvLlcSlotCheckRefreshesLru)
+{
+    noc::MeshModel mesh(LlcTest::makeMeshCfg());
+    MemoryModel memory(MemoryConfig{});
+    LlcConfig cfg;
+    cfg.capacityBytes = 4 * kBlockBytes;
+    cfg.assoc = 4;
+    cfg.dvllc = true;
+    Llc llc(cfg, mesh, memory, 0);
+    const Addr a = 0x0000, b = 0x0040, c = 0x0080, d = 0x00c0;
+    llc.access(a, 0, true);
+    llc.recordBranchOffset(a, 8);
+    ASSERT_NE(llc.findFootprint(a), nullptr);
+    llc.access(b, 10, true);
+    llc.access(c, 20, true);
+    llc.access(d, 30, false); // a miss into the full set
+    EXPECT_TRUE(llc.contains(a)); // true LRU: evicted
+    EXPECT_FALSE(llc.contains(b)); // true LRU: resident
+    EXPECT_TRUE(llc.contains(c));
+    EXPECT_TRUE(llc.contains(d));
+    EXPECT_NE(llc.findFootprint(a), nullptr); // true LRU: dropped
 }
 
 class L1iTest : public ::testing::Test

@@ -190,6 +190,40 @@ TEST_F(BtbPbTest, BlockInsertThenBranchProbe)
     EXPECT_EQ(call->kind, isa::InstrKind::Call);
 }
 
+TEST_F(BtbPbTest, ReinsertWithFewerBranchesDropsTheRest)
+{
+    // The resident block is rewritten in place: its second branch must
+    // not outlive a refill that carries only the first.
+    BtbPrefetchBuffer pb(32, 2);
+    pb.insertBlock(0x40000, twoBranches());
+    isa::PredecodedBranch only{12, isa::InstrKind::Jump, true, 0x43000,
+                               0x4000c};
+    pb.insertBlock(0x40000, std::vector{only});
+    const auto *hit = pb.findBranch(0x4000c);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->kind, isa::InstrKind::Jump);
+    EXPECT_EQ(hit->target, 0x43000u);
+    EXPECT_EQ(pb.findBranch(0x40028), nullptr);
+}
+
+TEST_F(BtbPbTest, RefilledWaySeesOnlyTheNewBlock)
+{
+    // One set, one way: the second block lands in the way the first
+    // held, whose branch at byte 40 must not show through.
+    BtbPrefetchBuffer pb(1, 1);
+    pb.insertBlock(0x40000, twoBranches());
+    isa::PredecodedBranch other{4, isa::InstrKind::CondBranch, true, 0x44000,
+                                0x50004};
+    pb.insertBlock(0x50000, std::vector{other});
+    EXPECT_FALSE(pb.containsBlock(0x40000));
+    EXPECT_EQ(pb.findBranch(0x4000c), nullptr);
+    EXPECT_EQ(pb.findBranch(0x5000c), nullptr);
+    EXPECT_EQ(pb.findBranch(0x50028), nullptr);
+    const auto *hit = pb.findBranch(0x50004);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->target, 0x44000u);
+}
+
 TEST_F(BtbPbTest, CapacityBounded)
 {
     BtbPrefetchBuffer pb(4, 2);
