@@ -25,12 +25,13 @@ main(int argc, char **argv)
         auto program =
             workload::buildProgram(workload::serverProfile(name, true));
         std::map<Addr, std::map<Addr, bool>> branches; // block -> brs
-        for (const auto &fn : program.functions) {
-            for (const auto &bb : fn.blocks) {
-                for (std::size_t j = 0; j < bb.numInstrs(); ++j) {
-                    if (isa::isBranch(bb.kinds[j]))
-                        branches[blockAlign(bb.pcs[j])][bb.pcs[j]] = true;
-                }
+        for (const auto &bb : program.blocks) {
+            Addr pc = bb.start;
+            for (std::uint32_t j = bb.firstInstr; j <= bb.termInstr(); ++j) {
+                const workload::Instr in = program.instrs[j];
+                if (isa::isBranch(in.kind))
+                    branches[blockAlign(pc)][pc] = true;
+                pc += in.len;
             }
         }
         workload::TraceWalker walker(program, 7);

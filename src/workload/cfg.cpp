@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "isa/vl_encoding.h"
 
@@ -103,29 +104,37 @@ struct LevelRanges
     }
 };
 
-/** Structural pass: choose block counts, sizes and terminators. */
+/** Structural pass: append function @p fi's blocks and instructions,
+ *  choosing block counts, sizes and terminators. */
 void
-buildFunctionStructure(Function &fn, bool is_driver,
+buildFunctionStructure(Program &prog, std::uint32_t fi,
                        const WorkloadProfile &p, Rng &rng,
                        const LevelRanges &ranges)
 {
+    bool is_driver = fi == 0;
+    Function &fn = prog.functions[fi];
     std::uint32_t nblocks = is_driver
         ? std::max<std::uint32_t>(p.driverBlocks, 2)
         : static_cast<std::uint32_t>(rng.range(p.minBlocks, p.maxBlocks));
-    fn.blocks.resize(nblocks);
+    fn.firstBlock = static_cast<std::uint32_t>(prog.blocks.size());
+    fn.numBlocks = nblocks;
+    prog.blocks.resize(fn.endBlock());
+    std::span<BasicBlock> blocks(prog.blocks.data() + fn.firstBlock, nblocks);
 
     // Body sizes and kinds first (terminator slot patched below).
-    for (auto &bb : fn.blocks) {
+    for (auto &bb : blocks) {
         auto n = static_cast<std::uint32_t>(
             is_driver ? rng.range(3, 6) : rng.range(p.minInstrs, p.maxInstrs));
-        bb.kinds.resize(n);
-        for (auto &k : bb.kinds)
-            k = drawBodyKind(rng, p);
+        bb.firstInstr = static_cast<std::uint32_t>(prog.instrs.size());
+        bb.numInstrs = n;
+        for (std::uint32_t j = 0; j < n; ++j)
+            prog.instrs.push_back({0, drawBodyKind(rng, p)});
     }
 
-    // Terminator pass.
+    // Terminator pass.  Targets are function-local here and rebased
+    // onto Program::blocks when the pass is done.
     for (std::uint32_t i = 0; i < nblocks; ++i) {
-        BasicBlock &bb = fn.blocks[i];
+        BasicBlock &bb = blocks[i];
         if (is_driver) {
             // Dispatch loop: every block indirect-calls a worker; the last
             // block jumps back to the top.
@@ -147,7 +156,7 @@ buildFunctionStructure(Function &fn, bool is_driver,
             continue;
         }
         double u = rng.uniform();
-        bool can_skip = i + 2 < nblocks && !fn.blocks[i + 1].cold;
+        bool can_skip = i + 2 < nblocks && !blocks[i + 1].cold;
         if (u < p.callProb) {
             // Static call: callee must have a strictly higher level.  The
             // level partition makes candidates a contiguous index range.
@@ -179,7 +188,7 @@ buildFunctionStructure(Function &fn, bool is_driver,
                 // Guard over a rarely-executed region (catch/error path).
                 bb.targetBlock = i + 2;
                 bb.takenProb = 0.97;
-                fn.blocks[i + 1].cold = true;
+                blocks[i + 1].cold = true;
             } else if (can_skip) {
                 // if/else: skip the next block with a biased direction.
                 bb.targetBlock = i + 2;
@@ -196,80 +205,62 @@ buildFunctionStructure(Function &fn, bool is_driver,
             // try/catch shape: jump over a never-executed handler.
             bb.term = TermKind::Jump;
             bb.targetBlock = i + 2;
-            fn.blocks[i + 1].cold = true;
+            blocks[i + 1].cold = true;
             continue;
         }
         bb.term = TermKind::FallThrough;
     }
 
     // Emit terminator instruction kinds and lengths.
-    for (auto &bb : fn.blocks) {
-        InstrKind body_last = bb.kinds.back();
-        bb.kinds.back() = kindFor(bb.term, body_last);
-        bb.lens.resize(bb.kinds.size());
-        for (std::size_t j = 0; j < bb.kinds.size(); ++j) {
-            bool is_term = j + 1 == bb.kinds.size() &&
+    for (auto &bb : blocks) {
+        bb.targetBlock += fn.firstBlock;
+        Instr &last = prog.instrs[bb.termInstr()];
+        last.kind = kindFor(bb.term, last.kind);
+        for (std::uint32_t j = bb.firstInstr; j <= bb.termInstr(); ++j) {
+            bool is_term = j == bb.termInstr() &&
                 bb.term != TermKind::FallThrough;
-            bb.lens[j] = lenFor(p, rng, bb.kinds[j], is_term);
+            prog.instrs[j].len = lenFor(p, rng, prog.instrs[j].kind, is_term);
         }
     }
-}
-
-/** Layout pass: assign PCs; functions are 64-byte aligned. */
-Addr
-layoutFunction(Function &fn, Addr cursor)
-{
-    cursor = (cursor + kBlockBytes - 1) & ~Addr{kBlockBytes - 1};
-    fn.entry = cursor;
-    for (auto &bb : fn.blocks) {
-        bb.start = cursor;
-        bb.pcs.resize(bb.kinds.size());
-        for (std::size_t j = 0; j < bb.kinds.size(); ++j) {
-            bb.pcs[j] = cursor;
-            cursor += bb.lens[j];
-        }
-    }
-    return cursor;
 }
 
 /** Encode pass: write real bytes so pre-decoders can work. */
 void
-encodeFunction(const Function &fn, const Program &prog, bool vl,
-               ProgramImage &image, Rng &rng)
+encodeProgram(Program &prog, bool vl)
 {
     std::vector<std::uint8_t> bytes;
-    for (const auto &bb : fn.blocks) {
-        for (std::size_t j = 0; j < bb.kinds.size(); ++j) {
-            InstrKind kind = bb.kinds[j];
-            bool is_term = j + 1 == bb.kinds.size();
+    for (const auto &bb : prog.blocks) {
+        Addr pc = bb.start;
+        for (std::uint32_t j = bb.firstInstr; j <= bb.termInstr(); ++j) {
+            const Instr in = prog.instrs[j];
             Addr target = kInvalidAddr;
             bool has_target = false;
-            if (is_term && isa::hasEncodedTarget(kind)) {
+            if (j == bb.termInstr() && isa::hasEncodedTarget(in.kind)) {
                 has_target = true;
                 if (bb.term == TermKind::Call)
                     target = prog.functions[bb.callee].entry;
                 else
-                    target = fn.blocks[bb.targetBlock].start;
+                    target = prog.blocks[bb.targetBlock].start;
             }
             if (!vl) {
-                isa::DecodedInstr di{kind, has_target, target};
-                std::uint32_t word = isa::encodeInstr(bb.pcs[j], di);
+                isa::DecodedInstr di{in.kind, has_target, target};
+                std::uint32_t word = isa::encodeInstr(pc, di);
                 std::uint8_t buf[kInstrBytes];
                 isa::writeWord(buf, word);
-                image.write(bb.pcs[j], buf, kInstrBytes);
+                prog.image.write(pc, buf, kInstrBytes);
             } else {
                 isa::VlDecodedInstr di;
-                di.kind = kind;
-                di.length = bb.lens[j];
+                di.kind = in.kind;
+                di.length = in.len;
                 di.hasTarget = has_target;
                 di.target = target;
                 bytes.clear();
-                isa::vlEncodeInstr(bb.pcs[j], di, bytes);
-                image.write(bb.pcs[j], bytes.data(), bytes.size());
+                isa::vlEncodeInstr(pc, di, bytes);
+                prog.image.write(pc, bytes.data(), bytes.size());
             }
+            pc += in.len;
         }
     }
-    (void)rng;
 }
 
 } // namespace
@@ -305,19 +296,26 @@ buildProgram(const WorkloadProfile &profile)
         }
     }
 
-    for (std::uint32_t f = 0; f < prog.functions.size(); ++f) {
-        buildFunctionStructure(prog.functions[f], f == 0, profile, rng,
-                               ranges);
-    }
+    for (std::uint32_t f = 0; f < prog.functions.size(); ++f)
+        buildFunctionStructure(prog, f, profile, rng, ranges);
+    prog.blocks.shrink_to_fit();
+    prog.instrs.shrink_to_fit();
 
+    // Layout pass: assign block starts; functions are 64-byte aligned.
     Addr cursor = prog.codeBase;
-    for (auto &fn : prog.functions)
-        cursor = layoutFunction(fn, cursor);
+    for (auto &fn : prog.functions) {
+        cursor = (cursor + kBlockBytes - 1) & ~Addr{kBlockBytes - 1};
+        fn.entry = cursor;
+        for (std::uint32_t b = fn.firstBlock; b < fn.endBlock(); ++b) {
+            BasicBlock &bb = prog.blocks[b];
+            bb.start = cursor;
+            for (std::uint32_t j = bb.firstInstr; j <= bb.termInstr(); ++j)
+                cursor += prog.instrs[j].len;
+        }
+    }
     prog.codeEnd = cursor;
 
-    for (const auto &fn : prog.functions) {
-        encodeFunction(fn, prog, profile.variableLength, prog.image, rng);
-    }
+    encodeProgram(prog, profile.variableLength);
 
     // Driver dispatch targets: level-1 workers (the hot entry points).
     for (std::uint32_t f = 1; f < prog.functions.size(); ++f) {

@@ -67,37 +67,53 @@ enum class TermKind : std::uint8_t {
     Return,       //!< function return
 };
 
-/** One basic block after layout. */
+/** One instruction: its PC is its block's start plus the lengths of the
+ *  instructions before it. */
+struct Instr
+{
+    std::uint8_t len = 0;
+    isa::InstrKind kind = isa::InstrKind::Alu;
+};
+static_assert(sizeof(Instr) == 2);
+
+/** One basic block after layout.  Every index names a Program record. */
 struct BasicBlock
 {
     Addr start = 0;                      //!< address of the first instruction
-    std::vector<std::uint8_t> lens;      //!< per-instruction byte lengths
-    std::vector<isa::InstrKind> kinds;   //!< per-instruction kinds
-    std::vector<Addr> pcs;               //!< per-instruction PCs
-    TermKind term = TermKind::FallThrough;
-    std::uint32_t targetBlock = 0;       //!< Cond/Jump target (block index)
-    std::uint32_t callee = 0;            //!< Call target (function index)
     double takenProb = 0.0;              //!< Cond: probability taken
+    std::uint32_t firstInstr = 0;        //!< its first Program::instrs index
+    std::uint32_t numInstrs = 0;
+    std::uint32_t targetBlock = 0;       //!< Cond/Jump target (blocks index)
+    std::uint32_t callee = 0;            //!< Call target (functions index)
+    TermKind term = TermKind::FallThrough;
     bool cold = false;                   //!< deliberately rarely-executed
 
-    std::size_t numInstrs() const { return kinds.size(); }
-    Addr termPc() const { return pcs.back(); }
-    Addr endPc() const { return pcs.back() + lens.back(); }
+    std::uint32_t termInstr() const { return firstInstr + numInstrs - 1; }
 };
 
-/** One function after layout. */
+/** One function after layout: a contiguous run of Program::blocks. */
 struct Function
 {
     Addr entry = 0;
-    std::uint32_t level = 0; //!< call-graph level (driver = 0)
-    std::vector<BasicBlock> blocks;
+    std::uint32_t level = 0;      //!< call-graph level (driver = 0)
+    std::uint32_t firstBlock = 0;
+    std::uint32_t numBlocks = 0;
+
+    std::uint32_t endBlock() const { return firstBlock + numBlocks; }
+    bool contains(std::uint32_t b) const { return b - firstBlock < numBlocks; }
 };
 
-/** A fully-built synthetic program. */
+/**
+ * A fully-built synthetic program, laid out flat: functions own
+ * contiguous block ranges and blocks own contiguous instruction ranges,
+ * all in address order.
+ */
 struct Program
 {
     WorkloadProfile profile;
     std::vector<Function> functions; //!< functions[0] is the driver
+    std::vector<BasicBlock> blocks;
+    std::vector<Instr> instrs;
     ProgramImage image;
     Addr codeBase = 0;
     Addr codeEnd = 0;

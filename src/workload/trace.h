@@ -13,7 +13,6 @@
 #define DCFB_WORKLOAD_TRACE_H
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,11 +30,13 @@ struct TraceEntry
     isa::InstrKind kind = isa::InstrKind::Alu;
     bool taken = false;     //!< branch outcome (unconditional => true)
     Addr target = kInvalidAddr; //!< destination when taken
-    Addr nextPc = 0;        //!< PC of the next retired instruction
     Addr dataAddr = kInvalidAddr; //!< loads/stores only
 
     bool isBranch() const { return isa::isBranch(kind); }
+    /** PC of the next retired instruction. */
+    Addr nextPc() const { return taken ? target : pc + len; }
 };
+static_assert(sizeof(TraceEntry) == 32);
 
 /**
  * Deterministic walker over a Program's control-flow graph.
@@ -54,20 +55,19 @@ class TraceWalker
     next()
     {
         // Most of the stream is a non-terminator that neither loads nor
-        // stores: it only advances the instruction index.  Everything
-        // else (terminators, data addresses) takes the out-of-line path.
-        Frame &f = stack.back();
-        if (f.instr + 1 < block->numInstrs()) {
-            isa::InstrKind kind = block->kinds[f.instr];
-            if (kind != isa::InstrKind::Load &&
-                kind != isa::InstrKind::Store) {
+        // stores: it only advances the cursor.  Everything else
+        // (terminators, data addresses) takes the out-of-line path.
+        if (state.instr < termInstr) {
+            const Instr in = instrs[state.instr];
+            if (in.kind != isa::InstrKind::Load &&
+                in.kind != isa::InstrKind::Store) {
                 TraceEntry e;
-                e.pc = block->pcs[f.instr];
-                e.len = block->lens[f.instr];
-                e.kind = kind;
-                e.nextPc = e.pc + e.len;
-                ++f.instr;
-                ++count;
+                e.pc = state.pc;
+                e.len = in.len;
+                e.kind = in.kind;
+                state.pc += in.len;
+                ++state.instr;
+                ++state.count;
                 return e;
             }
         }
@@ -75,20 +75,24 @@ class TraceWalker
     }
 
     /** Retired-instruction count so far. */
-    std::uint64_t retired() const { return count; }
+    std::uint64_t retired() const { return state.count; }
 
   private:
     struct Frame
     {
         std::uint32_t fn = 0;
+        std::uint32_t retBlk = 0;   //!< caller block to resume after return
+        std::uint32_t tripBase = 0; //!< this invocation's first LoopTrip
+    };
+
+    /** Remaining trips of a loop whose back edge ends block @c blk.
+     *  Loops run a bounded number of trips and exit - unbounded
+     *  geometric retries would trap the walk in tiny regions for
+     *  arbitrarily long stretches. */
+    struct LoopTrip
+    {
         std::uint32_t blk = 0;
-        std::uint32_t instr = 0;
-        std::uint32_t retBlk = 0; //!< caller block to resume after return
-        /** Remaining trip counts of this invocation's loops (keyed by
-         *  back-edge branch PC).  Loops run a bounded number of trips
-         *  and exit - unbounded geometric retries would trap the walk
-         *  in tiny regions for arbitrarily long stretches. */
-        std::map<Addr, std::uint32_t> loopTrips;
+        std::uint32_t left = 0;
     };
 
   public:
@@ -99,53 +103,47 @@ class TraceWalker
     {
         Rng rng;
         std::vector<Frame> stack;
+        /** Pending loop trips of every live frame, innermost frame
+         *  last; a return truncates to the frame's tripBase. */
+        std::vector<LoopTrip> trips;
+        std::uint32_t blk = 0;   //!< current Program::blocks index
+        std::uint32_t instr = 0; //!< next Program::instrs index
+        Addr pc = 0;             //!< PC of instrs[instr]
         std::uint64_t count = 0;
+        /** Server request batching: the dispatch loop tends to invoke
+         *  the same handler several times in a row (phases), which also
+         *  makes the indirect-call target realistically predictable. */
         std::uint32_t stickyCallee = 0;
         std::uint32_t stickyLeft = 0;
     };
 
-    WarmState
-    saveWarm() const
-    {
-        return {rng, stack, count, stickyCallee, stickyLeft};
-    }
+    WarmState saveWarm() const { return state; }
 
     void
-    restoreWarm(const WarmState &s)
+    restoreWarm(const WarmState &saved)
     {
-        rng = s.rng;
-        stack = s.stack;
-        count = s.count;
-        stickyCallee = s.stickyCallee;
-        stickyLeft = s.stickyLeft;
-        block = &currentBlock();
+        state = saved;
+        termInstr = program.blocks[state.blk].termInstr();
     }
 
   private:
     /** next() for terminators and loads/stores. */
     TraceEntry nextSlow();
 
-    const BasicBlock &
-    currentBlock() const
-    {
-        const Frame &f = stack.back();
-        return program.functions[f.fn].blocks[f.blk];
-    }
+    /** Move the cursor to the head of block @p b. */
+    void enterBlock(std::uint32_t b);
+
+    /** Outcome of the back edge ending the current block. */
+    bool takeBackEdge(const BasicBlock &bb);
 
     /** Generate a load/store effective address. */
     Addr dataAddress(std::uint32_t fn);
 
     const Program &program;
-    Rng rng;
-    std::vector<Frame> stack;
-    std::uint64_t count = 0;
-    /** Server request batching: the dispatch loop tends to invoke the
-     *  same handler several times in a row (phases), which also makes
-     *  the indirect-call target realistically predictable. */
-    std::uint32_t stickyCallee = 0;
-    std::uint32_t stickyLeft = 0;
-    /** The top frame's block (a cache of currentBlock()). */
-    const BasicBlock *block = nullptr;
+    const Instr *instrs;
+    WarmState state;
+    /** The current block's terminator (a cache of blocks[state.blk]). */
+    std::uint32_t termInstr = 0;
 };
 
 } // namespace dcfb::workload

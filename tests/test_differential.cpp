@@ -27,6 +27,11 @@
  * kernel against a two-scan model of the padded-line array it replaced,
  * and the block-run warm walk against the per-instruction loop it
  * replaced (plus TAGE's lookup reuse against fresh lookups).
+ *
+ * The trace walker's flat program layout (one block array, a loop-trip
+ * stack) is checked against the nested per-function walk with per-frame
+ * loop-trip maps it replaced, entry by entry, and across a warm-state
+ * checkpoint.
  */
 
 #include <gtest/gtest.h>
@@ -58,6 +63,7 @@
 #include "prefetch/seq_table.h"
 #include "sim/system.h"
 #include "sim/warm_cache.h"
+#include "workload/cfg.h"
 #include "workload/image.h"
 #include "workload/profiles.h"
 #include "workload/trace.h"
@@ -471,6 +477,144 @@ functionalWarmup(const sim::SystemConfig &cfg, WarmStructures &w)
     }
     return taken_pcs;
 }
+
+/**
+ * The trace walk before the flat program layout: per-function block
+ * indexing, PCs summed from the block start, and a per-frame map of
+ * loop trips keyed by back-edge PC.  It draws from its RNG in the same
+ * order, so it must retire the same stream.  No malformed-CFG guards:
+ * it only walks generated programs.
+ */
+class TraceWalker
+{
+  public:
+    TraceWalker(const workload::Program &program_, std::uint64_t seed)
+        : program(program_), rng(seed)
+    {
+        stack.emplace_back();
+    }
+
+    workload::TraceEntry
+    next()
+    {
+        using isa::InstrKind;
+        using workload::TermKind;
+        Frame &f = stack.back();
+        const workload::BasicBlock &bb = block(f.fn, f.blk);
+        const workload::Instr in = program.instrs[bb.firstInstr + f.instr];
+        workload::TraceEntry e;
+        e.pc = bb.start;
+        for (std::uint32_t j = 0; j < f.instr; ++j)
+            e.pc += program.instrs[bb.firstInstr + j].len;
+        e.len = in.len;
+        e.kind = in.kind;
+        if (e.kind == InstrKind::Load || e.kind == InstrKind::Store)
+            e.dataAddr = dataAddress(f.fn);
+        if (f.instr + 1 < bb.numInstrs) {
+            ++f.instr;
+            return e;
+        }
+        f.instr = 0;
+        const std::uint32_t target =
+            bb.targetBlock - program.functions[f.fn].firstBlock;
+        switch (bb.term) {
+          case TermKind::FallThrough:
+            ++f.blk;
+            break;
+          case TermKind::Cond:
+            if (target <= f.blk) {
+                auto [it, fresh] = f.loopTrips.try_emplace(e.pc, 0);
+                if (fresh) {
+                    auto mean = static_cast<std::uint32_t>(
+                        bb.takenProb / (1.0 - bb.takenProb + 1e-6));
+                    it->second = static_cast<std::uint32_t>(
+                        rng.range(1, std::max(2u * mean, 2u)));
+                }
+                if (it->second > 0) {
+                    --it->second;
+                    e.taken = true;
+                } else {
+                    f.loopTrips.erase(it);
+                }
+            } else {
+                e.taken = rng.chance(bb.takenProb);
+            }
+            e.target = block(f.fn, target).start;
+            f.blk = e.taken ? target : f.blk + 1;
+            break;
+          case TermKind::Jump:
+            e.taken = true;
+            e.target = block(f.fn, target).start;
+            f.blk = target;
+            break;
+          case TermKind::Call:
+          case TermKind::IndirectCall: {
+            e.taken = true;
+            std::uint32_t callee = bb.callee;
+            if (bb.term == TermKind::IndirectCall && stickyLeft > 0) {
+                callee = stickyCallee;
+                --stickyLeft;
+            } else if (bb.term == TermKind::IndirectCall) {
+                callee = program.driverTargets[rng.zipf(
+                    program.driverTargets.size(), program.profile.zipfSkew)];
+                stickyCallee = callee;
+                stickyLeft = static_cast<std::uint32_t>(rng.range(1, 3));
+            }
+            e.target = program.functions[callee].entry;
+            Frame callee_frame;
+            callee_frame.fn = callee;
+            callee_frame.retBlk = f.blk + 1;
+            stack.push_back(callee_frame);
+            break;
+          }
+          case TermKind::Return: {
+            e.taken = true;
+            std::uint32_t resume = f.retBlk;
+            stack.pop_back();
+            stack.back().blk = resume;
+            e.target = block(stack.back().fn, resume).start;
+            break;
+          }
+        }
+        return e;
+    }
+
+  private:
+    struct Frame
+    {
+        std::uint32_t fn = 0;
+        std::uint32_t blk = 0;
+        std::uint32_t instr = 0;
+        std::uint32_t retBlk = 0;
+        std::map<Addr, std::uint32_t> loopTrips;
+    };
+
+    const workload::BasicBlock &
+    block(std::uint32_t fn, std::uint32_t blk) const
+    {
+        return program.blocks[program.functions[fn].firstBlock + blk];
+    }
+
+    Addr
+    dataAddress(std::uint32_t fn)
+    {
+        std::uint64_t footprint = program.profile.dataFootprint;
+        double u = rng.uniform();
+        Addr region = program.dataBase + Addr{fn} * 4096;
+        if (u < 0.93)
+            return region + (rng.below(256) & ~7ull);
+        if (u < 0.98)
+            return region + (rng.below(4096) & ~7ull);
+        return program.dataBase + 0x10000000ull +
+            (rng.below(footprint ? footprint : 4096) & ~7ull);
+    }
+
+    const workload::Program &program;
+    Rng rng;
+    std::vector<Frame> stack;
+    std::uint32_t stickyCallee = 0;
+    std::uint32_t stickyLeft = 0;
+};
 
 } // namespace ref
 
@@ -1046,6 +1190,78 @@ TEST_P(WarmWalkDifferential, CoalescedWalkMatchesPerInstructionLoop)
 
 INSTANTIATE_TEST_SUITE_P(DvLlc, WarmWalkDifferential,
                          ::testing::Values(false, true));
+
+// ---------------------------------------------------------------------
+// The flat-layout trace walker against the nested walk it replaced.
+// ---------------------------------------------------------------------
+
+/** Every field of two retired instructions agrees. */
+::testing::AssertionResult
+sameEntry(const workload::TraceEntry &got, const workload::TraceEntry &want,
+          std::uint64_t step)
+{
+    if (got.pc == want.pc && got.len == want.len && got.kind == want.kind &&
+        got.taken == want.taken && got.target == want.target &&
+        got.dataAddr == want.dataAddr) {
+        return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+        << "step " << step << std::hex << ": pc " << got.pc << " vs "
+        << want.pc << ", len " << unsigned{got.len} << " vs "
+        << unsigned{want.len} << ", kind " << unsigned(got.kind) << " vs "
+        << unsigned(want.kind) << ", taken " << got.taken << " vs "
+        << want.taken << ", target " << got.target << " vs " << want.target
+        << ", data " << got.dataAddr << " vs " << want.dataAddr;
+}
+
+/** (server profile index, variable-length ISA) */
+class TraceWalkerDifferential
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{};
+
+TEST_P(TraceWalkerDifferential, FlatWalkMatchesNestedModel)
+{
+    auto [profile_idx, vl] = GetParam();
+    const auto program = workload::buildProgram(workload::serverProfile(
+        workload::serverWorkloadNames()[profile_idx], vl));
+    for (std::uint64_t seed : {42u, 7u}) {
+        workload::TraceWalker got(program, seed);
+        ref::TraceWalker want(program, seed);
+        for (std::uint64_t i = 0; i < 2000000; ++i)
+            ASSERT_TRUE(sameEntry(got.next(), want.next(), i)) << seed;
+        EXPECT_EQ(got.retired(), 2000000u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServerProfiles, TraceWalkerDifferential,
+    ::testing::Combine(::testing::Range(0, 7), ::testing::Bool()));
+
+TEST(TraceWalkerWarmState, ResumesWithACallerLoopPending)
+{
+    // Checkpoint while a caller frame still has a loop trip pending
+    // under a live callee, then resume on a second walker of the image.
+    const auto program = workload::buildProgram(
+        workload::serverProfile("OLTP (DB A)"));
+    workload::TraceWalker first(program, 3);
+    ref::TraceWalker want(program, 3);
+    std::uint64_t step = 0;
+    for (;; ++step) {
+        auto s = first.saveWarm();
+        if (s.stack.size() >= 2 && s.stack.back().tripBase > 0)
+            break;
+        ASSERT_LT(step, 1000000u) << "no caller loop ever stayed pending";
+        ASSERT_TRUE(sameEntry(first.next(), want.next(), step));
+    }
+    workload::TraceWalker second(program, 999);
+    second.restoreWarm(first.saveWarm());
+    EXPECT_EQ(second.retired(), step);
+    for (std::uint64_t i = 0; i < 200000; ++i, ++step) {
+        const workload::TraceEntry e = want.next();
+        ASSERT_TRUE(sameEntry(first.next(), e, step));
+        ASSERT_TRUE(sameEntry(second.next(), e, step));
+    }
+}
 
 // ---------------------------------------------------------------------
 // TAGE: update() reuses predict()'s lookup only while it is current.

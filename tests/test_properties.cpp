@@ -115,7 +115,7 @@ TEST_P(WalkerInvariants, ConnectedAndBalanced)
     workload::TraceEntry prev = walker.next();
     for (int i = 0; i < 30000; ++i) {
         workload::TraceEntry e = walker.next();
-        ASSERT_EQ(e.pc, prev.nextPc);
+        ASSERT_EQ(e.pc, prev.nextPc());
         if (e.kind == isa::InstrKind::Call ||
             e.kind == isa::InstrKind::IndirectCall) {
             ++depth;

@@ -17,6 +17,8 @@
 #include "workload/cfg.h"
 #include "workload/trace.h"
 
+#include "hand_cfg.h"
+
 namespace dcfb::rt {
 namespace {
 
@@ -319,51 +321,18 @@ TEST(RtWatchdog, RearmResetsTheBaseline)
 // Fuzz-style negative tests: hand-build malformed CFGs and expect the
 // walker to die with a typed Workload error, never UB.
 
-using workload::BasicBlock;
-using workload::Function;
 using workload::Program;
 using workload::TermKind;
 using workload::TraceWalker;
+using workload::hand::addBlock;
+using workload::hand::addFunction;
 
-BasicBlock
-makeBlock(Addr start, std::size_t instrs, TermKind term,
-          std::uint32_t target = 0, std::uint32_t callee = 0)
-{
-    BasicBlock bb;
-    bb.start = start;
-    bb.term = term;
-    bb.targetBlock = target;
-    bb.callee = callee;
-    bb.takenProb = 0.5;
-    for (std::size_t i = 0; i < instrs; ++i) {
-        bb.pcs.push_back(start + i * kInstrBytes);
-        bb.lens.push_back(kInstrBytes);
-        bb.kinds.push_back(isa::InstrKind::Alu);
-    }
-    switch (term) {
-      case TermKind::Cond:
-        bb.kinds.back() = isa::InstrKind::CondBranch;
-        break;
-      case TermKind::Jump:
-        bb.kinds.back() = isa::InstrKind::Jump;
-        break;
-      case TermKind::Call:
-        bb.kinds.back() = isa::InstrKind::Call;
-        break;
-      case TermKind::Return:
-        bb.kinds.back() = isa::InstrKind::Return;
-        break;
-      default:
-        break;
-    }
-    return bb;
-}
-
+/** A one-function program (the driver) whose indirect calls go to it. */
 Program
-makeProgram(std::vector<Function> functions)
+driverOnly()
 {
     Program prog;
-    prog.functions = std::move(functions);
+    addFunction(prog);
     prog.driverTargets = {0};
     return prog;
 }
@@ -382,9 +351,8 @@ TEST(RtTraceGuards, EmptyProgramIsRejectedAtConstruction)
 TEST(RtTraceGuards, FallThroughOffTheEndRaises)
 {
     // One block, FallThrough terminator: nowhere to fall into.
-    Function fn;
-    fn.blocks.push_back(makeBlock(0x1000, 4, TermKind::FallThrough));
-    Program prog = makeProgram({fn});
+    Program prog = driverOnly();
+    addBlock(prog, 0x1000, 4, TermKind::FallThrough);
     TraceWalker w(prog, 1);
     for (int i = 0; i < 3; ++i)
         w.next();
@@ -400,10 +368,9 @@ TEST(RtTraceGuards, FallThroughOffTheEndRaises)
 
 TEST(RtTraceGuards, OutOfRangeBranchTargetRaises)
 {
-    Function fn;
-    fn.blocks.push_back(makeBlock(0x1000, 2, TermKind::Jump, 99));
-    fn.blocks.push_back(makeBlock(0x2000, 2, TermKind::Jump, 0));
-    Program prog = makeProgram({fn});
+    Program prog = driverOnly();
+    addBlock(prog, 0x1000, 2, TermKind::Jump, 99);
+    addBlock(prog, 0x2000, 2, TermKind::Jump, 0);
     TraceWalker w(prog, 1);
     w.next();
     EXPECT_THROW(w.next(), Exception);
@@ -411,10 +378,9 @@ TEST(RtTraceGuards, OutOfRangeBranchTargetRaises)
 
 TEST(RtTraceGuards, CallToMissingFunctionRaises)
 {
-    Function fn;
-    fn.blocks.push_back(makeBlock(0x1000, 2, TermKind::Call, 0, 7));
-    fn.blocks.push_back(makeBlock(0x2000, 2, TermKind::Jump, 0));
-    Program prog = makeProgram({fn});
+    Program prog = driverOnly();
+    addBlock(prog, 0x1000, 2, TermKind::Call, 0, 7);
+    addBlock(prog, 0x2000, 2, TermKind::Jump, 0);
     TraceWalker w(prog, 1);
     w.next();
     try {
@@ -431,10 +397,9 @@ TEST(RtTraceGuards, SelfReferentialCallGraphHitsTheDepthBound)
     // The driver calls itself: a cycle the generator's strictly
     // increasing call-level rule forbids.  The walk must terminate with
     // a typed error instead of growing the stack until OOM.
-    Function fn;
-    fn.blocks.push_back(makeBlock(0x1000, 2, TermKind::Call, 0, 0));
-    fn.blocks.push_back(makeBlock(0x2000, 2, TermKind::Jump, 0));
-    Program prog = makeProgram({fn});
+    Program prog = driverOnly();
+    addBlock(prog, 0x1000, 2, TermKind::Call, 0, 0);
+    addBlock(prog, 0x2000, 2, TermKind::Jump, 0);
     TraceWalker w(prog, 1);
     try {
         for (int i = 0; i < (1 << 20); ++i)
@@ -448,9 +413,8 @@ TEST(RtTraceGuards, SelfReferentialCallGraphHitsTheDepthBound)
 
 TEST(RtTraceGuards, DriverReturnRaises)
 {
-    Function fn;
-    fn.blocks.push_back(makeBlock(0x1000, 2, TermKind::Return));
-    Program prog = makeProgram({fn});
+    Program prog = driverOnly();
+    addBlock(prog, 0x1000, 2, TermKind::Return);
     TraceWalker w(prog, 1);
     w.next();
     try {
@@ -466,7 +430,8 @@ TEST(RtTraceGuards, FuzzedCorruptionsNeverCrash)
 {
     // Start from a real generated program, corrupt one structural field
     // per trial, and require the walk to either keep producing entries
-    // or die with a typed Workload error -- nothing else.
+    // or die with a typed Workload error -- nothing else.  Every field
+    // lives in the one block array, so no derived copy can go stale.
     workload::WorkloadProfile profile;
     profile.name = "fuzz";
     profile.numFunctions = 16;
@@ -474,27 +439,23 @@ TEST(RtTraceGuards, FuzzedCorruptionsNeverCrash)
     Rng rng(2026);
     for (int trial = 0; trial < 40; ++trial) {
         Program prog = workload::buildProgram(profile);
-        auto &fns = prog.functions;
-        std::uint32_t fi =
-            static_cast<std::uint32_t>(rng.below(fns.size()));
-        auto &blocks = fns[fi].blocks;
-        std::uint32_t bi =
-            static_cast<std::uint32_t>(rng.below(blocks.size()));
+        const auto &fn = prog.functions[rng.below(prog.functions.size())];
+        auto &bb = prog.blocks[fn.firstBlock + rng.below(fn.numBlocks)];
         switch (trial % 4) {
           case 0: // out-of-range branch target
-            blocks[bi].term = TermKind::Jump;
-            blocks[bi].targetBlock = 0xdeadu;
+            bb.term = TermKind::Jump;
+            bb.targetBlock = 0xdeadu;
             break;
           case 1: // call into the void
-            blocks[bi].term = TermKind::Call;
-            blocks[bi].callee =
-                static_cast<std::uint32_t>(fns.size()) + 9;
+            bb.term = TermKind::Call;
+            bb.callee =
+                static_cast<std::uint32_t>(prog.functions.size()) + 9;
             break;
           case 2: // truncate: make the last block fall off the end
-            blocks.back().term = TermKind::FallThrough;
+            prog.blocks[fn.endBlock() - 1].term = TermKind::FallThrough;
             break;
           case 3: // driver-level return
-            blocks[bi].term = TermKind::Return;
+            bb.term = TermKind::Return;
             break;
         }
         TraceWalker w(prog, 1);

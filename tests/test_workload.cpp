@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "isa/predecoder.h"
@@ -17,6 +18,8 @@
 #include "workload/image.h"
 #include "workload/profiles.h"
 #include "workload/trace.h"
+
+#include "hand_cfg.h"
 
 namespace dcfb::workload {
 namespace {
@@ -71,14 +74,32 @@ TEST(ProgramImage, BlockLookup)
     EXPECT_EQ(img.numBlocks(), 1u);
 }
 
+/** PC of every instruction of @p bb, plus its end as the last element. */
+std::vector<Addr>
+blockPcs(const Program &prog, const BasicBlock &bb)
+{
+    std::vector<Addr> pcs{bb.start};
+    for (std::uint32_t j = bb.firstInstr; j <= bb.termInstr(); ++j)
+        pcs.push_back(pcs.back() + prog.instrs[j].len);
+    return pcs;
+}
+
+Addr
+termPc(const Program &prog, const BasicBlock &bb)
+{
+    return blockPcs(prog, bb).rbegin()[1];
+}
+
 TEST(CfgBuilder, DeterministicForSeed)
 {
     Program a = buildProgram(tinyProfile());
     Program b = buildProgram(tinyProfile());
     ASSERT_EQ(a.functions.size(), b.functions.size());
+    ASSERT_EQ(a.blocks.size(), b.blocks.size());
+    ASSERT_EQ(a.instrs.size(), b.instrs.size());
     EXPECT_EQ(a.codeEnd, b.codeEnd);
     for (std::size_t f = 0; f < a.functions.size(); ++f) {
-        ASSERT_EQ(a.functions[f].blocks.size(), b.functions[f].blocks.size());
+        EXPECT_EQ(a.functions[f].numBlocks, b.functions[f].numBlocks);
         EXPECT_EQ(a.functions[f].entry, b.functions[f].entry);
     }
 }
@@ -86,26 +107,35 @@ TEST(CfgBuilder, DeterministicForSeed)
 TEST(CfgBuilder, FunctionsAreBlockAligned)
 {
     Program prog = buildProgram(tinyProfile());
-    for (const auto &fn : prog.functions)
+    for (const auto &fn : prog.functions) {
         EXPECT_EQ(fn.entry % kBlockBytes, 0u);
+        EXPECT_EQ(prog.blocks[fn.firstBlock].start, fn.entry);
+    }
 }
 
 TEST(CfgBuilder, LayoutIsContiguousAndOrdered)
 {
+    // Functions tile the block array and blocks tile the instruction
+    // array, both in address order.
     Program prog = buildProgram(tinyProfile());
     Addr prev_end = prog.codeBase;
+    std::uint32_t next_block = 0, next_instr = 0;
     for (const auto &fn : prog.functions) {
         EXPECT_GE(fn.entry, prev_end);
+        EXPECT_EQ(fn.firstBlock, next_block);
+        next_block = fn.endBlock();
         Addr cursor = fn.entry;
-        for (const auto &bb : fn.blocks) {
+        for (std::uint32_t b = fn.firstBlock; b < fn.endBlock(); ++b) {
+            const auto &bb = prog.blocks[b];
             EXPECT_EQ(bb.start, cursor);
-            for (std::size_t j = 0; j < bb.numInstrs(); ++j) {
-                EXPECT_EQ(bb.pcs[j], cursor);
-                cursor += bb.lens[j];
-            }
+            EXPECT_EQ(bb.firstInstr, next_instr);
+            next_instr += bb.numInstrs;
+            cursor = blockPcs(prog, bb).back();
         }
         prev_end = cursor;
     }
+    EXPECT_EQ(next_block, prog.blocks.size());
+    EXPECT_EQ(next_instr, prog.instrs.size());
     EXPECT_EQ(prev_end, prog.codeEnd);
 }
 
@@ -113,27 +143,28 @@ TEST(CfgBuilder, TerminatorTargetsAreValid)
 {
     Program prog = buildProgram(tinyProfile());
     for (const auto &fn : prog.functions) {
-        for (std::size_t i = 0; i < fn.blocks.size(); ++i) {
-            const auto &bb = fn.blocks[i];
+        for (std::uint32_t i = fn.firstBlock; i < fn.endBlock(); ++i) {
+            const auto &bb = prog.blocks[i];
             switch (bb.term) {
               case TermKind::Cond:
               case TermKind::Jump:
-                EXPECT_LT(bb.targetBlock, fn.blocks.size());
+                EXPECT_GE(bb.targetBlock, fn.firstBlock);
+                EXPECT_LT(bb.targetBlock, fn.endBlock());
                 break;
               case TermKind::Call:
                 ASSERT_LT(bb.callee, prog.functions.size());
                 EXPECT_GT(prog.functions[bb.callee].level, fn.level);
-                EXPECT_LT(i + 1, fn.blocks.size()); // return site exists
+                EXPECT_LT(i + 1, fn.endBlock()); // return site exists
                 break;
               case TermKind::IndirectCall:
-                EXPECT_LT(i + 1, fn.blocks.size());
+                EXPECT_LT(i + 1, fn.endBlock());
                 break;
               case TermKind::Return:
-                EXPECT_EQ(i + 1, fn.blocks.size());
+                EXPECT_EQ(i + 1, fn.endBlock());
                 break;
               case TermKind::FallThrough:
                 if (&fn != &prog.functions[0]) {
-                    EXPECT_LT(i + 1, fn.blocks.size());
+                    EXPECT_LT(i + 1, fn.endBlock());
                 }
                 break;
             }
@@ -144,28 +175,29 @@ TEST(CfgBuilder, TerminatorTargetsAreValid)
 TEST(CfgBuilder, LastWorkerBlockReturns)
 {
     Program prog = buildProgram(tinyProfile());
-    for (std::size_t f = 1; f < prog.functions.size(); ++f)
-        EXPECT_EQ(prog.functions[f].blocks.back().term, TermKind::Return);
+    for (std::size_t f = 1; f < prog.functions.size(); ++f) {
+        EXPECT_EQ(prog.blocks[prog.functions[f].endBlock() - 1].term,
+                  TermKind::Return);
+    }
 }
 
 TEST(CfgBuilder, DriverLoops)
 {
     Program prog = buildProgram(tinyProfile());
     const auto &driver = prog.functions[0];
-    EXPECT_EQ(driver.blocks.back().term, TermKind::Jump);
-    EXPECT_EQ(driver.blocks.back().targetBlock, 0u);
-    for (std::size_t i = 0; i + 1 < driver.blocks.size(); ++i)
-        EXPECT_EQ(driver.blocks[i].term, TermKind::IndirectCall);
+    const auto &last = prog.blocks[driver.endBlock() - 1];
+    EXPECT_EQ(last.term, TermKind::Jump);
+    EXPECT_EQ(last.targetBlock, driver.firstBlock);
+    for (std::uint32_t i = driver.firstBlock; i + 1 < driver.endBlock(); ++i)
+        EXPECT_EQ(prog.blocks[i].term, TermKind::IndirectCall);
 }
 
 TEST(CfgBuilder, ImageCoversAllCode)
 {
     Program prog = buildProgram(tinyProfile());
-    for (const auto &fn : prog.functions) {
-        for (const auto &bb : fn.blocks) {
-            EXPECT_TRUE(prog.image.contains(bb.start));
-            EXPECT_TRUE(prog.image.contains(bb.endPc() - 1));
-        }
+    for (const auto &bb : prog.blocks) {
+        EXPECT_TRUE(prog.image.contains(bb.start));
+        EXPECT_TRUE(prog.image.contains(blockPcs(prog, bb).back() - 1));
     }
 }
 
@@ -173,21 +205,19 @@ TEST(CfgBuilder, EncodedTerminatorsDecodeToThemselves)
 {
     Program prog = buildProgram(tinyProfile());
     isa::Predecoder pd(prog.image, false);
-    for (const auto &fn : prog.functions) {
-        for (const auto &bb : fn.blocks) {
-            if (bb.term != TermKind::Cond && bb.term != TermKind::Jump &&
-                bb.term != TermKind::Call) {
-                continue;
-            }
-            Addr pc = bb.termPc();
-            auto hits = pd.decodeAt(blockAlign(pc), blockOffset(pc));
-            ASSERT_EQ(hits.size(), 1u);
-            EXPECT_TRUE(hits[0].hasTarget);
-            Addr expect = bb.term == TermKind::Call
-                ? prog.functions[bb.callee].entry
-                : fn.blocks[bb.targetBlock].start;
-            EXPECT_EQ(hits[0].target, expect);
+    for (const auto &bb : prog.blocks) {
+        if (bb.term != TermKind::Cond && bb.term != TermKind::Jump &&
+            bb.term != TermKind::Call) {
+            continue;
         }
+        Addr pc = termPc(prog, bb);
+        auto hits = pd.decodeAt(blockAlign(pc), blockOffset(pc));
+        ASSERT_EQ(hits.size(), 1u);
+        EXPECT_TRUE(hits[0].hasTarget);
+        Addr expect = bb.term == TermKind::Call
+            ? prog.functions[bb.callee].entry
+            : prog.blocks[bb.targetBlock].start;
+        EXPECT_EQ(hits[0].target, expect);
     }
 }
 
@@ -196,16 +226,14 @@ TEST(CfgBuilder, VariableLengthImageDecodes)
     Program prog = buildProgram(tinyProfile(true));
     isa::Predecoder pd(prog.image, true);
     int checked = 0;
-    for (const auto &fn : prog.functions) {
-        for (const auto &bb : fn.blocks) {
-            if (bb.term != TermKind::Cond && bb.term != TermKind::Jump)
-                continue;
-            Addr pc = bb.termPc();
-            auto hits = pd.decodeAt(blockAlign(pc), blockOffset(pc));
-            ASSERT_EQ(hits.size(), 1u) << "pc=" << std::hex << pc;
-            EXPECT_EQ(hits[0].target, fn.blocks[bb.targetBlock].start);
-            ++checked;
-        }
+    for (const auto &bb : prog.blocks) {
+        if (bb.term != TermKind::Cond && bb.term != TermKind::Jump)
+            continue;
+        Addr pc = termPc(prog, bb);
+        auto hits = pd.decodeAt(blockAlign(pc), blockOffset(pc));
+        ASSERT_EQ(hits.size(), 1u) << "pc=" << std::hex << pc;
+        EXPECT_EQ(hits[0].target, prog.blocks[bb.targetBlock].start);
+        ++checked;
     }
     EXPECT_GT(checked, 5);
 }
@@ -217,7 +245,7 @@ TEST(TraceWalker, DeterministicForSeed)
     for (int i = 0; i < 5000; ++i) {
         TraceEntry ea = a.next(), eb = b.next();
         ASSERT_EQ(ea.pc, eb.pc);
-        ASSERT_EQ(ea.nextPc, eb.nextPc);
+        ASSERT_EQ(ea.nextPc(), eb.nextPc());
         ASSERT_EQ(ea.taken, eb.taken);
     }
 }
@@ -229,7 +257,7 @@ TEST(TraceWalker, StreamIsConnected)
     TraceEntry prev = w.next();
     for (int i = 0; i < 20000; ++i) {
         TraceEntry e = w.next();
-        ASSERT_EQ(e.pc, prev.nextPc) << "disconnected at step " << i;
+        ASSERT_EQ(e.pc, prev.nextPc()) << "disconnected at step " << i;
         prev = e;
     }
 }
@@ -238,15 +266,14 @@ TEST(TraceWalker, TransfersLandOnBlockHeads)
 {
     Program prog = buildProgram(tinyProfile());
     std::set<Addr> heads;
-    for (const auto &fn : prog.functions)
-        for (const auto &bb : fn.blocks)
-            heads.insert(bb.start);
+    for (const auto &bb : prog.blocks)
+        heads.insert(bb.start);
 
     TraceWalker w(prog, 13);
     for (int i = 0; i < 20000; ++i) {
         TraceEntry e = w.next();
         if (e.isBranch() && e.taken) {
-            ASSERT_TRUE(heads.count(e.nextPc)) << std::hex << e.nextPc;
+            ASSERT_TRUE(heads.count(e.nextPc())) << std::hex << e.nextPc();
         }
     }
 }
@@ -290,8 +317,8 @@ TEST(TraceWalker, ReturnsGoToCallSiteSuccessor)
             // The return target is a block head (checked in the block-head
             // test); here we check it is in the same function region as
             // some caller, i.e. code space.
-            EXPECT_GE(e.nextPc, prog.codeBase);
-            EXPECT_LT(e.nextPc, prog.codeEnd);
+            EXPECT_GE(e.nextPc(), prog.codeBase);
+            EXPECT_LT(e.nextPc(), prog.codeEnd);
         }
     }
 }
@@ -318,13 +345,8 @@ TEST(TraceWalker, ColdBlocksAreRare)
 {
     Program prog = buildProgram(tinyProfile());
     std::map<Addr, bool> head_is_cold;
-    std::map<Addr, const BasicBlock *> by_head;
-    for (const auto &fn : prog.functions) {
-        for (const auto &bb : fn.blocks) {
-            head_is_cold[bb.start] = bb.cold;
-            by_head[bb.start] = &bb;
-        }
-    }
+    for (const auto &bb : prog.blocks)
+        head_is_cold[bb.start] = bb.cold;
     TraceWalker w(prog, 29);
     std::uint64_t cold = 0, total = 0;
     for (int i = 0; i < 100000; ++i) {
@@ -337,6 +359,75 @@ TEST(TraceWalker, ColdBlocksAreRare)
     }
     ASSERT_GT(total, 0u);
     EXPECT_LT(static_cast<double>(cold) / total, 0.10);
+}
+
+/** Pending trips of the loop whose back edge ends block @p blk, in the
+ *  innermost frame of @p s; nullopt when none is pending. */
+std::optional<std::uint32_t>
+pendingTrips(const TraceWalker::WarmState &s, std::uint32_t blk)
+{
+    for (std::size_t i = s.stack.back().tripBase; i < s.trips.size(); ++i) {
+        if (s.trips[i].blk == blk)
+            return s.trips[i].left;
+    }
+    return std::nullopt;
+}
+
+TEST(TraceWalker, LoopTripsSurviveForwardSkipsAndDieWithTheirFrame)
+{
+    // The driver calls one worker with an inner loop (back edge in
+    // block 4) that a forward branch (block 3) can skip, inside an
+    // outer loop (back edge in block 5):
+    //   2: head   3: cond -> 5   4: cond -> 2   5: cond -> 2   6: return
+    Program prog;
+    hand::addFunction(prog);
+    hand::addBlock(prog, 0x1000, 2, TermKind::IndirectCall);
+    hand::addBlock(prog, 0x1008, 2, TermKind::Jump, 0);
+    hand::addFunction(prog, 1);
+    hand::addBlock(prog, 0x2000, 2, TermKind::FallThrough);
+    hand::addBlock(prog, 0x2008, 2, TermKind::Cond, 5, 0, 0.5);
+    hand::addBlock(prog, 0x2010, 2, TermKind::Cond, 2, 0, 0.8);
+    hand::addBlock(prog, 0x2018, 2, TermKind::Cond, 2, 0, 0.8);
+    hand::addBlock(prog, 0x2020, 2, TermKind::Return);
+    prog.driverTargets = {1};
+    const Addr skip_pc = 0x200c, inner_pc = 0x2014;
+    const std::uint32_t inner = 4;
+
+    TraceWalker w(prog, 5);
+    int reused = 0, dropped = 0;
+    bool skipped_pending = false;
+    for (int i = 0; i < 20000; ++i) {
+        TraceWalker::WarmState before = w.saveWarm();
+        TraceEntry e = w.next();
+        TraceWalker::WarmState after = w.saveWarm();
+        auto was = pendingTrips(before, inner);
+        if (e.pc == skip_pc && e.taken && was) {
+            // Skipping the back edge leaves its count untouched.
+            EXPECT_EQ(pendingTrips(after, inner), was) << i;
+            skipped_pending = true;
+        } else if (e.pc == inner_pc) {
+            if (!was) {
+                // A fresh count is at least one trip.
+                EXPECT_TRUE(e.taken) << i;
+                EXPECT_TRUE(pendingTrips(after, inner)) << i;
+            } else if (*was > 0) {
+                EXPECT_TRUE(e.taken) << i;
+                EXPECT_EQ(pendingTrips(after, inner), *was - 1) << i;
+                reused += skipped_pending;
+            } else {
+                EXPECT_FALSE(e.taken) << i;
+                EXPECT_FALSE(pendingTrips(after, inner)) << i;
+            }
+            skipped_pending = false;
+        } else if (e.kind == isa::InstrKind::Return && was) {
+            // The frame's return drops everything it left pending.
+            EXPECT_TRUE(after.trips.empty()) << i;
+            ++dropped;
+            skipped_pending = false;
+        }
+    }
+    EXPECT_GT(reused, 0);
+    EXPECT_GT(dropped, 0);
 }
 
 TEST(Profiles, AllSevenExist)
