@@ -11,7 +11,8 @@
 namespace dcfb {
 
 /**
- * An n-bit saturating counter, n <= 8.
+ * An n-bit saturating counter, n <= 8, in two bytes (width and value),
+ * so TAGE's tables pack 2 B counters.
  *
  * For direction prediction the counter is interpreted as taken when it is
  * in the upper half of its range.
@@ -20,7 +21,7 @@ class SatCounter
 {
   public:
     explicit SatCounter(unsigned bits_ = 2, std::uint8_t initial = 0)
-        : bits(bits_), value(initial)
+        : bits(static_cast<std::uint8_t>(bits_)), value(initial)
     {}
 
     /** Increment, saturating at 2^bits - 1. */
@@ -68,9 +69,11 @@ class SatCounter
     }
 
   private:
-    unsigned bits;
+    std::uint8_t bits;
     std::uint8_t value;
 };
+
+static_assert(sizeof(SatCounter) == 2);
 
 } // namespace dcfb
 

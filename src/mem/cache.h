@@ -12,27 +12,47 @@
 #ifndef DCFB_MEM_CACHE_H
 #define DCFB_MEM_CACHE_H
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "rt/error.h"
 
 namespace dcfb::mem {
+
+/** An insert of a block whose tag does not fit the 32-bit tag column. */
+[[noreturn, gnu::cold]] inline void
+raiseTagRange(Addr addr, unsigned num_sets)
+{
+    rt::raise(rt::Error(rt::ErrorKind::Workload,
+                        "address beyond the cache's 32-bit tag range")
+                  .with("address", addr)
+                  .with("sets", num_sets)
+                  .with("first address out of range",
+                        ((Addr{0xffffffff} * num_sets) << kBlockShift)));
+}
 
 /**
  * Set-associative cache indexed by block address.
  *
  * The array is three flat struct-of-arrays columns, each laid out set
- * by set: the tag of every way (the block address, or kInvalidAddr
- * when the way holds nothing, so the valid bit lives in the tag), its
- * LRU stamp, and its payload.  A hit scans only the tags, 8 bytes per
- * way; a miss also reads the stamps to pick the victim.  A way that
- * is invalidated keeps its stamp and payload: the stamp still steers
- * lruWay(), and a caller that refills the way gets the old payload
- * back to overwrite in place.
+ * by set: the 32-bit tag of every way (the block number shifted right
+ * by the set-index bits, or kFree when the way holds nothing, so the
+ * valid bit lives in the tag), its 32-bit LRU stamp, and its payload.
+ * A hit scans only the tags, 4 bytes per way; a miss also reads the
+ * stamps to pick the victim.  A way that is invalidated keeps its
+ * stamp and payload: the stamp still steers lruWay(), and a caller
+ * that refills the way gets the old payload back to overwrite in
+ * place.
+ *
+ * Tags cover block numbers below 2^32 - 1 times the set count.  A
+ * probe of an address beyond that misses; an insert of one raises
+ * rt::Error.  When the LRU clock is about to wrap, every stamp is
+ * replaced by its rank among the array's distinct stamps (0 stays 0),
+ * which keeps every comparison victim() and lruWay() make.
  *
  * @tparam Meta per-line metadata (prefetch flags, isInstruction bit, ...)
  */
@@ -40,15 +60,6 @@ template <typename Meta>
 class SetAssocCache
 {
   public:
-    /** One way as warmup checkpoints store it (WarmState). */
-    struct Line
-    {
-        Addr blockAddr = kInvalidAddr; //!< block-aligned address
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-        Meta meta{};
-    };
-
     /** Result of an insertion: the line that was displaced, if any. */
     struct Evicted
     {
@@ -62,8 +73,8 @@ class SetAssocCache
      * @param assoc_   ways per set
      */
     SetAssocCache(unsigned num_sets, unsigned assoc_)
-        : numSets(num_sets), assoc(assoc_),
-          tags(std::size_t{num_sets} * assoc_, kInvalidAddr),
+        : numSets(num_sets), assoc(assoc_), setBits(floorLog2(num_sets)),
+          tags(std::size_t{num_sets} * assoc_, kFree),
           stamps(std::size_t{num_sets} * assoc_),
           payloads(std::size_t{num_sets} * assoc_)
     {
@@ -91,7 +102,7 @@ class SetAssocCache
         std::size_t i = find(addr);
         if (i == kNone)
             return nullptr;
-        stamps[i] = ++tick;
+        stamps[i] = nextStamp();
         return &payloads[i];
     }
 
@@ -116,8 +127,8 @@ class SetAssocCache
     {
         std::size_t i = victim(setBase(addr), way_limit);
         Evicted ev;
-        if (tags[i] != kInvalidAddr)
-            ev = {true, tags[i], payloads[i]};
+        if (tags[i] != kFree)
+            ev = {true, blockAt(i, setIndex(addr)), payloads[i]};
         claim(i, addr);
         payloads[i] = meta;
         return ev;
@@ -144,11 +155,11 @@ class SetAssocCache
     {
         std::size_t i = find(addr);
         if (i != kNone) {
-            stamps[i] = ++tick;
+            stamps[i] = nextStamp();
             return {&payloads[i], true, kInvalidAddr};
         }
         i = victim(setBase(addr), way_limit);
-        Addr old = tags[i];
+        Addr old = blockAt(i, setIndex(addr));
         claim(i, addr);
         return {&payloads[i], false, old};
     }
@@ -159,7 +170,7 @@ class SetAssocCache
     {
         std::size_t i = find(addr);
         if (i != kNone)
-            tags[i] = kInvalidAddr;
+            tags[i] = kFree;
     }
 
     /** @name Way-indexed access (DV-LLC, invariants and tests). */
@@ -167,13 +178,13 @@ class SetAssocCache
     /** Block held by a way, or kInvalidAddr. */
     Addr tag(unsigned set_index, unsigned way) const
     {
-        return tags[at(set_index, way)];
+        return blockAt(at(set_index, way), set_index);
     }
     bool valid(unsigned set_index, unsigned way) const
     {
-        return tag(set_index, way) != kInvalidAddr;
+        return tags[at(set_index, way)] != kFree;
     }
-    std::uint64_t stamp(unsigned set_index, unsigned way) const
+    std::uint32_t stamp(unsigned set_index, unsigned way) const
     {
         return stamps[at(set_index, way)];
     }
@@ -198,7 +209,7 @@ class SetAssocCache
         unsigned limit = ways == 0 ? assoc : ways;
         unsigned lru = 0;
         for (unsigned w = 1; w < limit; ++w) {
-            if (tags[base + w] == kInvalidAddr)
+            if (tags[base + w] == kFree)
                 return w;
             if (stamps[base + w] < stamps[base + lru])
                 lru = w;
@@ -219,7 +230,7 @@ class SetAssocCache
         tags[t] = tags[f];
         stamps[t] = stamps[f];
         payloads[t] = payloads[f];
-        tags[f] = kInvalidAddr;
+        tags[f] = kFree;
     }
     ///@}
 
@@ -235,22 +246,29 @@ class SetAssocCache
     occupancy() const
     {
         std::size_t n = 0;
-        for (Addr t : tags)
-            n += t != kInvalidAddr;
+        for (std::uint32_t t : tags)
+            n += t != kFree;
         return n;
     }
 
+    /** Tag column value of a way that holds nothing. */
+    static constexpr std::uint32_t kFree = ~std::uint32_t{0};
+
     /**
-     * Sparse image of the array for warmup checkpoints: every way ever
-     * written (by flat index) plus the LRU clock.  Every write stamps
-     * the way from the clock, which starts at 1, so a way with stamp 0
-     * still holds its defaults and is left out; invalidated ways are
-     * kept, because their stale age still steers lruWay().
+     * Sparse image of the array for warmup checkpoints: the columns of
+     * every way ever written, with its flat index, plus the LRU clock.
+     * Every write stamps the way from the clock, which starts at 1, so
+     * a way with stamp 0 still holds its defaults and is left out;
+     * invalidated ways are kept, because their stale age still steers
+     * lruWay().
      */
     struct WarmState
     {
-        std::vector<std::pair<std::uint32_t, Line>> lines;
-        std::uint64_t tick = 0;
+        std::vector<std::uint32_t> index;
+        std::vector<std::uint32_t> tags; //!< kFree for an invalid way
+        std::vector<std::uint32_t> stamps;
+        std::vector<Meta> payloads;
+        std::uint32_t tick = 0;
     };
 
     WarmState
@@ -260,10 +278,10 @@ class SetAssocCache
         s.tick = tick;
         for (std::size_t i = 0; i < tags.size(); ++i) {
             if (stamps[i] != 0) {
-                s.lines.emplace_back(
-                    static_cast<std::uint32_t>(i),
-                    Line{tags[i], tags[i] != kInvalidAddr, stamps[i],
-                         payloads[i]});
+                s.index.push_back(static_cast<std::uint32_t>(i));
+                s.tags.push_back(tags[i]);
+                s.stamps.push_back(stamps[i]);
+                s.payloads.push_back(payloads[i]);
             }
         }
         return s;
@@ -273,21 +291,18 @@ class SetAssocCache
     void
     restoreWarm(const WarmState &s)
     {
-        for (const auto &[index, line] : s.lines) {
-            assert(index < tags.size());
-            tags[index] = line.valid ? line.blockAddr : kInvalidAddr;
-            stamps[index] = line.lastUse;
-            payloads[index] = line.meta;
+        for (std::size_t k = 0; k < s.index.size(); ++k) {
+            std::uint32_t i = s.index[k];
+            assert(i < tags.size());
+            tags[i] = s.tags[k];
+            stamps[i] = s.stamps[k];
+            payloads[i] = s.payloads[k];
         }
         tick = s.tick;
     }
 
   private:
     static constexpr std::size_t kNone = ~std::size_t{0};
-
-    // A block-aligned address never equals kInvalidAddr, so a free way
-    // never matches a lookup.
-    static_assert(blockAlign(kInvalidAddr) != kInvalidAddr);
 
     std::size_t at(unsigned set_index, unsigned way) const
     {
@@ -297,12 +312,28 @@ class SetAssocCache
 
     std::size_t setBase(Addr addr) const { return at(setIndex(addr), 0); }
 
+    /** Tag of @p addr's block; kFree or above when out of range. */
+    Addr tagOf(Addr addr) const { return blockNumber(addr) >> setBits; }
+
+    /** Block held by flat way @p i of set @p set_index, or
+     *  kInvalidAddr. */
+    Addr
+    blockAt(std::size_t i, unsigned set_index) const
+    {
+        if (tags[i] == kFree)
+            return kInvalidAddr;
+        return ((Addr{tags[i]} << setBits) | set_index) << kBlockShift;
+    }
+
     /** Flat index of the way holding @p addr, else kNone. */
     std::size_t
     find(Addr addr) const
     {
+        Addr t = tagOf(addr);
+        if (t >= kFree)
+            return kNone;
+        auto want = static_cast<std::uint32_t>(t);
         std::size_t base = setBase(addr);
-        Addr want = blockAlign(addr);
         for (std::size_t i = base; i < base + assoc; ++i) {
             if (tags[i] == want)
                 return i;
@@ -321,7 +352,7 @@ class SetAssocCache
         assert(ways <= assoc);
         std::size_t lru = base;
         for (std::size_t i = base; i < base + ways; ++i) {
-            if (tags[i] == kInvalidAddr)
+            if (tags[i] == kFree)
                 return i;
             if (stamps[i] < stamps[lru])
                 lru = i;
@@ -333,16 +364,49 @@ class SetAssocCache
     void
     claim(std::size_t i, Addr addr)
     {
-        tags[i] = blockAlign(addr);
-        stamps[i] = ++tick;
+        Addr t = tagOf(addr);
+        if (t >= kFree)
+            raiseTagRange(addr, numSets);
+        tags[i] = static_cast<std::uint32_t>(t);
+        stamps[i] = nextStamp();
+    }
+
+    /** The next LRU stamp, renumbering the stamps first if the clock
+     *  would wrap. */
+    std::uint32_t
+    nextStamp()
+    {
+        if (tick == ~std::uint32_t{0}) [[unlikely]]
+            renumberStamps();
+        return ++tick;
+    }
+
+    /** Replace every stamp by its rank among the distinct stamps, with
+     *  0 (never written) ranked 0, and restart the clock at the top
+     *  rank.  Order and ties within every set are unchanged. */
+    void
+    renumberStamps()
+    {
+        std::vector<std::uint32_t> distinct(stamps);
+        distinct.push_back(0);
+        std::sort(distinct.begin(), distinct.end());
+        distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                       distinct.end());
+        for (std::uint32_t &s : stamps) {
+            s = static_cast<std::uint32_t>(
+                std::lower_bound(distinct.begin(), distinct.end(), s) -
+                distinct.begin());
+        }
+        tick = static_cast<std::uint32_t>(distinct.size() - 1);
     }
 
     unsigned numSets;
     unsigned assoc;
-    std::vector<Addr> tags;
-    std::vector<std::uint64_t> stamps;
+    unsigned setBits;
+    std::vector<std::uint32_t> tags;
+    std::vector<std::uint32_t> stamps;
     std::vector<Meta> payloads;
-    std::uint64_t tick = 0;
+    std::uint32_t tick = 0;
 };
 
 } // namespace dcfb::mem

@@ -32,7 +32,7 @@ class NextLinePrefetcher final : public InstrPrefetcher
     std::string
     name() const override
     {
-        return depth == 1 ? "NL" : "N" + std::to_string(depth) + "L";
+        return depth == 1 ? "NL" : 'N' + std::to_string(depth) + 'L';
     }
 
     void

@@ -50,9 +50,11 @@ std::size_t
 WarmCheckpoint::bytes() const
 {
     auto vec = [](const auto &v) { return v.size() * sizeof(v[0]); };
-    std::size_t n = vec(llc.lines.lines) + vec(llc.bfSets) +
-        vec(l1i.lines.lines) + vec(l1d.lines) + vec(branches) +
-        vec(tage.base);
+    auto lines = [&](const auto &s) {
+        return vec(s.index) + vec(s.tags) + vec(s.stamps) + vec(s.payloads);
+    };
+    std::size_t n = lines(llc.lines) + vec(llc.bfSets) + lines(l1i.lines) +
+        lines(l1d) + vec(branches) + vec(tage.base);
     for (const auto &entry : llc.bfSets)
         n += vec(entry.second.slots);
     for (const auto &table : tage.tables)

@@ -316,6 +316,7 @@ buildProgram(const WorkloadProfile &profile)
     prog.codeEnd = cursor;
 
     encodeProgram(prog, profile.variableLength);
+    prog.image.shrinkToFit();
 
     // Driver dispatch targets: level-1 workers (the hot entry points).
     for (std::uint32_t f = 1; f < prog.functions.size(); ++f) {

@@ -14,7 +14,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.h"
 
@@ -22,6 +22,12 @@ namespace dcfb::workload {
 
 /**
  * Sparse byte-addressable memory image keyed by cache block.
+ *
+ * Blocks are stored as contiguous runs, each one vector of blocks
+ * indexed directly by block number minus the run's first.  A write
+ * that touches a run's neighbour extends it, and runs that meet are
+ * merged, so a program laid out without gaps is one run.  A block that
+ * was never written lies in no run and reads as unmapped.
  */
 class ProgramImage
 {
@@ -45,13 +51,28 @@ class ProgramImage
     bool contains(Addr addr) const { return block(addr) != nullptr; }
 
     /** Number of mapped 64-byte blocks. */
-    std::size_t numBlocks() const { return blocks.size(); }
+    std::size_t numBlocks() const;
 
     /** Total mapped code bytes (block granularity). */
-    std::size_t sizeBytes() const { return blocks.size() * kBlockBytes; }
+    std::size_t sizeBytes() const { return numBlocks() * kBlockBytes; }
+
+    /** Release the spare capacity that growing the runs left behind. */
+    void shrinkToFit();
 
   private:
-    std::unordered_map<Addr, Block> blocks; //!< keyed by block number
+    struct Run
+    {
+        Addr first = 0;            //!< block number of blocks[0]
+        std::vector<Block> blocks; //!< blocks first, first + 1, ...
+    };
+
+    /** Index of the first run that starts above block number @p bn. */
+    std::size_t runAbove(Addr bn) const;
+
+    /** The block numbered @p bn, mapped (zero-filled) if it was not. */
+    Block &slot(Addr bn);
+
+    std::vector<Run> runs; //!< ascending, disjoint and non-adjacent
 };
 
 } // namespace dcfb::workload

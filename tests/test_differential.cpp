@@ -884,13 +884,18 @@ drawPayload(Rng &rng, WidePayload)
     return p;
 }
 
+/**
+ * Run @p ops random operations on @p opt and @p model from @p rng and
+ * check the touched set after each.  Stamps are compared by value, or
+ * with @p stamps_by_order only by their order within the set (ties
+ * included): after a restore with a shifted clock, or past a clock
+ * wrap, the two arrays' stamps differ while every decision must not.
+ */
 template <typename Meta>
 void
-runCacheDifferential(const CacheCase &c)
+runCacheOps(mem::SetAssocCache<Meta> &opt, ref::SetAssocCache<Meta> &model,
+            const CacheCase &c, Rng &rng, int ops, bool stamps_by_order)
 {
-    mem::SetAssocCache<Meta> opt(c.sets, c.assoc);
-    ref::SetAssocCache<Meta> model(c.sets, c.assoc);
-
     // The way a payload or line sits in, so the two arrays compare.
     auto opt_way = [&](const Meta *meta, unsigned si) -> long {
         return meta ? meta - &opt.payload(si, 0) : -1;
@@ -907,13 +912,19 @@ runCacheDifferential(const CacheCase &c)
             ASSERT_EQ(opt.tag(si, w),
                       want[w].valid ? want[w].blockAddr : kInvalidAddr)
                 << "op " << op;
-            ASSERT_EQ(opt.stamp(si, w), want[w].lastUse) << "op " << op;
             ASSERT_EQ(opt.payload(si, w), want[w].meta) << "op " << op;
+            if (!stamps_by_order) {
+                ASSERT_EQ(opt.stamp(si, w), want[w].lastUse) << "op " << op;
+                continue;
+            }
+            for (unsigned v = 0; v < c.assoc; ++v) {
+                ASSERT_EQ(opt.stamp(si, w) < opt.stamp(si, v),
+                          want[w].lastUse < want[v].lastUse)
+                    << "op " << op << " ways " << w << ", " << v;
+            }
         }
     };
 
-    Rng rng(c.seed);
-    const int ops = std::max(40000, static_cast<int>(c.sets * c.assoc * 40));
     for (int op = 0; op < ops; ++op) {
         // ~6 blocks per way of every set: hits, misses and evictions mix.
         Addr addr = rng.below(std::uint64_t{c.sets} * c.assoc * 6) *
@@ -1007,6 +1018,60 @@ runCacheDifferential(const CacheCase &c)
     }
 }
 
+int
+cacheOps(const CacheCase &c)
+{
+    return std::max(40000, static_cast<int>(c.sets * c.assoc * 40));
+}
+
+template <typename Meta>
+void
+runCacheDifferential(const CacheCase &c)
+{
+    mem::SetAssocCache<Meta> opt(c.sets, c.assoc);
+    ref::SetAssocCache<Meta> model(c.sets, c.assoc);
+    Rng rng(c.seed);
+    runCacheOps(opt, model, c, rng, cacheOps(c), false);
+}
+
+/**
+ * The 32-bit LRU clock past its wrap: warm both arrays, restore the
+ * production one's checkpoint with every stamp and the clock moved to
+ * a few hundred ticks below 2^32, and run on against the model's
+ * 64-bit clock.
+ */
+template <typename Meta>
+void
+runCacheWrapDifferential(const CacheCase &c)
+{
+    mem::SetAssocCache<Meta> warm(c.sets, c.assoc);
+    ref::SetAssocCache<Meta> model(c.sets, c.assoc);
+    Rng rng(c.seed);
+    runCacheOps(warm, model, c, rng, cacheOps(c) / 4, false);
+    if (::testing::Test::HasFatalFailure())
+        return;
+
+    auto state = warm.saveWarm();
+    const std::uint32_t top = ~std::uint32_t{0} - 300;
+    ASSERT_LT(state.tick, top);
+    const std::uint32_t shift = top - state.tick;
+    for (std::uint32_t &stamp : state.stamps)
+        stamp += shift; // saved stamps are all non-zero
+    state.tick = top;
+    mem::SetAssocCache<Meta> opt(c.sets, c.assoc);
+    opt.restoreWarm(state);
+
+    runCacheOps(opt, model, c, rng, cacheOps(c), true);
+    if (::testing::Test::HasFatalFailure())
+        return;
+    // The clock went round: every stamp now sits below the restored
+    // clock's start.
+    for (unsigned si = 0; si < c.sets; ++si) {
+        for (unsigned w = 0; w < c.assoc; ++w)
+            ASSERT_LT(opt.stamp(si, w), top) << "set " << si;
+    }
+}
+
 class SetAssocCacheDifferential : public ::testing::TestWithParam<CacheCase>
 {};
 
@@ -1017,6 +1082,15 @@ TEST_P(SetAssocCacheDifferential, AgreesWithTwoScanModelOnRandomStream)
         runCacheDifferential<WidePayload>(c);
     else
         runCacheDifferential<int>(c);
+}
+
+TEST_P(SetAssocCacheDifferential, AgreesWithTwoScanModelPastClockWrap)
+{
+    const CacheCase c = GetParam();
+    if (c.widePayload)
+        runCacheWrapDifferential<WidePayload>(c);
+    else
+        runCacheWrapDifferential<int>(c);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -1039,21 +1113,19 @@ INSTANTIATE_TEST_SUITE_P(
  * rank order every replacement decision reads.  Absolute stamps differ
  * between the loops, because the coalesced one touches less often.
  */
-template <typename Line, typename Project>
+template <typename WarmState, typename Project>
 auto
-rankOrder(const std::vector<std::pair<std::uint32_t, Line>> &lines,
-          unsigned assoc, Project project)
+rankOrder(const WarmState &lines, unsigned assoc, Project project)
 {
     using Row = decltype(std::tuple_cat(
-        std::make_tuple(std::uint32_t{}, bool{}, Addr{}),
-        project(lines.front().second.meta)));
-    std::map<std::uint32_t, std::vector<std::pair<std::uint64_t, Row>>> sets;
-    for (const auto &[index, line] : lines) {
-        sets[index / assoc].push_back(
-            {line.lastUse,
-             std::tuple_cat(std::make_tuple(index, line.valid,
-                                            line.blockAddr),
-                            project(line.meta))});
+        std::make_tuple(std::uint32_t{}, std::uint32_t{}),
+        project(lines.payloads.front())));
+    std::map<std::uint32_t, std::vector<std::pair<std::uint32_t, Row>>> sets;
+    for (std::size_t k = 0; k < lines.index.size(); ++k) {
+        sets[lines.index[k] / assoc].push_back(
+            {lines.stamps[k],
+             std::tuple_cat(std::make_tuple(lines.index[k], lines.tags[k]),
+                            project(lines.payloads[k]))});
     }
     std::map<std::uint32_t, std::vector<Row>> ranks;
     for (auto &[set, rows] : sets) {
@@ -1133,8 +1205,8 @@ TEST_P(WarmWalkDifferential, CoalescedWalkMatchesPerInstructionLoop)
     auto llc_meta = [](const auto &m) {
         return std::make_tuple(m.isInstruction);
     };
-    EXPECT_EQ(rankOrder(llc_got.lines.lines, llc_assoc, llc_meta),
-              rankOrder(llc_want.lines.lines, llc_assoc, llc_meta));
+    EXPECT_EQ(rankOrder(llc_got.lines, llc_assoc, llc_meta),
+              rankOrder(llc_want.lines, llc_assoc, llc_meta));
     ASSERT_EQ(llc_got.bfSets.size(), llc_want.bfSets.size());
     for (std::size_t i = 0; i < llc_got.bfSets.size(); ++i) {
         const auto &[gi, gs] = llc_got.bfSets[i];
@@ -1160,13 +1232,13 @@ TEST_P(WarmWalkDifferential, CoalescedWalkMatchesPerInstructionLoop)
         return std::make_tuple(m.prefetched, m.demanded, m.localStatus,
                                m.fillLatency, m.filledAt);
     };
-    EXPECT_EQ(rankOrder(l1i_got.lines.lines, cfg.l1i.assoc, l1i_meta),
-              rankOrder(l1i_want.lines.lines, cfg.l1i.assoc, l1i_meta));
+    EXPECT_EQ(rankOrder(l1i_got.lines, cfg.l1i.assoc, l1i_meta),
+              rankOrder(l1i_want.lines, cfg.l1i.assoc, l1i_meta));
     EXPECT_EQ(l1i_got.lastDemandBlock, l1i_want.lastDemandBlock);
 
     auto no_meta = [](const auto &) { return std::tuple<>(); };
-    EXPECT_EQ(rankOrder(sys.l1d->saveWarm().lines, cfg.l1d.assoc, no_meta),
-              rankOrder(model.l1d.saveWarm().lines, cfg.l1d.assoc,
+    EXPECT_EQ(rankOrder(sys.l1d->saveWarm(), cfg.l1d.assoc, no_meta),
+              rankOrder(model.l1d.saveWarm(), cfg.l1d.assoc,
                         no_meta));
 
     auto tage_got = sys.tage->saveWarm();
@@ -1423,8 +1495,9 @@ TEST_P(PredecodeCacheProperty, DecodeAtMatchesFullBlockDecode)
         is_branch_offset[br.byteOffset] = true;
     }
     for (unsigned off = 0; off < kBlockBytes; off += kInstrBytes) {
-        if (!is_branch_offset[off])
+        if (!is_branch_offset[off]) {
             EXPECT_TRUE(pd.decodeAt(block, off).empty());
+        }
     }
 }
 

@@ -15,6 +15,7 @@
 #include "mem/memory.h"
 #include "mem/prefetch_buffer.h"
 #include "noc/mesh.h"
+#include "rt/error.h"
 
 namespace dcfb::mem {
 namespace {
@@ -137,6 +138,38 @@ TEST(SetAssocCache, WarmStateKeepsInvalidatedWays)
     EXPECT_EQ(restored.touchOrAllocate(0x1000).meta - &restored.payload(0, 0),
               3);
     EXPECT_EQ(restored.stamp(0, 3), c.stamp(0, 3));
+}
+
+TEST(SetAssocCache, AddressBeyondTheTagRangeMissesAndIsNotInserted)
+{
+    // Four sets: two index bits, so 32-bit tags cover block numbers
+    // below (2^32 - 1) * 4.  The guard is not an assert; it holds in
+    // every build.
+    SetAssocCache<int> c(4, 2);
+    const Addr first_out = (Addr{0xffffffff} * 4) << kBlockShift;
+    const Addr last_in = first_out - kBlockBytes;
+    c.insert(last_in, 1);
+    ASSERT_TRUE(c.contains(last_in));
+    EXPECT_EQ(c.tag(c.setIndex(last_in), 0), last_in);
+
+    EXPECT_FALSE(c.contains(first_out));
+    EXPECT_EQ(c.lookup(first_out), nullptr);
+    EXPECT_EQ(c.peek(kInvalidAddr), nullptr);
+    c.invalidate(first_out); // a miss: no effect
+    EXPECT_TRUE(c.contains(last_in));
+
+    const std::uint32_t stamp = c.stamp(c.setIndex(last_in), 0);
+    try {
+        c.insert(first_out, 2);
+        ADD_FAILURE() << "insert beyond the tag range did not raise";
+    } catch (const rt::Exception &e) {
+        EXPECT_EQ(e.error().kind, rt::ErrorKind::Workload);
+    }
+    EXPECT_THROW(c.touchOrAllocate(kInvalidAddr), rt::Exception);
+    // The failed inserts left the array and its clock alone.
+    EXPECT_EQ(c.occupancy(), 1u);
+    c.lookup(last_in);
+    EXPECT_EQ(c.stamp(c.setIndex(last_in), 0), stamp + 1);
 }
 
 /** Property: occupancy never exceeds sets*ways under random traffic. */

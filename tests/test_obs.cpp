@@ -62,7 +62,7 @@ TEST(StatRegistry, HandlesSurviveRegistryGrowth)
     // Force many registrations; the early handle must stay valid (the
     // registry's slots live in a deque, so addresses never move).
     for (int i = 0; i < 1000; ++i)
-        reg.counter("c" + std::to_string(i)).add(1);
+        reg.counter('c' + std::to_string(i)).add(1);
     first.add(5);
     EXPECT_EQ(reg.get("first"), 5u);
     EXPECT_EQ(reg.get("c999"), 1u);

@@ -12,6 +12,7 @@
 #include <optional>
 #include <set>
 
+#include "common/rng.h"
 #include "isa/predecoder.h"
 #include "isa/vl_encoding.h"
 #include "workload/cfg.h"
@@ -72,6 +73,58 @@ TEST(ProgramImage, BlockLookup)
     EXPECT_EQ(img.block(0x2040), nullptr);
     EXPECT_TRUE(img.contains(0x2001));
     EXPECT_EQ(img.numBlocks(), 1u);
+}
+
+TEST(ProgramImage, BlocksBetweenDistantWritesStayUnmapped)
+{
+    ProgramImage img;
+    const Addr lo = 0x10000;
+    const Addr hi = lo + 1024 * kBlockBytes;
+    std::uint8_t b = 0xab;
+    img.write(hi, &b, 1); // the higher block first: two runs, either order
+    img.write(lo, &b, 1);
+    EXPECT_EQ(img.numBlocks(), 2u);
+    std::uint8_t out[2 * kBlockBytes];
+    for (Addr a = lo + kBlockBytes; a < hi; a += kBlockBytes) {
+        ASSERT_FALSE(img.contains(a)) << std::hex << a;
+        ASSERT_EQ(img.block(a), nullptr) << std::hex << a;
+        ASSERT_EQ(img.read(a, out, 1), 0u) << std::hex << a;
+    }
+    EXPECT_FALSE(img.contains(lo - 1));
+    EXPECT_FALSE(img.contains(hi + kBlockBytes));
+    EXPECT_EQ(img.read(lo, out, sizeof(out)), kBlockBytes);
+    EXPECT_EQ(img.read(hi, out, sizeof(out)), kBlockBytes);
+    EXPECT_EQ(out[0], 0xab);
+}
+
+TEST(ProgramImage, RandomWritesMatchABlockMap)
+{
+    // Writes in random order grow, prepend to and merge runs; every
+    // block must read back as a block-keyed map says.
+    ProgramImage img;
+    std::map<Addr, ProgramImage::Block> want;
+    Rng rng(11);
+    const Addr base = 0x40000;
+    for (int i = 0; i < 400; ++i) {
+        Addr addr = base + rng.below(96 * kBlockBytes);
+        std::uint8_t data[100];
+        std::size_t n = 1 + rng.below(sizeof(data));
+        for (std::size_t k = 0; k < n; ++k) {
+            data[k] = static_cast<std::uint8_t>(rng.below(256));
+            want[blockNumber(addr + k)][blockOffset(addr + k)] = data[k];
+        }
+        img.write(addr, data, n);
+        ASSERT_EQ(img.numBlocks(), want.size()) << "write " << i;
+    }
+    for (Addr a = base - kBlockBytes; a < base + 100 * kBlockBytes;
+         a += kBlockBytes) {
+        auto it = want.find(blockNumber(a));
+        const ProgramImage::Block *got = img.block(a);
+        ASSERT_EQ(got != nullptr, it != want.end()) << std::hex << a;
+        if (got) {
+            EXPECT_EQ(*got, it->second) << std::hex << a;
+        }
+    }
 }
 
 /** PC of every instruction of @p bb, plus its end as the last element. */
@@ -469,6 +522,28 @@ TEST(Profiles, AllProfilesBuildAndWalk)
         EXPECT_EQ(w.retired(), 2000u);
     }
 }
+
+class ServerImage : public ::testing::TestWithParam<bool>
+{};
+
+TEST_P(ServerImage, MapsEveryBlockFromFirstToLast)
+{
+    // The image stores contiguous runs; a server program is laid out
+    // function after function, so it must be one run with no hole.
+    for (const auto &p : allServerProfiles(GetParam())) {
+        Program prog = buildProgram(p);
+        Addr first = blockNumber(prog.codeBase);
+        Addr last = blockNumber(prog.codeEnd - 1);
+        for (Addr bn = first; bn <= last; ++bn) {
+            ASSERT_TRUE(prog.image.contains(bn << kBlockShift))
+                << p.name << ": block " << std::hex << bn;
+        }
+        EXPECT_EQ(prog.image.numBlocks(), last - first + 1) << p.name;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(VariableLength, ServerImage,
+                         ::testing::Values(false, true));
 
 } // namespace
 } // namespace dcfb::workload
