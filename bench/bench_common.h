@@ -7,8 +7,9 @@
  * numbers differ from the paper's testbed; EXPERIMENTS.md records the
  * paper-vs-measured comparison.
  *
- * Every bench routes its output through a bench::Harness, which adds two
- * flags on top of the text tables (see EXPERIMENTS.md for the schemas):
+ * Every bench routes its output through a bench::Harness, which adds
+ * these flags on top of the text tables (see EXPERIMENTS.md for the
+ * schemas); each takes its value as `--flag value` or `--flag=value`:
  *
  *   --json <file>   also write every reported table (same cells as the
  *                   text output) plus recorded scalars as one JSON
@@ -28,16 +29,11 @@
  *   --jobs <n>      worker threads for experiment sweeps (default: auto,
  *                   one per hardware thread; --jobs 1 reproduces the
  *                   historical serial runner bit for bit)
- *   --cache <dir>   persistent content-addressed result cache: every
- *                   simulated cell is keyed by its config fingerprint
- *                   and served from <dir> when already computed there.
- *                   Off by default; with the flag absent the run is
- *                   bit-identical to the direct simulator path.
  *   --profile       time every simulated cell (setup/warm/measure wall
  *                   split plus sampled per-phase cycle-loop attribution)
  *                   and emit the records as the JSON document's "prof"
  *                   section.  Simulated results are unchanged; see
- *                   DESIGN.md section 10 for the overhead model.
+ *                   DESIGN.md section 9 for the overhead model.
  *
  * The authoritative flag reference is docs/FLAGS.md, generated from
  * src/cli/flag_docs.cpp (which also feeds --help below).
@@ -64,7 +60,6 @@
 
 #include "cli/flag_docs.h"
 #include "exec/grid.h"
-#include "exec/result_cache.h"
 #include "exec/schedule.h"
 #include "obs/json.h"
 #include "obs/profiler.h"
@@ -243,6 +238,13 @@ class Harness
     {
         for (int i = 1; i < argc; ++i) {
             std::string arg = argv[i];
+            // A flag matches as `--flag` or `--flag=value` only, so a
+            // misspelt `--jobs4` is an unknown argument, not `--jobs`.
+            auto is = [&](const char *flag) {
+                std::size_t n = std::strlen(flag);
+                return arg.compare(0, n, flag) == 0 &&
+                    (arg.size() == n || arg[n] == '=');
+            };
             auto value = [&](const char *flag) -> std::string {
                 std::string prefix = std::string(flag) + "=";
                 if (arg.rfind(prefix, 0) == 0 &&
@@ -263,7 +265,7 @@ class Harness
                 obs::Profiler::setEnabled(true);
                 profileEnabled = true;
                 std::printf("  [profiling enabled]\n");
-            } else if (arg.rfind("--jobs", 0) == 0) {
+            } else if (is("--jobs")) {
                 std::string spec = value("--jobs");
                 if (spec == "auto") {
                     exec::setDefaultJobs(0);
@@ -279,23 +281,13 @@ class Harness
                     }
                     exec::setDefaultJobs(static_cast<unsigned>(n));
                 }
-            } else if (arg.rfind("--cache", 0) == 0) {
-                std::string dir = value("--cache");
-                if (auto opened = exec::ResultCache::openGlobal(dir);
-                    !opened.ok()) {
-                    std::fprintf(stderr, "%s\n",
-                                 opened.error().render().c_str());
-                    std::exit(2);
-                }
-                std::printf("  [result cache: %s]\n", dir.c_str());
-            } else if (arg.rfind("--json", 0) == 0) {
+            } else if (is("--json")) {
                 jsonPath = value("--json");
-            } else if (arg.rfind("--trace-spans", 0) == 0) {
-                // Checked before --trace: that branch matches by prefix.
+            } else if (is("--trace-spans")) {
                 spanPath = value("--trace-spans");
-            } else if (arg.rfind("--trace", 0) == 0) {
+            } else if (is("--trace")) {
                 tracePath = value("--trace");
-            } else if (arg.rfind("--inject", 0) == 0) {
+            } else if (is("--inject")) {
                 auto plan = rt::parseFaultPlan(value("--inject"));
                 if (!plan.ok()) {
                     std::fprintf(stderr, "%s\n",
@@ -334,8 +326,8 @@ class Harness
         doc["schema"] = "dcfb-bench-v1";
         doc["figure"] = figure;
         doc["claim"] = claim;
-        // Provenance: enough to attribute any cached or served result
-        // back to the build and run windows that produced it.
+        // Provenance: enough to attribute the report to the build and
+        // run windows that produced it.
         obs::JsonValue meta = obs::JsonValue::object();
         meta["git"] = DCFB_GIT_DESCRIBE;
         meta["build_type"] = DCFB_BUILD_TYPE;
@@ -354,18 +346,6 @@ class Harness
                 static_cast<double>(ru.ru_utime.tv_usec) * 1e-6;
             meta["cpu_sys_s"] = static_cast<double>(ru.ru_stime.tv_sec) +
                 static_cast<double>(ru.ru_stime.tv_usec) * 1e-6;
-        }
-        if (exec::ResultCache *cache = exec::ResultCache::global()) {
-            exec::ResultCacheStats cs = cache->stats();
-            obs::JsonValue c = obs::JsonValue::object();
-            c["schema"] = exec::kCacheSchema;
-            c["dir"] = cache->dir();
-            c["hits"] = cs.hits;
-            c["misses"] = cs.misses;
-            c["stores"] = cs.stores;
-            c["rejects"] = cs.rejects;
-            c["tmp_reaped"] = cs.tmpReaped;
-            meta["cache"] = std::move(c);
         }
         doc["meta"] = std::move(meta);
         if (!injectSpec.empty())

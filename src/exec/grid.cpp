@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "exec/result_cache.h"
 #include "obs/trace.h"
 #include "rt/error.h"
 #include "workload/profiles.h"
@@ -148,7 +147,7 @@ runGrid(std::string label, std::vector<std::string> workloads,
         std::move(label), configs.size(), resolveJobs(jobs),
         [&](std::size_t i) {
             obs::Tracing::RunTag tag(first_run + i);
-            grid.cells[i] = simulateCached(configs[i], windows);
+            grid.cells[i] = sim::simulate(configs[i], windows);
         },
         [&](std::size_t i) {
             return grid.names[i / variants.size()] + "/" +

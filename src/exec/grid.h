@@ -8,8 +8,8 @@
  * runGrid() enumerates the cells on the calling thread, workload-major,
  * resolves each cell's image through workload::ImageCache (keyed on the
  * post-tweak profile, so untweaked profiles share one image), runs them
- * through exec::runIndexed over exec::simulateCached and returns a dense
- * table.  Workload-major order is what lets a workload's cells share one
+ * through exec::runIndexed over sim::simulate and returns a dense table.
+ * Workload-major order is what lets a workload's cells share one
  * functional-warmup checkpoint (sim::WarmCache holds one slot), whatever
  * order the figure reads its columns in.
  *

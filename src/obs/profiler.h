@@ -19,7 +19,7 @@
  *    cycle runs the plain step.  When the record is taken the sampled
  *    shares are scaled to tile the loop wall (tilePhases), so the
  *    `prof` JSON section shows where a cell's cycle time goes while the
- *    profiled loop runs at close to plain speed (DESIGN.md section 10).
+ *    profiled loop runs at close to plain speed (DESIGN.md section 9).
  *
  * Process-global, like obs::Tracing and exec::ExecLog: the bench harness
  * enables it once, every simulated cell contributes a record, and the

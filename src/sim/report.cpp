@@ -120,50 +120,4 @@ toJson(const RunResult &result)
     return out;
 }
 
-std::optional<RunResult>
-runResultFromJson(const obs::JsonValue &v)
-{
-    using obs::JsonValue;
-    if (v.kind() != JsonValue::Kind::Object)
-        return std::nullopt;
-    const JsonValue *workload = v.find("workload");
-    const JsonValue *design = v.find("design");
-    const JsonValue *cycles = v.find("cycles");
-    const JsonValue *instructions = v.find("instructions");
-    const JsonValue *stats = v.find("stats");
-    if (!workload || !design || !cycles || !instructions || !stats)
-        return std::nullopt;
-
-    RunResult res;
-    res.workload = workload->asString();
-    res.design = design->asString();
-    res.cycles = cycles->asUint();
-    res.instructions = instructions->asUint();
-    for (const auto &kv : stats->members())
-        res.stats[kv.first] = kv.second.asUint();
-    if (const JsonValue *hists = v.find("hists")) {
-        for (const auto &kv : hists->members()) {
-            obs::HistogramSnapshot snap;
-            const JsonValue &h = kv.second;
-            if (const auto *c = h.find("count"))
-                snap.count = c->asUint();
-            if (const auto *s = h.find("sum"))
-                snap.sum = s->asUint();
-            if (const auto *m = h.find("max"))
-                snap.max = m->asUint();
-            if (const auto *buckets = h.find("buckets")) {
-                for (const auto &pair : buckets->items()) {
-                    if (pair.size() != 2)
-                        return std::nullopt;
-                    snap.buckets.emplace_back(
-                        static_cast<unsigned>(pair.items()[0].asUint()),
-                        pair.items()[1].asUint());
-                }
-            }
-            res.hists.emplace(kv.first, std::move(snap));
-        }
-    }
-    return res;
-}
-
 } // namespace dcfb::sim

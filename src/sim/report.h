@@ -55,9 +55,6 @@ class Table
 /** Full JSON form of a RunResult (counters + histograms). */
 obs::JsonValue toJson(const RunResult &result);
 
-/** Inverse of toJson(RunResult); nullopt when @p v lacks the schema. */
-std::optional<RunResult> runResultFromJson(const obs::JsonValue &v);
-
 } // namespace dcfb::sim
 
 #endif // DCFB_SIM_REPORT_H

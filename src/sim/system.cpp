@@ -320,7 +320,7 @@ System::selectStepFns()
 {
     // Which concrete (Pf, Fe) pair a preset steps with.  Must mirror the
     // fetch-engine construction above: stepImpl static_casts to these
-    // types.  DESIGN.md §13 documents the family table.
+    // types.  DESIGN.md §12 documents the family table.
     if (cfg.genericStep) {
         bindStep<prefetch::InstrPrefetcher, FetchEngine>();
         return;

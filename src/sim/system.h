@@ -4,7 +4,7 @@
  * hierarchy + frontend + backend + the configured prefetcher/engine).
  *
  * Preset-specialized stepping makes a cell fast without changing any
- * result (DESIGN.md §13): step() dispatches through a member-function
+ * result (DESIGN.md §12): step() dispatches through a member-function
  * pointer bound once at construction to a `stepImpl<Pf, Fe>`
  * instantiation for the preset's concrete prefetcher and fetch-engine
  * types.  Inside one instantiation every per-cycle prefetcher/fetch

@@ -45,8 +45,8 @@ std::vector<WorkloadProfile> allServerProfiles(bool variable_length = false);
 /**
  * Canonical key covering every knob that shapes the built program.
  * Keying on the full parameterization (not just the name) keeps custom
- * or tweaked profiles from aliasing a stock entry.  Used by both
- * the ImageCache and the exec::ResultCache fingerprint.
+ * or tweaked profiles from aliasing a stock entry.  The ImageCache
+ * keys on it.
  */
 std::string profileKey(const WorkloadProfile &profile);
 

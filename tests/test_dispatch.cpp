@@ -1,6 +1,6 @@
 /**
  * @file
- * Dispatch-equivalence tests (DESIGN.md section 13): the
+ * Dispatch-equivalence tests (DESIGN.md section 12): the
  * preset-specialized System::step path and the generic
  * (virtual-dispatch) path forced by SystemConfig::genericStep must
  * produce bit-identical RunResults — same counters, same histograms,

@@ -8,13 +8,9 @@
  * The parallel grid tests double as the TSan target: CI runs this
  * binary under ThreadSanitizer to prove the concurrency model clean.
  *
- * Also the `--cache` result cache: fingerprint/key stability (one key
- * pinned as a literal), hit/miss/crash-safety behaviour, the
- * `--cache`-off parity and the warm sweep, whose concurrent get/put
- * through the parallel grid rides along under TSan.  And the shared
- * functional-warmup checkpoint (sim::WarmCache): restored cells equal
- * walked ones for every preset, admission, key coverage, and workers
- * waiting on a store.
+ * Also the shared functional-warmup checkpoint (sim::WarmCache):
+ * restored cells equal walked ones for every preset, admission, key
+ * coverage, and workers waiting on a store.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +19,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -33,10 +28,8 @@
 #include <thread>
 #include <vector>
 
-#include "exec/fingerprint.h"
 #include "exec/grid.h"
 #include "exec/pool.h"
-#include "exec/result_cache.h"
 #include "exec/schedule.h"
 #include "obs/trace.h"
 #include "rt/error.h"
@@ -475,308 +468,6 @@ TEST(Grid, WorkloadMajorOrderSharesTheWarmCheckpoint)
     exec::runGrid("two workloads", {"Web (Apache)", "Web Frontend"},
                   variants, windows, 1);
     EXPECT_EQ(warm.stats().hits, 4u);
-}
-
-// ------------------------------------------------- result cache (--cache)
-
-/** Fresh scratch directory under TMPDIR for one test. */
-std::string
-scratchDir(const std::string &tag)
-{
-    std::string templ =
-        ::testing::TempDir() + "dcfb_cache_" + tag + "_XXXXXX";
-    std::vector<char> buf(templ.begin(), templ.end());
-    buf.push_back('\0');
-    const char *made = ::mkdtemp(buf.data());
-    EXPECT_NE(made, nullptr);
-    return made ? made : templ;
-}
-
-/** Shrink a config so one simulation is fast but non-trivial. */
-void
-shrink(sim::SystemConfig &cfg)
-{
-    cfg.profile.numFunctions = 24;
-    cfg.profile.dataFootprint = 1ull << 20;
-    cfg.functionalWarmInstrs = 40000;
-}
-
-sim::SystemConfig
-tinyConfig(sim::Preset preset = sim::Preset::Baseline)
-{
-    sim::SystemConfig cfg =
-        sim::makeConfig(workload::serverProfile("Web (Apache)"), preset);
-    shrink(cfg);
-    return cfg;
-}
-
-sim::RunWindows
-tinyWindows()
-{
-    return sim::RunWindows{4000, 6000};
-}
-
-/** RAII guard: no process-global result cache leaks across tests. */
-struct GlobalCacheGuard
-{
-    ~GlobalCacheGuard() { exec::ResultCache::closeGlobal(); }
-};
-
-// -- fingerprint ----------------------------------------------------------
-
-TEST(Fingerprint, Fnv1aReferenceVectors)
-{
-    // Standard FNV-1a 64-bit vectors pin the hash function itself.
-    EXPECT_EQ(exec::fnv1aHex(""), "cbf29ce484222325");
-    EXPECT_EQ(exec::fnv1aHex("a"), "af63dc4c8601ec8c");
-    EXPECT_EQ(exec::fnv1aHex("foobar"), "85944171f73967e8");
-}
-
-TEST(Fingerprint, StableAcrossCalls)
-{
-    sim::SystemConfig cfg = tinyConfig(sim::Preset::SN4L);
-    auto fp1 = exec::fingerprint(cfg, tinyWindows());
-    auto fp2 = exec::fingerprint(cfg, tinyWindows());
-    EXPECT_EQ(fp1, fp2);
-    EXPECT_EQ(exec::cacheKey(cfg, tinyWindows()),
-              exec::cacheKey(cfg, tinyWindows()));
-    EXPECT_EQ(exec::cacheKey(cfg, tinyWindows()).size(), 16u);
-    const obs::JsonValue *schema = fp1.find("schema");
-    ASSERT_NE(schema, nullptr);
-    EXPECT_EQ(schema->asString(), exec::kCacheSchema);
-}
-
-TEST(Fingerprint, ReferenceKeyIsPinned)
-{
-    // The literal is the key this config had when the cache moved to
-    // exec/: a fingerprint change that does not bump kCacheSchema breaks
-    // every existing --cache directory and must fail here first.
-    EXPECT_EQ(exec::cacheKey(tinyConfig(sim::Preset::SN4L), tinyWindows()),
-              "2507e1c45b06b727");
-}
-
-TEST(Fingerprint, EveryResultShapingKnobChangesTheKey)
-{
-    sim::SystemConfig base = tinyConfig(sim::Preset::SN4L);
-    sim::RunWindows w = tinyWindows();
-    std::string key = exec::cacheKey(base, w);
-
-    sim::SystemConfig c = base;
-    c.preset = sim::Preset::Baseline;
-    EXPECT_NE(exec::cacheKey(c, w), key);
-
-    c = base;
-    c.runSeed += 1;
-    EXPECT_NE(exec::cacheKey(c, w), key);
-
-    c = base;
-    c.profile.numFunctions += 1;
-    EXPECT_NE(exec::cacheKey(c, w), key);
-
-    c = base;
-    c.btbEntries *= 2;
-    EXPECT_NE(exec::cacheKey(c, w), key);
-
-    c = base;
-    c.faults = rt::parseFaultPlan("drop:rate=0.5,seed=3").value();
-    EXPECT_NE(exec::cacheKey(c, w), key);
-
-    sim::RunWindows w2 = w;
-    w2.measure += 1;
-    EXPECT_NE(exec::cacheKey(base, w2), key);
-}
-
-// -- result cache ---------------------------------------------------------
-
-TEST(ResultCache, MissThenHitRoundTripsExactly)
-{
-    exec::ResultCache cache(scratchDir("hit"));
-    ASSERT_TRUE(cache.open().ok());
-
-    sim::SystemConfig cfg = tinyConfig();
-    auto fp = exec::fingerprint(cfg, tinyWindows());
-    std::string key = exec::fnv1aHex(fp.dump());
-
-    EXPECT_FALSE(cache.get(key, fp).has_value());
-    sim::RunResult result = sim::simulate(cfg, tinyWindows());
-    ASSERT_TRUE(cache.put(key, fp, result).ok());
-
-    auto hit = cache.get(key, fp);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, result); // bit-identical counters and histograms
-
-    exec::ResultCacheStats stats = cache.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.stores, 1u);
-    EXPECT_EQ(stats.rejects, 0u);
-}
-
-TEST(ResultCache, CacheOffIsExactlyTheDirectSimulator)
-{
-    exec::ResultCache::closeGlobal();
-    sim::SystemConfig cfg = tinyConfig(sim::Preset::SN4L);
-    sim::RunResult direct = sim::simulate(cfg, tinyWindows());
-    sim::RunResult routed = exec::simulateCached(cfg, tinyWindows());
-    EXPECT_EQ(direct, routed);
-    EXPECT_EQ(sim::toJson(direct).dump(), sim::toJson(routed).dump());
-}
-
-TEST(ResultCache, StrayTempFileFromKilledWriterIsIgnored)
-{
-    exec::ResultCache cache(scratchDir("tmp"));
-    ASSERT_TRUE(cache.open().ok());
-
-    sim::SystemConfig cfg = tinyConfig();
-    auto fp = exec::fingerprint(cfg, tinyWindows());
-    std::string key = exec::fnv1aHex(fp.dump());
-
-    // A writer killed mid-put leaves only the temp file behind; lookups
-    // must treat that as a clean miss.
-    {
-        std::ofstream stray(cache.entryPath(key) + ".tmp.9999");
-        stray << "{\"schema\": \"dcfb-cache-v2\", \"trunca";
-    }
-    EXPECT_FALSE(cache.get(key, fp).has_value());
-
-    sim::RunResult result = sim::simulate(cfg, tinyWindows());
-    ASSERT_TRUE(cache.put(key, fp, result).ok());
-    auto hit = cache.get(key, fp);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, result);
-}
-
-TEST(ResultCache, StrayTempFilesAreReapedAtOpen)
-{
-    std::string dir = scratchDir("reap");
-    // Two writers killed mid-put left temp files; a finished entry and
-    // an unrelated file must survive the sweep.
-    { std::ofstream(dir + "/aaaa.json.tmp.101") << "{\"trunc"; }
-    { std::ofstream(dir + "/bbbb.json.tmp.102") << "{\"trunc"; }
-    { std::ofstream(dir + "/cccc.json") << "{}"; }
-    { std::ofstream(dir + "/README") << "not a cache file"; }
-
-    exec::ResultCache cache(dir);
-    ASSERT_TRUE(cache.open().ok());
-    EXPECT_EQ(cache.stats().tmpReaped, 2u);
-    EXPECT_FALSE(std::ifstream(dir + "/aaaa.json.tmp.101").is_open());
-    EXPECT_FALSE(std::ifstream(dir + "/bbbb.json.tmp.102").is_open());
-    EXPECT_TRUE(std::ifstream(dir + "/cccc.json").is_open());
-    EXPECT_TRUE(std::ifstream(dir + "/README").is_open());
-}
-
-TEST(ResultCache, CorruptEntryIsRejectedAndRecomputed)
-{
-    exec::ResultCache cache(scratchDir("corrupt"));
-    ASSERT_TRUE(cache.open().ok());
-
-    sim::SystemConfig cfg = tinyConfig();
-    auto fp = exec::fingerprint(cfg, tinyWindows());
-    std::string key = exec::fnv1aHex(fp.dump());
-    sim::RunResult result = sim::simulate(cfg, tinyWindows());
-    ASSERT_TRUE(cache.put(key, fp, result).ok());
-
-    // Corrupt the entry on disk (torn write / bit rot).
-    {
-        std::ofstream out(cache.entryPath(key),
-                          std::ios::out | std::ios::trunc);
-        out << "{\"schema\": \"dcfb-cache-v2\", this is not json";
-    }
-    auto load = cache.load(key, fp);
-    ASSERT_FALSE(load.ok()); // typed error, not a crash
-    EXPECT_EQ(load.error().kind, rt::ErrorKind::Result);
-
-    // get() applies the production policy: reject, unlink, recompute.
-    EXPECT_FALSE(cache.get(key, fp).has_value());
-    EXPECT_EQ(cache.stats().rejects, 1u);
-    std::ifstream gone(cache.entryPath(key));
-    EXPECT_FALSE(gone.is_open()) << "rejected entry must be unlinked";
-
-    ASSERT_TRUE(cache.put(key, fp, result).ok());
-    auto hit = cache.get(key, fp);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, result);
-}
-
-TEST(ResultCache, TruncatedEntryIsRejected)
-{
-    exec::ResultCache cache(scratchDir("trunc"));
-    ASSERT_TRUE(cache.open().ok());
-
-    sim::SystemConfig cfg = tinyConfig();
-    auto fp = exec::fingerprint(cfg, tinyWindows());
-    std::string key = exec::fnv1aHex(fp.dump());
-    ASSERT_TRUE(cache.put(key, fp, sim::simulate(cfg, tinyWindows())).ok());
-
-    // Chop the entry in half (crash mid-rewrite on a non-atomic fs).
-    std::string text;
-    {
-        std::ifstream in(cache.entryPath(key));
-        std::getline(in, text, '\0');
-    }
-    {
-        std::ofstream out(cache.entryPath(key),
-                          std::ios::out | std::ios::trunc);
-        out << text.substr(0, text.size() / 2);
-    }
-    EXPECT_FALSE(cache.get(key, fp).has_value());
-    EXPECT_EQ(cache.stats().rejects, 1u);
-}
-
-TEST(ResultCache, FingerprintMismatchGuardsAgainstCollisions)
-{
-    exec::ResultCache cache(scratchDir("collide"));
-    ASSERT_TRUE(cache.open().ok());
-
-    sim::SystemConfig a = tinyConfig(sim::Preset::Baseline);
-    sim::SystemConfig b = tinyConfig(sim::Preset::SN4L);
-    auto fp_a = exec::fingerprint(a, tinyWindows());
-    auto fp_b = exec::fingerprint(b, tinyWindows());
-    std::string key = exec::fnv1aHex(fp_a.dump());
-
-    // Force a "collision": b's result stored under a's key.
-    ASSERT_TRUE(cache.put(key, fp_b, sim::simulate(b, tinyWindows())).ok());
-    auto load = cache.load(key, fp_a);
-    ASSERT_FALSE(load.ok());
-    EXPECT_FALSE(cache.get(key, fp_a).has_value());
-    EXPECT_EQ(cache.stats().rejects, 1u);
-}
-
-TEST(ResultCache, WarmGridSweepServesEveryCellAndIsIdentical)
-{
-    GlobalCacheGuard guard;
-    ASSERT_TRUE(exec::ResultCache::openGlobal(scratchDir("warm")).ok());
-
-    // A fig11-style sweep: one workload, several designs, through the
-    // parallel grid runner with the global cache open.  The counts are
-    // the contract: a warm sweep that served every cell from disk ran
-    // no simulation at all, however long the host took.
-    std::vector<sim::Preset> presets = {
-        sim::Preset::Baseline, sim::Preset::NL, sim::Preset::SN4L,
-        sim::Preset::SN4LDisBtb};
-    std::vector<std::string> workloads = {"Web (Apache)"};
-    sim::RunWindows windows{20000, 30000};
-
-    auto cold = exec::runGrid("cold", workloads,
-                              exec::presetVariants(presets, shrink), windows);
-    exec::ResultCacheStats after_cold = exec::ResultCache::global()->stats();
-    EXPECT_EQ(after_cold.misses, presets.size());
-    EXPECT_EQ(after_cold.stores, presets.size());
-    EXPECT_EQ(after_cold.hits, 0u);
-
-    sim::WarmCache::global().clear();
-    auto warm = exec::runGrid("warm", workloads,
-                              exec::presetVariants(presets, shrink), windows);
-    exec::ResultCacheStats after_warm = exec::ResultCache::global()->stats();
-    EXPECT_EQ(after_warm.hits, presets.size());
-    EXPECT_EQ(after_warm.misses, after_cold.misses); // no new simulations
-    EXPECT_EQ(after_warm.stores, after_cold.stores);
-    // No System was built: not even a functional warmup ran.
-    sim::WarmCacheStats warmups = sim::WarmCache::global().stats();
-    EXPECT_EQ(warmups.misses + warmups.stores + warmups.hits, 0u);
-
-    for (std::size_t v = 0; v < presets.size(); ++v)
-        EXPECT_EQ(cold.at(0, v), warm.at(0, v));
 }
 
 // ------------------------------------------- functional-warmup checkpoints

@@ -1,18 +1,22 @@
 /**
  * @file
  * Tests for the observability subsystem: stat-registry ID interning and
- * lazy counter handles, log2 histogram bucket edges, JSON round-trips
- * (parser, RunResult), trace on/off parity of the final counters, and the dcfb-prof-v1
- * profile records with the span timeline drawn from them.
+ * lazy counter handles, log2 histogram bucket edges, JSON parser
+ * round-trips, trace on/off parity of the final counters, the
+ * dcfb-prof-v1 profile records with the span timeline drawn from them,
+ * and the bench harness's flag matching.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "exec/schedule.h"
@@ -226,30 +230,6 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(obs::JsonValue::parse("[1,]").has_value());
     EXPECT_FALSE(obs::JsonValue::parse("\"unterminated").has_value());
     EXPECT_FALSE(obs::JsonValue::parse("{\"a\":1} trailing").has_value());
-}
-
-TEST(Json, RunResultRoundTrips)
-{
-    sim::RunResult res;
-    res.workload = "Web (Apache)";
-    res.design = "SN4L+Dis+BTB";
-    res.cycles = 60000;
-    res.instructions = 54321;
-    res.stats["l1i.l1i_misses"] = 1234;
-    res.stats["sim.stall_frontend"] = 999;
-    obs::HistogramSnapshot snap;
-    snap.count = 3;
-    snap.sum = 8;
-    snap.max = 7;
-    snap.buckets = {{0, 1}, {1, 1}, {3, 1}};
-    res.hists["l1i.miss_latency"] = snap;
-
-    auto json = sim::toJson(res);
-    auto parsed = obs::JsonValue::parse(json.dump(2));
-    ASSERT_TRUE(parsed.has_value());
-    auto back = sim::runResultFromJson(*parsed);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, res);
 }
 
 TEST(Json, TableJsonMatchesTextCells)
@@ -514,6 +494,35 @@ TEST(Profiler, TimelineNestsPhasesInCellsOnOneTrack)
                 sum += kv.second.asDouble();
         }
         EXPECT_NEAR(sum, loop, 0.01 * loop);
+    }
+}
+
+// ----------------------------------------------------------------- harness
+
+/** Harness flags match as `--flag` or `--flag=value`, never by prefix: a
+ *  misspelt flag and a removed one exit 2 as unknown arguments instead
+ *  of being taken for a known flag or quietly ignored. */
+TEST(HarnessDeathTest, InexactOrRemovedFlagIsUnknown)
+{
+    // Exits 0 once the arguments parse; the Harness is never destroyed,
+    // so nothing is written.
+    auto parse = [](std::vector<std::string> args) {
+        args.insert(args.begin(), "bench");
+        std::vector<char *> argv;
+        for (auto &arg : args)
+            argv.push_back(arg.data());
+        bench::Harness harness(static_cast<int>(argv.size()), argv.data(),
+                               "figure", "claim");
+        std::exit(0);
+    };
+    EXPECT_EXIT(parse({"--jobs=2", "--json=unused.json"}),
+                ::testing::ExitedWithCode(0), "");
+    const std::vector<std::vector<std::string>> unknown = {
+        {"--jobs4"}, {"--jsonx", "out"}, {"--cache", "dir"}};
+    for (const auto &args : unknown) {
+        EXPECT_EXIT(parse(args), ::testing::ExitedWithCode(2),
+                    "unknown argument: " + args[0])
+            << args[0];
     }
 }
 

@@ -6,7 +6,7 @@
  *
  * Run through `scripts/update_golden.py`, which refuses to regenerate
  * over a dirty git tree -- the corpus must only ever change in a commit
- * that consciously accepts new results (see DESIGN.md section 10).
+ * that consciously accepts new results (see DESIGN.md section 9).
  */
 
 #include <chrono>
