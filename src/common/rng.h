@@ -27,6 +27,9 @@ class Rng
         : state(seed ? seed : 0x9e3779b97f4a7c15ull)
     {}
 
+    /** Same state: the two generators draw the same sequence. */
+    bool operator==(const Rng &) const = default;
+
     /** Next raw 64-bit draw. */
     std::uint64_t
     next()

@@ -68,6 +68,12 @@ class L1dCache
         array.touchOrAllocate(addr);
     }
 
+    /** Number of sets. */
+    unsigned sets() const { return array.sets(); }
+
+    /** Set that @p addr maps to. */
+    unsigned setIndex(Addr addr) const { return array.setIndex(addr); }
+
     const obs::StatRegistry &stats() const { return statReg; }
     obs::StatRegistry &stats() { return statReg; }
 

@@ -181,6 +181,12 @@ class L1iCache
      *  timing or statistics. */
     void warmInsert(Addr addr);
 
+    /** Number of sets. */
+    unsigned sets() const { return array.sets(); }
+
+    /** Set that @p addr maps to. */
+    unsigned setIndex(Addr addr) const { return array.setIndex(addr); }
+
     /** What warmInsert() calls leave behind (sim::WarmCache). */
     struct WarmState
     {

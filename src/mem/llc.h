@@ -99,6 +99,9 @@ class Llc
     /** LLC set that @p addr maps to. */
     unsigned setIndex(Addr addr) const { return array.setIndex(addr); }
 
+    /** Number of sets. */
+    unsigned sets() const { return array.sets(); }
+
     /** True when the block currently resides in the LLC (tests). */
     bool contains(Addr addr) const { return array.contains(addr); }
 

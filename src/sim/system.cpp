@@ -1,5 +1,9 @@
 #include "sim/system.h"
 
+#include <sys/mman.h>
+
+#include <new>
+
 #include "prefetch/classic_discontinuity.h"
 #include "prefetch/confluence.h"
 #include "prefetch/fdip.h"
@@ -8,6 +12,95 @@
 #include "sim/simulator.h"
 
 namespace dcfb::sim {
+
+namespace {
+
+/** The kinds of warm touch (MruFilter). */
+constexpr std::uint32_t kInstrTouch = 1;
+constexpr std::uint32_t kDataTouch = 2;
+
+/**
+ * The functional warmup's touch filter for one cache: per set, the
+ * block the set's last warm touch left most recently used (MRU), and
+ * which kinds of touch of it would change nothing.  Such a touch only
+ * renumbers the LRU clock, and every LRU decision compares stamps
+ * within one set, so skipping it is exact (DESIGN.md §7).  The set
+ * comes from the cache's own setIndex() and an entry holds the whole
+ * block number, shifted past the two kind bits, so the filter is exact
+ * however the cache maps blocks to sets.  0 records nothing, and
+ * neither does a block number of 2^30 or more (addresses from 64 GiB),
+ * so its set's next touch just runs.
+ */
+template <typename Cache>
+class MruFilter
+{
+  public:
+    /** @p entries_: one zeroed entry per set of @p cache_. */
+    MruFilter(const Cache &cache_, std::uint32_t *entries_)
+        : cache(cache_), entries(entries_)
+    {
+    }
+
+    /** True when a @p kind touch of @p addr's block changes nothing. */
+    bool
+    skip(Addr addr, std::uint32_t kind) const
+    {
+        std::uint32_t e = entries[cache.setIndex(addr)];
+        return (e & kind) != 0 && (e >> 2) == blockNumber(addr);
+    }
+
+    /** @p addr's block was just touched: until its set changes again,
+     *  a repeat touch of a kind in @p noops changes nothing. */
+    void
+    record(Addr addr, std::uint32_t noops)
+    {
+        Addr b = blockNumber(addr);
+        entries[cache.setIndex(addr)] =
+            b < (Addr{1} << 30) ? static_cast<std::uint32_t>(b << 2) | noops
+                                : 0;
+    }
+
+    /** Something other than a touch changed @p addr's set. */
+    void clear(Addr addr) { entries[cache.setIndex(addr)] = 0; }
+
+  private:
+    const Cache &cache;
+    std::uint32_t *entries;
+};
+
+/**
+ * Zeroed entries for one walk's filters, mapped for the walk and
+ * unmapped after it.  Neither heap form paid: allocated and freed per
+ * walk, the entries left heap holes that raised seed-sweep's peak RSS
+ * by 0.4-0.5 MB; kept in one buffer per thread, they raised
+ * figure-grid's by 0.5 MB, whose pool starts new threads every round.
+ */
+class FilterEntries
+{
+  public:
+    explicit FilterEntries(std::size_t n)
+        : count(n), entries(static_cast<std::uint32_t *>(
+                        mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)))
+    {
+        if (entries == MAP_FAILED)
+            throw std::bad_alloc();
+    }
+
+    FilterEntries(const FilterEntries &) = delete;
+    FilterEntries &operator=(const FilterEntries &) = delete;
+    ~FilterEntries() { munmap(entries, bytes()); }
+
+    std::uint32_t *data() const { return entries; }
+
+  private:
+    std::size_t bytes() const { return count * sizeof(std::uint32_t); }
+
+    std::size_t count;
+    std::uint32_t *entries;
+};
+
+} // namespace
 
 System::System(const SystemConfig &config)
     : cfg(config),
@@ -204,58 +297,89 @@ System::functionalWarmup()
         l1i->restoreWarm(cp->l1i);
         l1d->restoreWarm(cp->l1d);
         tage->restoreWarm(cp->tage);
-        for (const WarmBranch &b : cp->branches)
-            primeBranch(b);
+        cp->branches.forEach([this](const WarmBranchRecord &r) {
+            primeBranch(r.decode(*program));
+        });
         return;
     }
 
+    // The walk reports a run of instructions in one cache block once,
+    // and the filters drop every touch that finds its block MRU in its
+    // set with nothing to change (MruFilter).  Under DV-LLC an
+    // instruction touch refreshes the set's BF-slot blocks after the
+    // block itself, so only another instruction touch of the block
+    // changes nothing, and a branch offset recorded into the set may
+    // change its slot list, so it clears the set's entry.
     const bool store = warmSource == WarmSource::Stored;
-    std::vector<WarmBranch> branches;
-    // Block runs: consecutive PCs in one block touch the LLC and the L1i
-    // once, and consecutive data accesses to one block touch the LLC and
-    // the L1d once.  A repeat touch would find the block MRU in its set
-    // and only renumber LRU stamps, and every LRU decision compares
-    // stamps within one set, so skipping it is exact until something
-    // else lands in the block's LLC set: a touch from the other stream
-    // there, or, for instructions under DV-LLC, a branch offset recorded
-    // into the set's BF slots (an instruction touch refreshes the slots'
-    // blocks, so a changed slot list changes it).
-    Addr run_block = kInvalidAddr, data_block = kInvalidAddr;
-    unsigned run_set = 0, data_set = 0;
-    for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
-        workload::TraceEntry e = walker->next();
-        if (blockAlign(e.pc) != run_block) {
-            llc->warmTouch(e.pc, true);
-            l1i->warmInsert(e.pc);
-            run_block = blockAlign(e.pc);
-            run_set = llc->setIndex(e.pc);
-            if (run_set == data_set)
-                data_block = kInvalidAddr;
-        }
-        if (e.dataAddr != kInvalidAddr &&
-            blockAlign(e.dataAddr) != data_block) {
-            llc->warmTouch(e.dataAddr, false);
-            l1d->warmInsert(e.dataAddr);
-            data_block = blockAlign(e.dataAddr);
-            data_set = llc->setIndex(e.dataAddr);
-            if (data_set == run_set)
-                run_block = kInvalidAddr;
-        }
-        if (e.isBranch()) {
-            if (cfg.llc.dvllc)
-                run_block = kInvalidAddr;
-            if (e.kind == isa::InstrKind::CondBranch) {
-                tage->predict(e.pc);
-                tage->update(e.pc, e.taken);
-            } else {
-                tage->updateHistoryUnconditional(e.pc);
+    WarmBranchList branches;
+    {
+        struct Sink
+        {
+            System &sys;
+            WarmBranchList *branches; //!< nullptr unless storing
+            MruFilter<mem::Llc> llc;
+            MruFilter<mem::L1iCache> l1i;
+            MruFilter<mem::L1dCache> l1d;
+
+            void
+            instrBlock(Addr pc)
+            {
+                // Without DV-LLC the touch leaves the line MRU and
+                // instruction-tagged, so a repeat of either kind is a
+                // no-op.
+                if (!llc.skip(pc, kInstrTouch)) {
+                    sys.llc->warmTouch(pc, true);
+                    llc.record(pc, sys.cfg.llc.dvllc
+                                       ? kInstrTouch
+                                       : kInstrTouch | kDataTouch);
+                }
+                if (!l1i.skip(pc, kInstrTouch)) {
+                    sys.l1i->warmInsert(pc);
+                    l1i.record(pc, kInstrTouch);
+                }
             }
-            WarmBranch b{e.pc, e.target, e.kind, e.taken};
-            primeBranch(b);
-            if (store)
-                branches.push_back(b);
-        }
-        recordRetiredFootprints(e);
+
+            void
+            data(Addr addr)
+            {
+                // Whether the line is instruction-tagged is unknown
+                // here, so only another data touch is a no-op.
+                if (!llc.skip(addr, kDataTouch)) {
+                    sys.llc->warmTouch(addr, false);
+                    llc.record(addr, kDataTouch);
+                }
+                if (!l1d.skip(addr, kDataTouch)) {
+                    sys.l1d->warmInsert(addr);
+                    l1d.record(addr, kDataTouch);
+                }
+            }
+
+            void
+            branch(const workload::TraceEntry &e, std::uint32_t blk,
+                   std::uint32_t to)
+            {
+                if (e.kind == isa::InstrKind::CondBranch) {
+                    sys.tage->predict(e.pc);
+                    sys.tage->update(e.pc, e.taken);
+                } else {
+                    sys.tage->updateHistoryUnconditional(e.pc);
+                }
+                sys.primeBranch({e.pc, e.target, e.kind, e.taken});
+                if (branches)
+                    branches->push({blk, to, e.taken});
+                if (sys.cfg.llc.dvllc) {
+                    sys.recordRetiredFootprints(e);
+                    llc.clear(e.pc);
+                }
+            }
+        };
+        FilterEntries filters(llc->sets() + l1i->sets() + l1d->sets());
+        std::uint32_t *entries = filters.data();
+        Sink sink{*this, store ? &branches : nullptr,
+                  {*llc, entries},
+                  {*l1i, entries + llc->sets()},
+                  {*l1d, entries + llc->sets() + l1i->sets()}};
+        walker->warmWalk(cfg.functionalWarmInstrs, sink);
     }
 
     if (store) {
@@ -265,7 +389,6 @@ System::functionalWarmup()
         cp->l1i = l1i->saveWarm();
         cp->l1d = l1d->saveWarm();
         cp->tage = tage->saveWarm();
-        branches.shrink_to_fit();
         cp->branches = std::move(branches);
         lease.publish(std::move(cp));
     }

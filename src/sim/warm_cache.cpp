@@ -16,6 +16,18 @@ warmSourceName(WarmSource source)
     return "unknown";
 }
 
+WarmBranch
+WarmBranchRecord::decode(const workload::Program &program) const
+{
+    const workload::BasicBlock &bb = program.blocks[blk];
+    WarmBranch b;
+    b.pc = bb.termPc();
+    b.target = program.blocks[toTaken >> 1].start;
+    b.kind = program.instrs[bb.termInstr()].kind;
+    b.taken = (toTaken & 1) != 0;
+    return b;
+}
+
 WarmKey
 WarmKey::of(const SystemConfig &cfg,
             const std::shared_ptr<const workload::Program> &program)
@@ -54,7 +66,7 @@ WarmCheckpoint::bytes() const
         return vec(s.index) + vec(s.tags) + vec(s.stamps) + vec(s.payloads);
     };
     std::size_t n = lines(llc.lines) + vec(llc.bfSets) + lines(l1i.lines) +
-        lines(l1d) + vec(branches) + vec(tage.base);
+        lines(l1d) + branches.bytes() + vec(tage.base);
     for (const auto &entry : llc.bfSets)
         n += vec(entry.second.slots);
     for (const auto &table : tage.tables)

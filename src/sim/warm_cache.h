@@ -49,6 +49,69 @@ struct WarmBranch
     bool taken = false;
 };
 
+/**
+ * One warm branch as a checkpoint stores it, in 8 bytes: the block its
+ * terminator ends and the block its target starts (every warm target
+ * is a block start), with the outcome in the low bit.  Its PC, target
+ * and kind are rebuilt from the program.
+ */
+class WarmBranchRecord
+{
+  public:
+    WarmBranchRecord(std::uint32_t blk_, std::uint32_t to, bool taken)
+        : blk(blk_), toTaken((to << 1) | std::uint32_t{taken})
+    {
+    }
+
+    /** The branch, as the walk that recorded it retired it. */
+    WarmBranch decode(const workload::Program &program) const;
+
+  private:
+    std::uint32_t blk;     //!< Program::blocks index of the terminator
+    std::uint32_t toTaken; //!< target's blocks index << 1 | taken
+};
+static_assert(sizeof(WarmBranchRecord) == 8);
+
+/**
+ * Every warm branch of a checkpoint, in order.  The list grows in
+ * fixed-size chunks, so appending never copies what it already holds
+ * and only the last chunk has spare room.
+ */
+class WarmBranchList
+{
+  public:
+    void
+    push(WarmBranchRecord r)
+    {
+        if (chunks.empty() || chunks.back().size() == kChunk) {
+            chunks.emplace_back();
+            chunks.back().reserve(kChunk);
+        }
+        chunks.back().push_back(r);
+    }
+
+    template <typename F>
+    void
+    forEach(F &&f) const
+    {
+        for (const auto &chunk : chunks) {
+            for (const WarmBranchRecord &r : chunk)
+                f(r);
+        }
+    }
+
+    /** Heap bytes held, the last chunk's spare records included. */
+    std::size_t
+    bytes() const
+    {
+        return chunks.size() * kChunk * sizeof(WarmBranchRecord);
+    }
+
+  private:
+    static constexpr std::size_t kChunk = 8192; //!< 64 KB of records
+    std::vector<std::vector<WarmBranchRecord>> chunks;
+};
+
 /** Where a cell's functional-warmup state came from. */
 enum class WarmSource {
     Cold,     //!< walked the stream (also: no warmup configured)
@@ -90,7 +153,7 @@ struct WarmCheckpoint
     mem::L1iCache::WarmState l1i;
     mem::L1dCache::WarmState l1d;
     frontend::Tage::WarmState tage;
-    std::vector<WarmBranch> branches; //!< every warm branch, in order
+    WarmBranchList branches;
 
     /** Approximate heap footprint (the large arrays only). */
     std::size_t bytes() const;

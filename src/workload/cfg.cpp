@@ -309,8 +309,10 @@ buildProgram(const WorkloadProfile &profile)
         for (std::uint32_t b = fn.firstBlock; b < fn.endBlock(); ++b) {
             BasicBlock &bb = prog.blocks[b];
             bb.start = cursor;
-            for (std::uint32_t j = bb.firstInstr; j <= bb.termInstr(); ++j)
+            for (std::uint32_t j = bb.firstInstr; j < bb.termInstr(); ++j)
                 cursor += prog.instrs[j].len;
+            bb.termOffset = static_cast<std::uint32_t>(cursor - bb.start);
+            cursor += prog.instrs[bb.termInstr()].len;
         }
     }
     prog.codeEnd = cursor;

@@ -87,9 +87,12 @@ struct BasicBlock
     std::uint32_t callee = 0;            //!< Call target (functions index)
     TermKind term = TermKind::FallThrough;
     bool cold = false;                   //!< deliberately rarely-executed
+    std::uint32_t termOffset = 0;        //!< terminator's bytes past start
 
     std::uint32_t termInstr() const { return firstInstr + numInstrs - 1; }
+    Addr termPc() const { return start + termOffset; }
 };
+static_assert(sizeof(BasicBlock) == 40);
 
 /** One function after layout: a contiguous run of Program::blocks. */
 struct Function

@@ -108,8 +108,6 @@ TraceWalker::takeBackEdge(const BasicBlock &bb)
 TraceEntry
 TraceWalker::nextSlow()
 {
-    const BasicBlock &bb = program.blocks[state.blk];
-    const std::uint32_t fi = state.stack.back().fn;
     const Instr in = instrs[state.instr];
 
     TraceEntry e;
@@ -119,14 +117,22 @@ TraceWalker::nextSlow()
     ++state.count;
 
     if (e.kind == InstrKind::Load || e.kind == InstrKind::Store)
-        e.dataAddr = dataAddress(fi);
+        e.dataAddr = dataAddress(state.stack.back().fn);
 
     if (state.instr != termInstr) {
         ++state.instr;
         state.pc += e.len;
         return e;
     }
+    endBlock(e);
+    return e;
+}
 
+std::uint32_t
+TraceWalker::endBlock(TraceEntry &e)
+{
+    const BasicBlock &bb = program.blocks[state.blk];
+    const std::uint32_t fi = state.stack.back().fn;
     const Function &fn = program.functions[fi];
     const std::uint32_t blk = state.blk;
     const bool branch = bb.term == TermKind::Cond || bb.term == TermKind::Jump;
@@ -135,6 +141,7 @@ TraceWalker::nextSlow()
                      "branch", fi, fn, blk, bb.targetBlock);
     }
     std::uint32_t next = blk + 1;
+    std::uint32_t to = next;
     switch (bb.term) {
       case TermKind::FallThrough:
         break;
@@ -142,12 +149,13 @@ TraceWalker::nextSlow()
         e.taken = bb.targetBlock <= blk ? takeBackEdge(bb)
                                         : state.rng.chance(bb.takenProb);
         e.target = program.blocks[bb.targetBlock].start;
+        to = bb.targetBlock;
         next = e.taken ? bb.targetBlock : next;
         break;
       case TermKind::Jump:
         e.taken = true;
         e.target = program.blocks[bb.targetBlock].start;
-        next = bb.targetBlock;
+        next = to = bb.targetBlock;
         break;
       case TermKind::Call:
       case TermKind::IndirectCall: {
@@ -190,7 +198,7 @@ TraceWalker::nextSlow()
         e.target = program.functions[callee].entry;
         state.stack.push_back(
             {callee, next, static_cast<std::uint32_t>(state.trips.size())});
-        next = program.functions[callee].firstBlock;
+        next = to = program.functions[callee].firstBlock;
         break;
       }
       case TermKind::Return: {
@@ -209,6 +217,7 @@ TraceWalker::nextSlow()
         state.trips.resize(f.tripBase);
         state.stack.pop_back();
         e.target = program.blocks[next].start;
+        to = next;
         break;
       }
     }
@@ -222,7 +231,7 @@ TraceWalker::nextSlow()
                      fi, fn, blk, blk + 1);
     }
     enterBlock(next);
-    return e;
+    return to;
 }
 
 } // namespace dcfb::workload

@@ -74,6 +74,24 @@ class TraceWalker
         return nextSlow();
     }
 
+    /**
+     * Walk the next @p n instructions for the functional warmup, one
+     * basic block at a time, and report them to @p sink instead of
+     * building TraceEntrys:
+     *  - sink.instrBlock(pc) for the first instruction of each run of
+     *    instructions in one cache block, where any other event also
+     *    ends the run;
+     *  - sink.data(addr) for each load or store's effective address;
+     *  - sink.branch(e, blk, to) for each retired branch: @c e as next()
+     *    returns it, @c blk the Program::blocks index of its block and
+     *    @c to that of the block its target starts.
+     *
+     * Draws the same random numbers in the same order and leaves the
+     * same WarmState as @p n calls of next(), also when the walk stops
+     * mid-block.
+     */
+    template <typename Sink> void warmWalk(std::uint64_t n, Sink &sink);
+
     /** Retired-instruction count so far. */
     std::uint64_t retired() const { return state.count; }
 
@@ -83,6 +101,8 @@ class TraceWalker
         std::uint32_t fn = 0;
         std::uint32_t retBlk = 0;   //!< caller block to resume after return
         std::uint32_t tripBase = 0; //!< this invocation's first LoopTrip
+
+        bool operator==(const Frame &) const = default;
     };
 
     /** Remaining trips of a loop whose back edge ends block @c blk.
@@ -93,6 +113,8 @@ class TraceWalker
     {
         std::uint32_t blk = 0;
         std::uint32_t left = 0;
+
+        bool operator==(const LoopTrip &) const = default;
     };
 
   public:
@@ -115,6 +137,8 @@ class TraceWalker
          *  makes the indirect-call target realistically predictable. */
         std::uint32_t stickyCallee = 0;
         std::uint32_t stickyLeft = 0;
+
+        bool operator==(const WarmState &) const = default;
     };
 
     WarmState saveWarm() const { return state; }
@@ -129,6 +153,12 @@ class TraceWalker
   private:
     /** next() for terminators and loads/stores. */
     TraceEntry nextSlow();
+
+    /** Retire the current block's terminator @p e (pc, len and kind
+     *  set): fill in its outcome and target, move to the next block,
+     *  and return the Program::blocks index of the block @c e.target
+     *  starts (of the next block when @p e is no branch). */
+    std::uint32_t endBlock(TraceEntry &e);
 
     /** Move the cursor to the head of block @p b. */
     void enterBlock(std::uint32_t b);
@@ -145,6 +175,52 @@ class TraceWalker
     /** The current block's terminator (a cache of blocks[state.blk]). */
     std::uint32_t termInstr = 0;
 };
+
+template <typename Sink>
+void
+TraceWalker::warmWalk(std::uint64_t n, Sink &sink)
+{
+    Addr run = kInvalidAddr; // cache block of the current instruction run
+    while (n > 0) {
+        const std::uint32_t first = state.instr;
+        const std::uint32_t fn = state.stack.back().fn;
+        // The block's instructions through its terminator, or the first n.
+        const std::uint32_t end = n > termInstr - first
+            ? termInstr + 1 : first + static_cast<std::uint32_t>(n);
+        Addr pc = state.pc;
+        for (std::uint32_t i = first; i < end; ++i) {
+            const Instr in = instrs[i];
+            if (blockAlign(pc) != run) {
+                run = blockAlign(pc);
+                sink.instrBlock(pc);
+            }
+            if (in.kind == isa::InstrKind::Load ||
+                in.kind == isa::InstrKind::Store) {
+                sink.data(dataAddress(fn));
+                run = kInvalidAddr;
+            }
+            pc += in.len;
+        }
+        state.count += end - first;
+        n -= end - first;
+        if (end <= termInstr) {
+            state.instr = end;
+            state.pc = pc;
+            return;
+        }
+
+        TraceEntry e;
+        e.len = instrs[termInstr].len;
+        e.kind = instrs[termInstr].kind;
+        e.pc = pc - e.len;
+        const std::uint32_t blk = state.blk;
+        const std::uint32_t to = endBlock(e);
+        if (e.isBranch()) {
+            sink.branch(e, blk, to);
+            run = kInvalidAddr;
+        }
+    }
+}
 
 } // namespace dcfb::workload
 

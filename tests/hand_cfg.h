@@ -42,6 +42,7 @@ addBlock(Program &prog, Addr start, std::uint32_t instrs, TermKind term,
     bb.takenProb = taken_prob;
     bb.firstInstr = static_cast<std::uint32_t>(prog.instrs.size());
     bb.numInstrs = instrs;
+    bb.termOffset = (instrs - 1) * kInstrBytes;
     prog.instrs.resize(prog.instrs.size() + instrs,
                        {kInstrBytes, isa::InstrKind::Alu});
     switch (term) {

@@ -23,10 +23,13 @@
  * both over seeded random streams including non-power-of-two
  * geometries.
  *
- * The functional warmup brings two more: the struct-of-arrays cache
- * kernel against a two-scan model of the padded-line array it replaced,
- * and the block-run warm walk against the per-instruction loop it
- * replaced (plus TAGE's lookup reuse against fresh lookups).
+ * The functional warmup brings more: the struct-of-arrays cache kernel
+ * against a two-scan model of the padded-line array it replaced, the
+ * MRU-filtered warmup against the per-instruction loop it replaced (on
+ * generated programs and on a hand-built one that hits the filter's
+ * edge cases), the block-granular warm walk against next(), the compact
+ * warm-branch records against the branches they encode, and TAGE's
+ * lookup reuse against fresh lookups.
  *
  * The trace walker's flat program layout (one block array, a loop-trip
  * stack) is checked against the nested per-function walk with per-frame
@@ -41,7 +44,9 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <set>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -51,6 +56,7 @@
 #include "common/types.h"
 #include "frontend/btb.h"
 #include "frontend/micro_btb.h"
+#include "frontend/shotgun_btb.h"
 #include "frontend/tage.h"
 #include "isa/encoding.h"
 #include "isa/predecoder.h"
@@ -67,6 +73,8 @@
 #include "workload/image.h"
 #include "workload/profiles.h"
 #include "workload/trace.h"
+
+#include "hand_cfg.h"
 
 namespace dcfb {
 namespace ref {
@@ -428,7 +436,7 @@ struct WarmStructures
         : mesh(cfg.mesh), memory(cfg.memory),
           llc(cfg.llc, mesh, memory, cfg.coreTile), l1i(cfg.l1i, llc),
           l1d(cfg.l1d, llc), btb(cfg.btbEntries, cfg.btbAssoc),
-          walker(*cfg.program, cfg.runSeed)
+          sg(cfg.shotgunBtb), walker(*cfg.program, cfg.runSeed)
     {}
 
     noc::MeshModel mesh;
@@ -438,18 +446,19 @@ struct WarmStructures
     mem::L1dCache l1d;
     frontend::Tage tage;
     frontend::Btb btb;
+    frontend::ShotgunBtb sg; //!< trained under the Shotgun preset only
     workload::TraceWalker walker;
 };
 
 /**
  * The pre-coalescing functional warmup: every retired instruction
  * touches the LLC and the L1i, whatever block the previous one was in.
- * Returns every taken branch's PC (the BTB keys it trained).
+ * Returns every branch's PC (the BTB-side keys it trained).
  */
 std::set<Addr>
 functionalWarmup(const sim::SystemConfig &cfg, WarmStructures &w)
 {
-    std::set<Addr> taken_pcs;
+    std::set<Addr> branch_pcs;
     for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
         workload::TraceEntry e = w.walker.next();
         w.llc.warmTouch(e.pc, true);
@@ -466,16 +475,23 @@ functionalWarmup(const sim::SystemConfig &cfg, WarmStructures &w)
         } else {
             w.tage.updateHistoryUnconditional(e.pc);
         }
-        if (e.taken) {
+        branch_pcs.insert(e.pc);
+        if (e.taken)
             w.btb.update(e.pc, e.target, e.kind);
-            taken_pcs.insert(e.pc);
+        if (cfg.preset == sim::Preset::Shotgun) {
+            if (e.kind == isa::InstrKind::CondBranch)
+                w.sg.updateC(e.pc, e.target);
+            else if (e.kind == isa::InstrKind::Return)
+                w.sg.updateRib(e.pc);
+            else
+                w.sg.updateU(e.pc, e.target, e.kind, false);
         }
         if (cfg.llc.dvllc) {
             w.llc.recordBranchOffset(
                 blockAlign(e.pc), static_cast<std::uint8_t>(blockOffset(e.pc)));
         }
     }
-    return taken_pcs;
+    return branch_pcs;
 }
 
 /**
@@ -1105,13 +1121,18 @@ INSTANTIATE_TEST_SUITE_P(
                       CacheCase{256, 16, 408, true}));
 
 // ---------------------------------------------------------------------
-// Functional warmup: coalesced block runs vs the per-instruction loop.
+// Functional warmup: the MRU-filtered walk vs the per-instruction loop.
 // ---------------------------------------------------------------------
 
 /**
- * Per set, the written lines (valid or not) ordered by age: the LRU
- * rank order every replacement decision reads.  Absolute stamps differ
- * between the loops, because the coalesced one touches less often.
+ * Per set, the written lines ordered by age: the LRU rank order every
+ * replacement decision reads.  Absolute stamps differ between the
+ * loops, because the filtered one touches less often.  An invalid way
+ * past way 0 keeps a stamp no decision reads (victim() and lruWay()
+ * take it without comparing), so such ways follow the ranked ones in
+ * way order, compared by index, tag and payload but not by stamp: a
+ * skipped repeat touch of the block DV-LLC's holder flip moved out of
+ * the last way leaves that block tied with the way's old stamp.
  */
 template <typename WarmState, typename Project>
 auto
@@ -1120,10 +1141,14 @@ rankOrder(const WarmState &lines, unsigned assoc, Project project)
     using Row = decltype(std::tuple_cat(
         std::make_tuple(std::uint32_t{}, std::uint32_t{}),
         project(lines.payloads.front())));
-    std::map<std::uint32_t, std::vector<std::pair<std::uint32_t, Row>>> sets;
+    // Sort key: (unranked, stamp or, for an unranked way, its index).
+    using Key = std::pair<bool, std::uint32_t>;
+    std::map<std::uint32_t, std::vector<std::pair<Key, Row>>> sets;
     for (std::size_t k = 0; k < lines.index.size(); ++k) {
+        const bool unranked =
+            lines.tags[k] == ~std::uint32_t{0} && lines.index[k] % assoc != 0;
         sets[lines.index[k] / assoc].push_back(
-            {lines.stamps[k],
+            {{unranked, unranked ? lines.index[k] : lines.stamps[k]},
              std::tuple_cat(std::make_tuple(lines.index[k], lines.tags[k]),
                             project(lines.payloads[k]))});
     }
@@ -1171,33 +1196,16 @@ expectSameTage(const frontend::Tage::WarmState &got,
     EXPECT_EQ(got.allocSeed, want.allocSeed);
 }
 
-class WarmWalkDifferential : public ::testing::TestWithParam<bool>
-{};
-
-TEST_P(WarmWalkDifferential, CoalescedWalkMatchesPerInstructionLoop)
+/**
+ * A warmed System's long-term state equals what the per-instruction
+ * loop leaves behind: LLC (lines in rank order, BF sets, counters),
+ * L1s, TAGE, and every BTB-side key the stream trained.
+ */
+void
+expectWarmStateMatchesLoop(const sim::SystemConfig &cfg, sim::System &sys)
 {
-    const bool dvllc = GetParam();
-    sim::SystemConfig cfg = sim::makeConfig(
-        workload::serverProfile("OLTP (DB A)"), sim::Preset::SN4LDisBtb);
-    cfg.program = std::make_shared<const workload::Program>(
-        workload::buildProgram(cfg.profile));
-    cfg.runSeed = 3;
-    cfg.functionalWarmInstrs = 400000;
-    // A small LLC: the walk overflows its sets, so LRU order decides
-    // evictions.  Under DV-LLC, 4 ways leave 3 for blocks, so BF slots
-    // are dropped and replaced often; an order slip between a block and
-    // its set's slot blocks then changes which block a data miss evicts.
-    cfg.llc.capacityBytes = dvllc ? 64 * 1024 : 256 * 1024;
-    cfg.llc.assoc = dvllc ? 4 : 16;
-    cfg.llc.dvllc = dvllc;
-    cfg.llc.bfSlotsPerSet = 2;
-
-    sim::WarmCache::global().clear();
-    sim::System sys(cfg);
-    ASSERT_EQ(sys.warmSource, sim::WarmSource::Cold);
-
     ref::WarmStructures model(cfg);
-    std::set<Addr> taken_pcs = ref::functionalWarmup(cfg, model);
+    std::set<Addr> branch_pcs = ref::functionalWarmup(cfg, model);
 
     const unsigned llc_assoc = cfg.llc.assoc;
     auto llc_got = sys.llc->saveWarm();
@@ -1222,7 +1230,7 @@ TEST_P(WarmWalkDifferential, CoalescedWalkMatchesPerInstructionLoop)
     }
     EXPECT_EQ(llc_got.bfTick, llc_want.bfTick);
     EXPECT_EQ(llc_got.counters, llc_want.counters);
-    if (dvllc) {
+    if (cfg.llc.dvllc) {
         EXPECT_GT(sys.llc->bfHolderSets(), 0u);
     }
 
@@ -1246,10 +1254,10 @@ TEST_P(WarmWalkDifferential, CoalescedWalkMatchesPerInstructionLoop)
     expectSameTage(tage_got, tage_want);
     EXPECT_EQ(tage_got.counters, tage_want.counters);
 
-    // Every trained BTB key: same presence and payload.  Probing counts
-    // and refreshes both tables alike.
-    ASSERT_FALSE(taken_pcs.empty());
-    for (Addr pc : taken_pcs) {
+    // Every trained BTB-side key: same presence and payload.  Probing
+    // counts and refreshes both tables alike.
+    ASSERT_FALSE(branch_pcs.empty());
+    for (Addr pc : branch_pcs) {
         const auto *got = sys.btb->lookup(pc);
         const auto *want = model.btb.lookup(pc);
         ASSERT_EQ(got != nullptr, want != nullptr) << "pc " << pc;
@@ -1257,11 +1265,210 @@ TEST_P(WarmWalkDifferential, CoalescedWalkMatchesPerInstructionLoop)
             EXPECT_EQ(got->target, want->target) << "pc " << pc;
             EXPECT_EQ(got->kind, want->kind) << "pc " << pc;
         }
+        if (cfg.preset == sim::Preset::Shotgun) {
+            const auto &sg = sys.decoupled->shotgunBtb();
+            ASSERT_EQ(sg.containsU(pc), model.sg.containsU(pc)) << pc;
+            ASSERT_EQ(sg.containsC(pc), model.sg.containsC(pc)) << pc;
+            ASSERT_EQ(sg.containsRib(pc), model.sg.containsRib(pc)) << pc;
+        }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(DvLlc, WarmWalkDifferential,
-                         ::testing::Values(false, true));
+/** One WarmWalkDifferential instance. */
+struct WarmWalkCase
+{
+    const char *name;
+    const char *profile;
+    bool vl;
+    sim::Preset preset;
+    bool dvllc;
+    std::size_t llcBytes;
+    unsigned llcAssoc;
+};
+
+void
+PrintTo(const WarmWalkCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+class WarmWalkDifferential : public ::testing::TestWithParam<WarmWalkCase>
+{};
+
+TEST_P(WarmWalkDifferential, CoalescedWalkMatchesPerInstructionLoop)
+{
+    const WarmWalkCase c = GetParam();
+    sim::SystemConfig cfg = sim::makeConfig(
+        workload::serverProfile(c.profile, c.vl), c.preset);
+    cfg.program = std::make_shared<const workload::Program>(
+        workload::buildProgram(cfg.profile));
+    cfg.runSeed = 3;
+    cfg.functionalWarmInstrs = 400000;
+    cfg.llc.capacityBytes = c.llcBytes;
+    cfg.llc.assoc = c.llcAssoc;
+    cfg.llc.dvllc = c.dvllc;
+    cfg.llc.bfSlotsPerSet = 2;
+
+    // The first System walks, the second walks and stores the
+    // checkpoint, and the third restores it, replaying the compact
+    // branch records into its BTB-side structures.
+    sim::WarmCache::global().clear();
+    for (sim::WarmSource source :
+         {sim::WarmSource::Cold, sim::WarmSource::Stored,
+          sim::WarmSource::Restored}) {
+        sim::System sys(cfg);
+        ASSERT_EQ(sys.warmSource, source);
+        expectWarmStateMatchesLoop(cfg, sys);
+    }
+    sim::WarmCache::global().clear();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, WarmWalkDifferential,
+    // Small LLCs: the walk overflows their sets, so LRU order decides
+    // evictions.  Under DV-LLC, 4 ways leave 3 for blocks, so BF slots
+    // are dropped and replaced often; an order slip between a block and
+    // its set's slot blocks then changes which block a data miss evicts.
+    // The 2 MB LLCs churn less, so more of the walk's late order
+    // survives to the comparison.
+    ::testing::Values(
+        WarmWalkCase{"oltp", "OLTP (DB A)", false, sim::Preset::SN4LDisBtb,
+                     false, 256 * 1024, 16},
+        WarmWalkCase{"oltp_dvllc", "OLTP (DB A)", false,
+                     sim::Preset::SN4LDisBtb, true, 64 * 1024, 4},
+        WarmWalkCase{"web_search_vl_dvllc", "Web Search", true,
+                     sim::Preset::SN4LDisBtb, true, 64 * 1024, 4},
+        WarmWalkCase{"oltp_shotgun", "OLTP (DB A)", false,
+                     sim::Preset::Shotgun, false, 256 * 1024, 16},
+        WarmWalkCase{"oltp_2mb", "OLTP (DB A)", false,
+                     sim::Preset::SN4LDisBtb, false, 2 << 20, 16},
+        WarmWalkCase{"web_search_vl_dvllc_2mb", "Web Search", true,
+                     sim::Preset::SN4LDisBtb, true, 2 << 20, 4}),
+    [](const ::testing::TestParamInfo<WarmWalkCase> &info) {
+        return std::string(info.param.name);
+    });
+
+/**
+ * The touch filter's edge cases on a hand-built program whose data
+ * region is its own code: worker i's loads land mostly in the first
+ * four blocks of worker i's code, in a 16-set LLC, so code and data
+ * blocks share sets and lines.  A shadow LRU model of the non-DV LLC
+ * first proves that the stream contains every edge:
+ *  - an instruction block and a data block in one set, touched A, X, A;
+ *  - a data touch of an instruction-tagged MRU line;
+ *  - an instruction touch of a data-only MRU line;
+ *  - a branch offset recorded in the set whose MRU block is the
+ *    branch's own (DV-LLC).
+ * Then the warmup must match the per-instruction loop with and
+ * without DV-LLC, over the whole stream and over walks that stop right
+ * after a data touch of an instruction-tagged MRU line (under DV-LLC
+ * the set's BF-slot blocks sit above that line, so the touch reorders
+ * the set and a walk that skipped it would end in another order).
+ */
+TEST(WarmFilterEdges, HandBuiltSharedSetsMatchPerInstructionLoop)
+{
+    using workload::TermKind;
+    namespace hand = workload::hand;
+    workload::Program prog;
+    prog.profile = workload::serverProfile("OLTP (DB A)");
+    prog.profile.dataFootprint = 16 * 1024;
+    prog.codeBase = 0x40000;
+    prog.dataBase = prog.codeBase;
+    // Driver: dispatch to a worker, then jump back.
+    hand::addFunction(prog);
+    hand::addBlock(prog, prog.codeBase, 8, TermKind::IndirectCall);
+    hand::addBlock(prog, prog.codeBase + 8 * kInstrBytes, 4, TermKind::Jump,
+                   0);
+    constexpr std::uint32_t kWorkers = 16;
+    for (std::uint32_t fi = 1; fi <= kWorkers; ++fi) {
+        // 40 instructions over three cache blocks: a load closes each
+        // of the first two, and a store sits early in the first.
+        hand::addFunction(prog, 1);
+        hand::addBlock(prog, prog.codeBase + fi * 4096, 40,
+                       TermKind::Return);
+        const std::uint32_t first = prog.blocks.back().firstInstr;
+        prog.instrs[first + 5].kind = isa::InstrKind::Store;
+        prog.instrs[first + 15].kind = isa::InstrKind::Load;
+        prog.instrs[first + 31].kind = isa::InstrKind::Load;
+        prog.driverTargets.push_back(fi);
+    }
+    prog.codeEnd = prog.codeBase + (kWorkers + 1) * 4096;
+
+    sim::SystemConfig cfg = sim::makeConfig(prog.profile,
+                                            sim::Preset::SN4LDisBtb);
+    cfg.program = std::make_shared<const workload::Program>(prog);
+    cfg.runSeed = 5;
+    cfg.functionalWarmInstrs = 60000;
+    cfg.llc.capacityBytes = 4 * 1024;
+    cfg.llc.assoc = 4;
+    cfg.llc.bfSlotsPerSet = 2;
+
+    // The shadow model: true LRU with an instruction bit per line.
+    std::vector<std::uint64_t> lengths;
+    {
+        ref::SetAssocCache<bool> shadow(16, 4);
+        auto mru = [&](Addr addr) -> const ref::SetAssocCache<bool>::Line * {
+            const ref::SetAssocCache<bool>::Line *best = nullptr;
+            auto *s = shadow.set(shadow.setIndex(addr));
+            for (unsigned w = 0; w < 4; ++w) {
+                if (s[w].valid && (!best || s[w].lastUse > best->lastUse))
+                    best = &s[w];
+            }
+            return best;
+        };
+        auto touch = [&](Addr addr, bool instr) {
+            if (auto *line = shadow.lookup(addr))
+                line->meta |= instr;
+            else
+                shadow.insert(addr, instr);
+        };
+        unsigned a_x_a = 0, data_on_instr = 0, instr_on_data = 0,
+                 offset_in_mru = 0;
+        Addr prev_line = kInvalidAddr;
+        workload::TraceWalker walker(*cfg.program, cfg.runSeed);
+        for (std::uint64_t i = 0; i < cfg.functionalWarmInstrs; ++i) {
+            const workload::TraceEntry e = walker.next();
+            const Addr line = blockAlign(e.pc);
+            const auto *top = mru(line);
+            if (top && top->blockAddr == line && !top->meta)
+                ++instr_on_data;
+            if (top && top->blockAddr != line && !top->meta &&
+                prev_line == line)
+                ++a_x_a;
+            touch(line, true);
+            prev_line = line;
+            if (e.dataAddr != kInvalidAddr) {
+                top = mru(e.dataAddr);
+                if (top && top->blockAddr == blockAlign(e.dataAddr) &&
+                    top->meta && ++data_on_instr <= 8)
+                    lengths.push_back(i + 1);
+                touch(e.dataAddr, false);
+            }
+            if (e.isBranch() && mru(line)->blockAddr == line)
+                ++offset_in_mru;
+        }
+        EXPECT_GT(a_x_a, 0u);
+        EXPECT_GT(data_on_instr, 0u);
+        EXPECT_GT(instr_on_data, 0u);
+        EXPECT_GT(offset_in_mru, 0u);
+    }
+
+    lengths.push_back(cfg.functionalWarmInstrs);
+    for (std::uint64_t n : lengths) {
+        for (bool dvllc : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (dvllc ? "DV-LLC" : "plain LLC") << ", " << n
+                         << " instructions");
+            cfg.functionalWarmInstrs = n;
+            cfg.llc.dvllc = dvllc;
+            sim::WarmCache::global().clear();
+            sim::System sys(cfg);
+            ASSERT_EQ(sys.warmSource, sim::WarmSource::Cold);
+            expectWarmStateMatchesLoop(cfg, sys);
+        }
+    }
+    sim::WarmCache::global().clear();
+}
 
 // ---------------------------------------------------------------------
 // The flat-layout trace walker against the nested walk it replaced.
@@ -1307,6 +1514,152 @@ TEST_P(TraceWalkerDifferential, FlatWalkMatchesNestedModel)
 
 INSTANTIATE_TEST_SUITE_P(
     ServerProfiles, TraceWalkerDifferential,
+    ::testing::Combine(::testing::Range(0, 7), ::testing::Bool()));
+
+// ---------------------------------------------------------------------
+// The block-granular warm walk against n calls of next().
+// ---------------------------------------------------------------------
+
+/** One warm-walk event: the first PC of an instruction run ('i'), a
+ *  data address ('d') or a retired branch ('b'). */
+struct WarmEvent
+{
+    char type = 'i';
+    Addr addr = 0;
+    Addr target = kInvalidAddr;
+    isa::InstrKind kind = isa::InstrKind::Alu;
+    bool taken = false;
+
+    bool operator==(const WarmEvent &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const WarmEvent &e)
+{
+    return os << e.type << std::hex << " 0x" << e.addr << " -> 0x"
+              << e.target << std::dec << " kind " << unsigned(e.kind)
+              << " taken " << e.taken;
+}
+
+/** Records warmWalk()'s events and each branch's compact record. */
+struct EventSink
+{
+    std::vector<WarmEvent> events;
+    std::vector<std::pair<sim::WarmBranchRecord, workload::TraceEntry>>
+        records;
+
+    void instrBlock(Addr pc) { events.push_back({'i', pc}); }
+    void data(Addr addr) { events.push_back({'d', addr}); }
+
+    void
+    branch(const workload::TraceEntry &e, std::uint32_t blk, std::uint32_t to)
+    {
+        events.push_back({'b', e.pc, e.target, e.kind, e.taken});
+        records.push_back({sim::WarmBranchRecord(blk, to, e.taken), e});
+    }
+};
+
+/** The events warmWalk(@p n) must report, from @p n calls of next(). */
+std::vector<WarmEvent>
+eventsOfNext(workload::TraceWalker &walker, std::uint64_t n)
+{
+    std::vector<WarmEvent> events;
+    Addr run = kInvalidAddr;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const workload::TraceEntry e = walker.next();
+        if (blockAlign(e.pc) != run) {
+            run = blockAlign(e.pc);
+            events.push_back({'i', e.pc});
+        }
+        if (e.dataAddr != kInvalidAddr) {
+            events.push_back({'d', e.dataAddr});
+            run = kInvalidAddr;
+        }
+        if (e.isBranch()) {
+            events.push_back({'b', e.pc, e.target, e.kind, e.taken});
+            run = kInvalidAddr;
+        }
+    }
+    return events;
+}
+
+/** (server profile index, variable-length ISA) */
+class WarmWalkEvents
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
+{};
+
+TEST_P(WarmWalkEvents, MatchesNextCalls)
+{
+    auto [profile_idx, vl] = GetParam();
+    const auto program = workload::buildProgram(workload::serverProfile(
+        workload::serverWorkloadNames()[profile_idx], vl));
+    auto at_block_start = [&](const workload::TraceWalker &w) {
+        auto s = w.saveWarm();
+        return s.instr == program.blocks[s.blk].firstInstr;
+    };
+    for (std::uint64_t seed : {3u, 11u}) {
+        // The first length at or past 30000 that stops mid-block, and
+        // the first that stops right after a terminator.
+        std::uint64_t mid = 0, term = 0;
+        {
+            workload::TraceWalker probe(program, seed);
+            for (std::uint64_t n = 0; !mid || !term; ++n) {
+                if (n >= 30000) {
+                    if (at_block_start(probe))
+                        term = term ? term : n;
+                    else
+                        mid = mid ? mid : n;
+                }
+                probe.next();
+            }
+        }
+        for (std::uint64_t n : {mid, term}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << ", n " << n);
+            workload::TraceWalker walked(program, seed);
+            workload::TraceWalker stepped(program, seed);
+            EventSink sink;
+            walked.warmWalk(n, sink);
+            const std::vector<WarmEvent> want = eventsOfNext(stepped, n);
+            ASSERT_EQ(sink.events.size(), want.size());
+            for (std::size_t i = 0; i < want.size(); ++i)
+                ASSERT_EQ(sink.events[i], want[i]) << "event " << i;
+            EXPECT_EQ(at_block_start(walked), n == term);
+            EXPECT_EQ(walked.retired(), n);
+            EXPECT_TRUE(walked.saveWarm() == stepped.saveWarm());
+            for (std::uint64_t i = 0; i < 20000; ++i) {
+                ASSERT_TRUE(
+                    sameEntry(walked.next(), stepped.next(), n + i));
+            }
+        }
+    }
+}
+
+TEST_P(WarmWalkEvents, CompactBranchRecordsRebuildEveryBranch)
+{
+    auto [profile_idx, vl] = GetParam();
+    const auto program = workload::buildProgram(workload::serverProfile(
+        workload::serverWorkloadNames()[profile_idx], vl));
+    workload::TraceWalker walker(program, 7);
+    EventSink sink;
+    walker.warmWalk(300000, sink);
+    std::set<isa::InstrKind> kinds;
+    for (const auto &[record, e] : sink.records) {
+        const sim::WarmBranch b = record.decode(program);
+        ASSERT_EQ(b.pc, e.pc);
+        ASSERT_EQ(b.target, e.target) << std::hex << "pc 0x" << e.pc;
+        ASSERT_EQ(b.kind, e.kind) << std::hex << "pc 0x" << e.pc;
+        ASSERT_EQ(b.taken, e.taken) << std::hex << "pc 0x" << e.pc;
+        kinds.insert(e.kind);
+    }
+    // Every terminator kind the generator emits, not-taken branches too.
+    EXPECT_EQ(kinds.size(), 5u);
+    EXPECT_TRUE(std::any_of(sink.records.begin(), sink.records.end(),
+                            [](const auto &r) { return !r.second.taken; }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ServerProfiles, WarmWalkEvents,
     ::testing::Combine(::testing::Range(0, 7), ::testing::Bool()));
 
 TEST(TraceWalkerWarmState, ResumesWithACallerLoopPending)

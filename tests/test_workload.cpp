@@ -169,7 +169,8 @@ TEST(CfgBuilder, FunctionsAreBlockAligned)
 TEST(CfgBuilder, LayoutIsContiguousAndOrdered)
 {
     // Functions tile the block array and blocks tile the instruction
-    // array, both in address order.
+    // array, both in address order; each block caches its terminator's
+    // offset.
     Program prog = buildProgram(tinyProfile());
     Addr prev_end = prog.codeBase;
     std::uint32_t next_block = 0, next_instr = 0;
@@ -182,6 +183,7 @@ TEST(CfgBuilder, LayoutIsContiguousAndOrdered)
             const auto &bb = prog.blocks[b];
             EXPECT_EQ(bb.start, cursor);
             EXPECT_EQ(bb.firstInstr, next_instr);
+            EXPECT_EQ(bb.termPc(), termPc(prog, bb));
             next_instr += bb.numInstrs;
             cursor = blockPcs(prog, bb).back();
         }
