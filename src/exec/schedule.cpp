@@ -94,13 +94,6 @@ runIndexed(std::string label, std::size_t n, unsigned jobs,
 }
 
 void
-parallelFor(std::size_t n, unsigned jobs,
-            const std::function<void(std::size_t)> &body)
-{
-    runIndexed("", n, jobs, body);
-}
-
-void
 ExecLog::push(ExecReport report)
 {
     std::unique_lock<std::mutex> lock(gLogMutex);

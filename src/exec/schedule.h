@@ -92,10 +92,6 @@ runIndexed(std::string label, std::size_t n, unsigned jobs,
            const std::function<void(std::size_t)> &body,
            const std::function<std::string(std::size_t)> &cell_label = {});
 
-/** runIndexed() without the report: a bare indexed parallel loop. */
-void parallelFor(std::size_t n, unsigned jobs,
-                 const std::function<void(std::size_t)> &body);
-
 /**
  * Process-wide log of sweep reports.  exec::runGrid pushes one per
  * grid; the bench harness drains the log into the JSON document's

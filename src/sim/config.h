@@ -111,14 +111,6 @@ struct SystemConfig
      *  BTB, branch predictor); this pass reproduces that before the
      *  timed warm window. */
     std::uint64_t functionalWarmInstrs = 2000000;
-
-    /**
-     * Force the generic (virtual-dispatch) step path instead of the
-     * preset-specialized one.  The two paths execute identical
-     * statements and must produce bit-identical RunResults; the
-     * dispatch-equivalence tests use the generic path as the reference.
-     */
-    bool genericStep = false;
 };
 
 /** A config with the preset's structures sized per Section VI.D. */

@@ -11,16 +11,12 @@
  *    path for the redirect penalty (issuing real wrong-path I-cache
  *    accesses) before resuming.
  *
- *    The engine is a template over the *concrete* prefetcher type: when
- *    the System selects a specialized step path (see sim/system.h), the
+ *    The engine is a template over the *concrete* prefetcher type, so
+ *    in the System's preset-specialized step (see sim/system.h) the
  *    per-instruction onFetchInstr() notification and the per-branch
  *    btbPrefetchBuffer() probe devirtualize and inline.  A preset whose
  *    prefetcher never prefills a BTB buffer (Baseline, NL/NXL,
- *    Confluence) compiles the probe out entirely.  The
- *    `CoupledFetchEngine` alias instantiates the template with the
- *    abstract base and is bit-identical to the pre-template engine; it
- *    backs the `generic_step` escape hatch and the dispatch-equivalence
- *    tests.
+ *    Confluence) compiles the probe out entirely.
  *
  *  - **DecoupledFetchEngine** (sim/decoupled.h): the BTB-directed
  *    frontend of Boomerang and Shotgun, with a branch-prediction unit
@@ -104,13 +100,8 @@ class FetchEngine
  * Conventional (coupled) frontend, parameterized on the concrete
  * prefetcher type @p Pf.
  *
- * @tparam Pf the prefetcher's static type.  `prefetch::InstrPrefetcher`
- *            gives the fully generic (virtual-dispatch) engine; a final
- *            concrete class devirtualizes the two per-instruction
- *            prefetcher calls.  Both instantiations execute the same
- *            statements in the same order, so RunResults are
- *            bit-identical across them (asserted by the dispatch
- *            equivalence tests).
+ * @tparam Pf the prefetcher's concrete (final) type, so the two
+ *            per-instruction prefetcher calls devirtualize.
  */
 template <typename Pf>
 class CoupledFetchEngineT final : public FetchEngine
@@ -469,14 +460,6 @@ class CoupledFetchEngineT final : public FetchEngine
     Addr wrongPathPc = kInvalidAddr;
     Addr wrongPathBlock = kInvalidAddr;
 };
-
-/** The generic (virtual-dispatch) coupled engine: the pre-template
- *  behaviour, used by the `generic_step` escape hatch and anywhere the
- *  prefetcher's concrete type is not known at compile time. */
-using CoupledFetchEngine = CoupledFetchEngineT<prefetch::InstrPrefetcher>;
-
-// The generic instantiation is compiled once in fetch.cpp.
-extern template class CoupledFetchEngineT<prefetch::InstrPrefetcher>;
 
 } // namespace dcfb::sim
 

@@ -2,7 +2,9 @@
 
 #include <sys/mman.h>
 
+#include <iterator>
 #include <new>
+#include <type_traits>
 
 #include "prefetch/classic_discontinuity.h"
 #include "prefetch/confluence.h"
@@ -150,23 +152,23 @@ System::System(const SystemConfig &config)
     if (injector.active())
         addStats("rt", injector.stats());
 
+    // The one preset table: each case builds the preset's prefetcher
+    // and names its fetch engine; wire() builds that engine around the
+    // functional warmup and binds stepFn to stepImpl over exactly these
+    // two types (DESIGN.md §12).
     switch (cfg.preset) {
       case Preset::NL:
-        prefetcher =
-            std::make_unique<prefetch::NextLinePrefetcher>(*l1i, 1);
-        break;
       case Preset::N2L:
-        prefetcher =
-            std::make_unique<prefetch::NextLinePrefetcher>(*l1i, 2);
-        break;
       case Preset::N4L:
-        prefetcher =
-            std::make_unique<prefetch::NextLinePrefetcher>(*l1i, 4);
+      case Preset::N8L: {
+        const unsigned degree = cfg.preset == Preset::NL    ? 1
+                                : cfg.preset == Preset::N2L ? 2
+                                : cfg.preset == Preset::N4L ? 4
+                                                            : 8;
+        wire<CoupledFetchEngineT<prefetch::NextLinePrefetcher>>(
+            std::make_unique<prefetch::NextLinePrefetcher>(*l1i, degree));
         break;
-      case Preset::N8L:
-        prefetcher =
-            std::make_unique<prefetch::NextLinePrefetcher>(*l1i, 8);
-        break;
+      }
       case Preset::N4LPlain:
       case Preset::SN4L:
       case Preset::DisOnly:
@@ -179,104 +181,86 @@ System::System(const SystemConfig &config)
         addStats("pf", sn4l->seqTable().stats(), WarmReset::Gap6Keep);
         addStats("pf", sn4l->disTable().stats(), WarmReset::Gap6Keep);
         addStats("pf", sn4l->rlu().stats(), WarmReset::Gap6Keep);
-        prefetcher = std::move(pf);
+        wire<CoupledFetchEngineT<prefetch::Sn4lDisBtb>>(std::move(pf));
         break;
       }
       case Preset::ClassicDis:
         // No stat row: its cdis_* counters have never been reported,
         // and adding them would change every ClassicDis RunResult.
-        prefetcher = std::make_unique<prefetch::ClassicDiscontinuity>(*l1i);
+        wire<CoupledFetchEngineT<prefetch::ClassicDiscontinuity>>(
+            std::make_unique<prefetch::ClassicDiscontinuity>(*l1i));
         break;
       case Preset::Confluence: {
         auto pf = std::make_unique<prefetch::ConfluencePrefetcher>(
             *l1i, cfg.confluence);
         addStats("pf", pf->stats(), WarmReset::Gap6Keep);
-        prefetcher = std::move(pf);
+        wire<CoupledFetchEngineT<prefetch::ConfluencePrefetcher>>(
+            std::move(pf));
         break;
       }
+      case Preset::Boomerang:
+      case Preset::Shotgun:
+        wire<DecoupledFetchEngine>(
+            std::make_unique<prefetch::NullPrefetcher>());
+        break;
       case Preset::Fdip: {
         auto pf = std::make_unique<prefetch::Fdip>(*l1i, cfg.fdip);
         fdip = pf.get();
         addStats("pf", fdip->stats());
-        prefetcher = std::move(pf);
+        wire<DecoupledFetchEngine>(std::move(pf));
         break;
       }
       default:
-        prefetcher = std::make_unique<prefetch::NullPrefetcher>();
+        wire<CoupledFetchEngineT<prefetch::NullPrefetcher>>(
+            std::make_unique<prefetch::NullPrefetcher>());
         break;
-    }
-
-    // BTB-directed engines exist before the warmup so primeBranch() can
-    // fill Shotgun's split BTB; they read no trace until their first
-    // cycle.  Coupled engines fill their lookahead from the walker when
-    // constructed, so they must follow the warmup.
-    if (cfg.preset == Preset::Boomerang || cfg.preset == Preset::Shotgun ||
-        cfg.preset == Preset::Fdip) {
-        makeDecoupledFetch();
-    }
-
-    functionalWarmup();
-
-    if (!decoupled) {
-        l1i->setListener(prefetcher.get());
-        if (cfg.genericStep) {
-            makeCoupledFetch<prefetch::InstrPrefetcher>();
-        } else {
-            switch (cfg.preset) {
-              case Preset::NL:
-              case Preset::N2L:
-              case Preset::N4L:
-              case Preset::N8L:
-                makeCoupledFetch<prefetch::NextLinePrefetcher>();
-                break;
-              case Preset::N4LPlain:
-              case Preset::SN4L:
-              case Preset::DisOnly:
-              case Preset::SN4LDis:
-              case Preset::SN4LDisBtb:
-                makeCoupledFetch<prefetch::Sn4lDisBtb>();
-                break;
-              case Preset::ClassicDis:
-                makeCoupledFetch<prefetch::ClassicDiscontinuity>();
-                break;
-              case Preset::Confluence:
-                makeCoupledFetch<prefetch::ConfluencePrefetcher>();
-                break;
-              default:
-                makeCoupledFetch<prefetch::NullPrefetcher>();
-                break;
-            }
-        }
     }
 
     if (microBtb)
         fetch->setMicroBtb(microBtb.get());
     addStats("fe", fetch->stats());
 
-    selectStepFns();
     registerIntegrity();
 }
 
+template <typename Fe, typename Pf>
 void
-System::makeDecoupledFetch()
+System::wire(std::unique_ptr<Pf> pf)
 {
-    auto engine = std::make_unique<DecoupledFetchEngine>(
-        cfg.fetch,
-        cfg.preset == Preset::Boomerang
-            ? DecoupledFetchEngine::Kind::Boomerang
-            : cfg.preset == Preset::Shotgun
-                  ? DecoupledFetchEngine::Kind::Shotgun
-                  : DecoupledFetchEngine::Kind::Fdip,
-        *walker, *l1i, *tage, *predecoder, cfg.boomerangBtbEntries,
-        cfg.shotgunBtb, btb.get(), fdip);
-    decoupled = engine.get();
-    addStats("sg", decoupled->shotgunBtb().stats());
-    addStats("bb", decoupled->bbBtb().stats(), WarmReset::Gap6Keep);
-    // FDIP's fills/usefulness land in the prefetcher's accounting;
-    // the BTB-directed engines do their own prefill on fills.
-    l1i->setListener(fdip ? static_cast<mem::L1iListener *>(fdip)
-                          : decoupled);
-    fetch = std::move(engine);
+    Pf &typed = *pf;
+    prefetcher = std::move(pf);
+    if constexpr (std::is_same_v<Fe, DecoupledFetchEngine>) {
+        // BTB-directed engines exist before the warmup so primeBranch()
+        // can fill Shotgun's split BTB; they read no trace until their
+        // first cycle.
+        auto engine = std::make_unique<DecoupledFetchEngine>(
+            cfg.fetch,
+            cfg.preset == Preset::Boomerang
+                ? DecoupledFetchEngine::Kind::Boomerang
+                : cfg.preset == Preset::Shotgun
+                      ? DecoupledFetchEngine::Kind::Shotgun
+                      : DecoupledFetchEngine::Kind::Fdip,
+            *walker, *l1i, *tage, *predecoder, cfg.boomerangBtbEntries,
+            cfg.shotgunBtb, btb.get(), fdip);
+        decoupled = engine.get();
+        addStats("sg", decoupled->shotgunBtb().stats());
+        addStats("bb", decoupled->bbBtb().stats(), WarmReset::Gap6Keep);
+        // FDIP's fills/usefulness land in the prefetcher's accounting;
+        // the BTB-directed engines do their own prefill on fills.
+        l1i->setListener(fdip ? static_cast<mem::L1iListener *>(fdip)
+                              : decoupled);
+        fetch = std::move(engine);
+        functionalWarmup();
+    } else {
+        // Coupled engines fill their lookahead from the walker when
+        // constructed, so they follow the warmup.
+        functionalWarmup();
+        l1i->setListener(prefetcher.get());
+        fetch = std::make_unique<Fe>(cfg.fetch, *walker, *l1i, *btb, *tage,
+                                     program->image, typed);
+    }
+    stepFn = obs::Profiler::enabled() ? &System::stepImpl<Pf, Fe, true>
+                                      : &System::stepImpl<Pf, Fe, false>;
 }
 
 void
@@ -417,71 +401,6 @@ System::primeBranch(const WarmBranch &b)
         break;
       default:
         sg.updateU(b.pc, b.target, b.kind, false);
-        break;
-    }
-}
-
-template <typename Pf>
-void
-System::makeCoupledFetch()
-{
-    fetch = std::make_unique<CoupledFetchEngineT<Pf>>(
-        cfg.fetch, *walker, *l1i, *btb, *tage, program->image,
-        static_cast<Pf &>(*prefetcher));
-}
-
-template <typename Pf, typename Fe>
-void
-System::bindStep()
-{
-    stepFn = obs::Profiler::enabled() ? &System::stepProfiledImpl<Pf, Fe>
-                                      : &System::stepImpl<Pf, Fe>;
-}
-
-void
-System::selectStepFns()
-{
-    // Which concrete (Pf, Fe) pair a preset steps with.  Must mirror the
-    // fetch-engine construction above: stepImpl static_casts to these
-    // types.  DESIGN.md §12 documents the family table.
-    if (cfg.genericStep) {
-        bindStep<prefetch::InstrPrefetcher, FetchEngine>();
-        return;
-    }
-    switch (cfg.preset) {
-      case Preset::Boomerang:
-      case Preset::Shotgun:
-        bindStep<prefetch::NullPrefetcher, DecoupledFetchEngine>();
-        break;
-      case Preset::Fdip:
-        bindStep<prefetch::Fdip, DecoupledFetchEngine>();
-        break;
-      case Preset::NL:
-      case Preset::N2L:
-      case Preset::N4L:
-      case Preset::N8L:
-        bindStep<prefetch::NextLinePrefetcher,
-                 CoupledFetchEngineT<prefetch::NextLinePrefetcher>>();
-        break;
-      case Preset::N4LPlain:
-      case Preset::SN4L:
-      case Preset::DisOnly:
-      case Preset::SN4LDis:
-      case Preset::SN4LDisBtb:
-        bindStep<prefetch::Sn4lDisBtb,
-                 CoupledFetchEngineT<prefetch::Sn4lDisBtb>>();
-        break;
-      case Preset::ClassicDis:
-        bindStep<prefetch::ClassicDiscontinuity,
-                 CoupledFetchEngineT<prefetch::ClassicDiscontinuity>>();
-        break;
-      case Preset::Confluence:
-        bindStep<prefetch::ConfluencePrefetcher,
-                 CoupledFetchEngineT<prefetch::ConfluencePrefetcher>>();
-        break;
-      default:
-        bindStep<prefetch::NullPrefetcher,
-                 CoupledFetchEngineT<prefetch::NullPrefetcher>>();
         break;
     }
 }
@@ -688,49 +607,41 @@ System::dispatchStageImpl(Fe &fe)
     }
 }
 
-template <typename Pf, typename Fe>
+template <typename Pf, typename Fe, bool Timed>
 void
 System::stepImpl()
 {
-    auto &pf = static_cast<Pf &>(*prefetcher);
-    auto &fe = static_cast<Fe &>(*fetch);
-    backend->beginCycle(cycleCount);
-    l1i->tick(cycleCount);
-    pf.tick(cycleCount);
-    dispatchStageImpl(fe);
-    fe.cycle(cycleCount);
-    ++cycleCount;
-}
-
-template <typename Pf, typename Fe>
-void
-System::stepProfiledImpl()
-{
-    if (cycleCount % obs::kProfSampleStride != 0) {
-        stepImpl<Pf, Fe>();
-        return;
+    if constexpr (Timed) {
+        if (cycleCount % obs::kProfSampleStride != 0) {
+            stepImpl<Pf, Fe, false>();
+            return;
+        }
     }
-    using obs::ProfPhase;
     auto &pf = static_cast<Pf &>(*prefetcher);
     auto &fe = static_cast<Fe &>(*fetch);
-    // Chained boundary timestamps: each read ends one phase and starts
-    // the next, so five phases cost six clock reads per sampled cycle.
-    double t0 = obs::profNow();
+    // A timed cycle chains boundary timestamps: each read ends one phase
+    // and starts the next, so five phases cost six clock reads.
+    [[maybe_unused]] double t[6] = {};
+    auto stamp = [&]([[maybe_unused]] unsigned i) {
+        if constexpr (Timed)
+            t[i] = obs::profNow();
+    };
+    stamp(0);
     backend->beginCycle(cycleCount);
-    double t1 = obs::profNow();
+    stamp(1);
     l1i->tick(cycleCount);
-    double t2 = obs::profNow();
+    stamp(2);
     pf.tick(cycleCount);
-    double t3 = obs::profNow();
+    stamp(3);
     dispatchStageImpl(fe);
-    double t4 = obs::profNow();
+    stamp(4);
     fe.cycle(cycleCount);
-    double t5 = obs::profNow();
-    profPhases[static_cast<unsigned>(ProfPhase::Backend)] += t1 - t0;
-    profPhases[static_cast<unsigned>(ProfPhase::L1iTick)] += t2 - t1;
-    profPhases[static_cast<unsigned>(ProfPhase::Prefetcher)] += t3 - t2;
-    profPhases[static_cast<unsigned>(ProfPhase::Dispatch)] += t4 - t3;
-    profPhases[static_cast<unsigned>(ProfPhase::Fetch)] += t5 - t4;
+    stamp(5);
+    if constexpr (Timed) {
+        // Phase i (obs::ProfPhase order) spans stamps i and i + 1.
+        for (unsigned i = 0; i + 1 < std::size(t); ++i)
+            profPhases[i] += t[i + 1] - t[i];
+    }
     ++cycleCount;
 }
 

@@ -5,14 +5,13 @@
  *
  * Preset-specialized stepping makes a cell fast without changing any
  * result (DESIGN.md §12): step() dispatches through a member-function
- * pointer bound once at construction to a `stepImpl<Pf, Fe>`
+ * pointer bound once at construction to a `stepImpl<Pf, Fe, Timed>`
  * instantiation for the preset's concrete prefetcher and fetch-engine
- * types.  Inside one instantiation every per-cycle prefetcher/fetch
- * call devirtualizes; a Baseline cell pays zero SN4L/Dis/BTB branches.
- * `SystemConfig::genericStep` forces the fully generic instantiation
- * (virtual dispatch), which must be bit-identical — the
- * dispatch-equivalence tests assert it.  A System built while
- * obs::Profiler is enabled binds the sampled profiled instantiation
+ * types.  One preset table in the constructor builds both and binds
+ * the step over exactly those types.  Inside one instantiation every
+ * per-cycle prefetcher/fetch call devirtualizes; a Baseline cell pays
+ * zero SN4L/Dis/BTB branches.  A System built while obs::Profiler is
+ * enabled binds the sampled timed instantiation of the same body
  * instead; the choice is fixed for the System's life.
  *
  * The functional warmup itself is shared: the constructor either walks
@@ -122,7 +121,7 @@ class System
     obs::PhaseSeconds profPhases{};
 
   private:
-    /** One step-path entry point (specialized or generic). */
+    /** One stepImpl instantiation. */
     using StepFn = void (System::*)();
 
     /** Whether a stat-table row is zeroed at the warm/measure boundary. */
@@ -164,27 +163,17 @@ class System
      *  Walked and restored cells both prime through here. */
     void primeBranch(const WarmBranch &b);
 
-    /** Construct the BTB-directed engine (Boomerang, Shotgun, FDIP). */
-    void makeDecoupledFetch();
-
-    /** Bind stepFn to the preset's specialization family, profiled
-     *  or plain according to obs::Profiler::enabled(). */
-    void selectStepFns();
-
-    /** Construct the coupled fetch engine for concrete prefetcher @p Pf. */
-    template <typename Pf> void makeCoupledFetch();
-
-    template <typename Pf, typename Fe> void bindStep();
+    /** Install @p pf as the prefetcher, build fetch engine @p Fe around
+     *  the functional warmup (a decoupled engine before it, a coupled
+     *  one after it) and bind stepFn to stepImpl over exactly @p Pf and
+     *  @p Fe, timed or plain according to obs::Profiler::enabled(). */
+    template <typename Fe, typename Pf> void wire(std::unique_ptr<Pf> pf);
 
     /** One simulated cycle, specialized on the concrete prefetcher and
-     *  fetch-engine types (the generic instantiation uses the abstract
-     *  bases and is the pre-specialization behaviour). */
-    template <typename Pf, typename Fe> void stepImpl();
-
-    /** stepImpl with sampled per-phase wall attribution (profiling
-     *  runs only): one cycle in obs::kProfSampleStride is timed with
-     *  chained timestamps, the others run stepImpl unchanged. */
-    template <typename Pf, typename Fe> void stepProfiledImpl();
+     *  fetch-engine types.  With @p Timed (profiling runs only) one
+     *  cycle in obs::kProfSampleStride is timed phase by phase with
+     *  chained timestamps; the others run the plain instantiation. */
+    template <typename Pf, typename Fe, bool Timed> void stepImpl();
 
     template <typename Fe> void dispatchStageImpl(Fe &fe);
 
@@ -196,7 +185,6 @@ class System
 
     Cycle cycleCount = 0;
     Cycle statsEpoch = 0; //!< cycleCount at the last resetStats
-    std::uint64_t instructionsRetired = 0;
 
     // Typed handles for the per-cycle dispatch accounting.
     obs::Counter cDispatchActive, cStallBackend, cStallIcache, cStallBtb,

@@ -163,13 +163,13 @@ TEST(Schedule, ResolveJobsPrecedence)
     exec::setDefaultJobs(saved);
 }
 
-TEST(Schedule, ParallelForMatchesSerialLoop)
+TEST(Schedule, RunIndexedRunsEachIndexOnce)
 {
     std::vector<int> serial(64), parallel(64);
     for (std::size_t i = 0; i < serial.size(); ++i)
         serial[i] = static_cast<int>(i * i + 1);
-    exec::parallelFor(parallel.size(), 4, [&](std::size_t i) {
-        parallel[i] = static_cast<int>(i * i + 1);
+    exec::runIndexed("unit", parallel.size(), 4, [&](std::size_t i) {
+        parallel[i] += static_cast<int>(i * i + 1);
     });
     EXPECT_EQ(parallel, serial);
 }

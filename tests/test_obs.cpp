@@ -348,7 +348,7 @@ TEST(Profiler, ProfJsonSchemaStableUnderJobs4)
         {"Web Frontend", sim::Preset::Baseline},
         {"Web Frontend", sim::Preset::SN4L},
     };
-    exec::parallelFor(4, 4, [&](std::size_t i) {
+    exec::runIndexed("prof", 4, 4, [&](std::size_t i) {
         auto cfg = sim::makeConfig(
             workload::serverProfile(cells[i].workload), cells[i].preset);
         cfg.functionalWarmInstrs = 40000;
@@ -397,6 +397,44 @@ timelineEvents(const obs::JsonValue &timeline)
             by_name[ev.find("name")->asString()].push_back(&ev);
     }
     return by_name;
+}
+
+/** The profiled step is the plain step body with timestamps: for every
+ *  preset, a run with the profiler on must produce the same RunResult,
+ *  to the serialized byte, as the run with it off. */
+TEST(Profiler, ProfiledRunsAreBitIdenticalForAllPresets)
+{
+    const sim::Preset presets[] = {
+        sim::Preset::Baseline,   sim::Preset::NL,
+        sim::Preset::N2L,        sim::Preset::N4L,
+        sim::Preset::N8L,        sim::Preset::N4LPlain,
+        sim::Preset::SN4L,       sim::Preset::DisOnly,
+        sim::Preset::SN4LDis,    sim::Preset::SN4LDisBtb,
+        sim::Preset::ClassicDis, sim::Preset::Confluence,
+        sim::Preset::Boomerang,  sim::Preset::Shotgun,
+        sim::Preset::PerfectL1i, sim::Preset::PerfectL1iBtb,
+        sim::Preset::Fdip,       sim::Preset::MicroBtb};
+    auto run = [](sim::Preset preset, bool profiled) {
+        auto cfg = sim::makeConfig(
+            workload::serverProfile("Web (Apache)"), preset);
+        cfg.profile.numFunctions = 24;
+        cfg.profile.dataFootprint = 1ull << 20;
+        cfg.functionalWarmInstrs = 40000;
+        obs::Profiler::setEnabled(profiled);
+        sim::RunResult res = sim::simulate(cfg, sim::RunWindows{4000, 6000});
+        obs::Profiler::setEnabled(false);
+        return res;
+    };
+
+    obs::Profiler::drain();
+    for (sim::Preset preset : presets) {
+        sim::RunResult plain = run(preset, false);
+        sim::RunResult profiled = run(preset, true);
+        EXPECT_EQ(profiled, plain) << sim::presetName(preset);
+        EXPECT_EQ(sim::toJson(profiled).dump(2), sim::toJson(plain).dump(2))
+            << sim::presetName(preset);
+    }
+    EXPECT_EQ(obs::Profiler::drain().size(), std::size(presets));
 }
 
 /** Setup time is bimodal, so the sim.setup event and the profile
