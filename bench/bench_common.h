@@ -15,15 +15,8 @@
  *                   text output) plus recorded scalars as one JSON
  *                   document -- the BENCH_*.json regression format
  *   --trace <file>  stream miss-attribution events from every simulated
- *                   run into <file> (*.jsonl -> JSONL, else Chrome
- *                   trace-event format); runs buffer per thread and
+ *                   run into <file> as JSONL; runs buffer per thread and
  *                   merge at close, so the sweep still parallelizes
- *   --trace-spans <file>  write a span timeline (Chrome trace-event
- *                   JSON) of the whole process, drawn from the cell and
- *                   profiler records: one exec.cell event per simulated
- *                   cell on its worker's track, with sim.setup/warm/
- *                   measure inside it (DESIGN.md "Telemetry plane");
- *                   turns the profiler on
  *   --inject <spec> seeded fault injection applied to every run, e.g.
  *                   drop:rate=0.5,seed=3 (see README "Robustness")
  *   --jobs <n>      worker threads for experiment sweeps (default: auto,
@@ -36,7 +29,8 @@
  *                   DESIGN.md section 9 for the overhead model.
  *
  * The authoritative flag reference is docs/FLAGS.md, generated from
- * src/cli/flag_docs.cpp (which also feeds --help below).
+ * src/cli/flag_docs.cpp (which also feeds --help below).  A `--json` or
+ * `--trace` path that cannot be created exits 2 before any cell runs.
  *
  * Every `--json` document's "meta" section also records the process's
  * peak RSS and CPU time (peak_rss_bytes, cpu_user_s, cpu_sys_s, from
@@ -46,13 +40,10 @@
 #ifndef DCFB_BENCH_COMMON_H
 #define DCFB_BENCH_COMMON_H
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -78,77 +69,6 @@ inline sim::RunWindows
 windows()
 {
     return sim::RunWindows{150000, 150000};
-}
-
-/**
- * The `--trace-spans` timeline: one Chrome trace-event array drawn from
- * drained exec reports and profiler records.  Each scheduled cell is an
- * `exec.cell` X event labelled with its cell; each profiled run adds
- * `sim.setup` (labelled with its warm source), `sim.warm` and
- * `sim.measure`, laid end to end from its start stamp.  Events sit on
- * the track of the thread that ran them (`main`, `worker-N`), so a
- * run's phases nest inside its cell by time containment.  Timestamps are
- * microseconds since the earliest event.
- */
-inline obs::JsonValue
-spanTimeline(const std::vector<exec::ExecReport> &reports,
-             const std::vector<obs::ProfRecord> &records)
-{
-    double origin = std::numeric_limits<double>::infinity();
-    std::set<unsigned> tracks;
-    for (const auto &report : reports) {
-        for (const auto &cell : report.cellTimes) {
-            origin = std::min(origin, cell.start);
-            tracks.insert(cell.track);
-        }
-    }
-    for (const auto &rec : records) {
-        origin = std::min(origin, rec.start);
-        tracks.insert(rec.track);
-    }
-
-    obs::JsonValue out = obs::JsonValue::array();
-    for (unsigned track : tracks) {
-        obs::JsonValue m = obs::JsonValue::object();
-        m["name"] = "thread_name";
-        m["ph"] = "M";
-        m["pid"] = 1;
-        m["tid"] = static_cast<std::uint64_t>(track);
-        m["args"] = obs::JsonValue::object();
-        m["args"]["name"] = track ? "worker-" + std::to_string(track - 1)
-                                  : std::string("main");
-        out.push(std::move(m));
-    }
-    auto event = [&](const char *name, const std::string &label,
-                     double start, double seconds, unsigned track) {
-        obs::JsonValue x = obs::JsonValue::object();
-        x["name"] = name;
-        x["ph"] = "X";
-        x["pid"] = 1;
-        x["tid"] = static_cast<std::uint64_t>(track);
-        x["ts"] = (start - origin) * 1e6;
-        x["dur"] = seconds * 1e6;
-        if (!label.empty()) {
-            x["args"] = obs::JsonValue::object();
-            x["args"]["label"] = label;
-        }
-        out.push(std::move(x));
-    };
-    for (const auto &report : reports) {
-        for (const auto &cell : report.cellTimes)
-            event("exec.cell", cell.label, cell.start, cell.seconds,
-                  cell.track);
-    }
-    for (const auto &rec : records) {
-        double t = rec.start;
-        event("sim.setup", "warm=" + rec.warm, t, rec.setupSeconds,
-              rec.track);
-        t += rec.setupSeconds;
-        event("sim.warm", "", t, rec.warmSeconds, rec.track);
-        t += rec.warmSeconds;
-        event("sim.measure", "", t, rec.measureSeconds, rec.track);
-    }
-    return out;
 }
 
 /** The three workloads used for parameter sweeps (largest, middle,
@@ -185,24 +105,24 @@ class Harness
         : figure(figure_), claim(claim_)
     {
         parseArgs(argc, argv);
+        // Fail at the CLI, not after the sweep: both output files must
+        // be creatable before any cell runs.
+        if (!jsonPath.empty() &&
+            !std::ofstream(jsonPath, std::ios::out | std::ios::app)) {
+            std::fprintf(stderr, "cannot open %s\n", jsonPath.c_str());
+            std::exit(2);
+        }
+        if (!tracePath.empty() && !obs::Tracing::open(tracePath))
+            std::exit(2);
         banner(figure_, claim_);
-        if (!tracePath.empty() && obs::Tracing::open(tracePath))
-            traceOpened = true;
-        // The span timeline is drawn from the profiler's records.
-        if (!spanPath.empty())
-            obs::Profiler::setEnabled(true);
     }
 
     ~Harness()
     {
-        if (traceOpened)
+        if (!tracePath.empty())
             obs::Tracing::close();
-        std::vector<exec::ExecReport> reports = exec::ExecLog::drain();
-        std::vector<obs::ProfRecord> records = obs::Profiler::drain();
-        if (!spanPath.empty())
-            writeSpans(reports, records);
         if (!jsonPath.empty())
-            writeJson(reports, std::move(records));
+            writeJson(exec::ExecLog::drain(), obs::Profiler::drain());
     }
 
     Harness(const Harness &) = delete;
@@ -283,8 +203,6 @@ class Harness
                 }
             } else if (is("--json")) {
                 jsonPath = value("--json");
-            } else if (is("--trace-spans")) {
-                spanPath = value("--trace-spans");
             } else if (is("--trace")) {
                 tracePath = value("--trace");
             } else if (is("--inject")) {
@@ -303,19 +221,6 @@ class Harness
                 std::exit(2);
             }
         }
-    }
-
-    void
-    writeSpans(const std::vector<exec::ExecReport> &reports,
-               const std::vector<obs::ProfRecord> &records)
-    {
-        std::ofstream out(spanPath, std::ios::out | std::ios::trunc);
-        if (!out.is_open()) {
-            std::fprintf(stderr, "cannot open %s\n", spanPath.c_str());
-            return;
-        }
-        out << spanTimeline(reports, records).dump() << '\n';
-        std::printf("[span timeline written to %s]\n", spanPath.c_str());
     }
 
     void
@@ -400,9 +305,7 @@ class Harness
     std::string claim;
     std::string jsonPath;
     std::string tracePath;
-    std::string spanPath;
     std::string injectSpec;
-    bool traceOpened = false;
     bool profileEnabled = false;
     obs::JsonValue tables = obs::JsonValue::array();
     obs::JsonValue notes = obs::JsonValue::object();

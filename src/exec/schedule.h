@@ -10,11 +10,12 @@
  *  - a sweep enumerates its cells up front, on the calling thread, so
  *    variant tweaks and the process-wide defaults (fault plan, jobs)
  *    are only ever read serially;
- *  - runIndexed() scatters `body(i)` over a Pool and gathers at the
- *    wait() barrier; the caller merges results *in index order*, so the
- *    merged output is independent of worker interleaving;
+ *  - runIndexed() starts `jobs` threads that claim indices in
+ *    ascending order from one atomic counter and joins them; the caller
+ *    merges results *in index order*, so the merged output is
+ *    independent of worker interleaving;
  *  - with an effective job count of 1, runIndexed() runs the cells in
- *    index order on the calling thread with no pool at all, which is
+ *    index order on the calling thread with no worker at all, which is
  *    what makes `--jobs 1` bit-identical to the historical serial
  *    runner.
  *
@@ -34,6 +35,9 @@
 
 namespace dcfb::exec {
 
+/** std::thread::hardware_concurrency() clamped to at least 1. */
+unsigned hardwareJobs();
+
 /**
  * Set the process-wide default job count (the bench harness installs
  * the `--jobs` value here).  0 means "auto": use hardwareJobs().
@@ -49,12 +53,10 @@ unsigned defaultJobs();
  */
 unsigned resolveJobs(unsigned requested = 0);
 
-/** When, where and how long one scheduled cell ran. */
+/** How long one scheduled cell ran. */
 struct CellTime
 {
     std::string label;     //!< e.g. "OLTP (DB A)/SN4L+Dis+BTB"
-    double start = 0.0;    //!< obs::profNow() when the cell began
-    unsigned track = 0;    //!< threadTrack() of the thread that ran it
     double seconds = 0.0;  //!< cell wall time
 };
 
@@ -64,11 +66,11 @@ struct ExecReport
     std::string label;        //!< sweep label (table/figure name)
     unsigned jobs = 1;        //!< effective worker count
     std::uint64_t cells = 0;  //!< tasks scheduled
-    double wallSeconds = 0.0; //!< submit-to-barrier wall time
-    double busySeconds = 0.0; //!< summed in-task time across workers
+    double wallSeconds = 0.0; //!< wall time of the whole sweep
+    double busySeconds = 0.0; //!< sum of the per-cell walls
     std::vector<CellTime> cellTimes; //!< per-cell wall, index order
 
-    /** busy / (wall x jobs); 1.0 is a perfectly packed pool. */
+    /** busy / (wall x jobs); 1.0 keeps every worker busy throughout. */
     double occupancy() const;
 };
 
@@ -76,9 +78,12 @@ struct ExecReport
  * Run `body(i)` for every i in [0, n) and return the timing report.
  *
  * jobs <= 1: cells run in ascending index order on the calling thread
- * (bit-identical to a plain loop).  jobs > 1: cells are scheduled onto
- * a Pool of @p jobs workers; the call returns after the barrier, and
- * the first exception any cell threw is rethrown here.
+ * (bit-identical to a plain loop).  jobs > 1: @p jobs worker threads
+ * claim indices in ascending order, so cells start in the serial
+ * order; the call returns once every worker has joined.  A failure
+ * stops further claims, and the exception of the lowest failing index
+ * is rethrown here -- the one a serial run raises, since every index
+ * below a claimed one was claimed before it.
  *
  * @param label      sweep label for the report
  * @param n          number of cells

@@ -101,8 +101,6 @@ profJson(std::vector<ProfRecord> records)
         p["design"] = rec.design;
         p["cycles"] = rec.cycles;
         p["instructions"] = rec.instructions;
-        p["start_s"] = rec.start;
-        p["track"] = static_cast<std::uint64_t>(rec.track);
         p["setup_s"] = rec.setupSeconds;
         p["warm"] = rec.warm;
         p["warm_s"] = rec.warmSeconds;

@@ -1,7 +1,6 @@
 /**
  * @file
- * Lightweight simulation profiler behind the benches' `--profile` and
- * `--trace-spans` flags.
+ * Lightweight simulation profiler behind the benches' `--profile` flag.
  *
  * Two kinds of attribution, both per simulated cell:
  *
@@ -9,9 +8,7 @@
  *    functional warmup), warm window and measured window.  One
  *    steady_clock pair per window: negligible overhead, always recorded
  *    while profiling is enabled.  This is what `scripts/perf_baseline.py`
- *    turns into cycles/sec per preset (BENCH_perf.json).  Each record
- *    also carries its start stamp and timeline track, so the
- *    `--trace-spans` timeline is drawn from these records.
+ *    turns into cycles/sec per preset (BENCH_perf.json).
  *
  *  - **Sampled per-phase attribution** of the cycle loop: one cycle in
  *    kProfSampleStride has each System::step() stage (backend, L1i
@@ -23,12 +20,12 @@
  *
  * Process-global, like obs::Tracing and exec::ExecLog: the bench harness
  * enables it once, every simulated cell contributes a record, and the
- * harness drains the records into the JSON document's `prof` section
- * and the span timeline.  Worker threads each profile their own System
- * (accumulators live in the System, not here); only push/drain
- * synchronize.  A System picks its step path when it is constructed, so
- * the switch must be set before a cell starts: flipping it in the
- * middle of a cell has no effect on that cell.
+ * harness drains the records into the JSON document's `prof` section.
+ * Worker threads each profile their own System (accumulators live in
+ * the System, not here); only push/drain synchronize.  A System picks
+ * its step path when it is constructed, so the switch must be set
+ * before a cell starts: flipping it in the middle of a cell has no
+ * effect on that cell.
  */
 
 #ifndef DCFB_OBS_PROFILER_H
@@ -83,8 +80,6 @@ struct ProfRecord
     std::string design;
     std::uint64_t cycles = 0;       //!< timed cycles (warm + measure)
     std::uint64_t instructions = 0; //!< instructions retired while timed
-    double start = 0.0;             //!< profNow() at simulate entry
-    unsigned track = 0;             //!< exec::threadTrack() of the run
     double setupSeconds = 0.0;      //!< System ctor: image + warmup
     std::string warm = "cold";      //!< warm source: cold/stored/restored
     double warmSeconds = 0.0;       //!< timed warm window
@@ -133,7 +128,7 @@ class Profiler
  * Render profiler records as the `dcfb-prof-v1` JSON section
  * ({"schema", "cells": [...]}).  Cells are sorted by (workload,
  * design) so the document is identical for every `--jobs` value (the
- * drain order under a pool is interleaving-dependent).  The bench
+ * drain order under several workers is interleaving-dependent).  The bench
  * harness and the schema tests share this one producer.
  */
 JsonValue profJson(std::vector<ProfRecord> records);

@@ -25,7 +25,7 @@
  * by design -- hot-path bumps must never pay for synchronization.  The
  * parallel experiment runner therefore gives every (workload x design)
  * cell its own registries (inside that cell's System) and merges the
- * per-cell snapshots into the grid only after the pool barrier; no
+ * per-cell snapshots into the grid only after its workers join; no
  * registry is ever touched by two threads.  The shared discard slots
  * that back *default-constructed* handles are thread_local so a
  * not-yet-registered handle bumped on a worker cannot race another

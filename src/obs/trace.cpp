@@ -42,13 +42,6 @@ missOutcomeName(MissOutcome outcome)
     return "?";
 }
 
-TraceFormat
-traceFormatForPath(const std::string &path)
-{
-    return path.ends_with(".jsonl") ? TraceFormat::Jsonl
-                                    : TraceFormat::ChromeTrace;
-}
-
 namespace {
 
 /** One buffered attribution event (formatted only at close()). */
@@ -98,7 +91,6 @@ Tracing::open(const std::string &path)
 {
     Config cfg;
     cfg.path = path;
-    cfg.format = traceFormatForPath(path);
     return open(cfg);
 }
 
@@ -236,18 +228,9 @@ Tracing::close()
         return;
     }
 
-    const bool jsonl = s->cfg.format == TraceFormat::Jsonl;
-    bool firstChromeRecord = true;
     auto emit = [&](const JsonValue &record) {
-        if (jsonl) {
-            out << record.dump() << '\n';
-        } else {
-            out << (firstChromeRecord ? "\n" : ",\n") << record.dump();
-            firstChromeRecord = false;
-        }
+        out << record.dump() << '\n';
     };
-    if (!jsonl)
-        out << "[";
 
     std::uint64_t written = 0;
     std::uint64_t droppedEvents = 0;
@@ -257,21 +240,10 @@ Tracing::close()
         ++runIndex;
         droppedEvents += run.droppedEvents;
         JsonValue head = JsonValue::object();
-        if (jsonl) {
-            head["type"] = "run";
-            head["run"] = runIndex;
-            head["workload"] = run.workload;
-            head["design"] = run.design;
-        } else {
-            // Chrome metadata event naming the per-run "process".
-            head["name"] = "process_name";
-            head["ph"] = "M";
-            head["pid"] = runIndex;
-            head["tid"] = std::uint64_t{0};
-            JsonValue args = JsonValue::object();
-            args["name"] = run.workload + " / " + run.design;
-            head["args"] = std::move(args);
-        }
+        head["type"] = "run";
+        head["run"] = runIndex;
+        head["workload"] = run.workload;
+        head["design"] = run.design;
         emit(head);
 
         for (const TraceEvent &ev : run.events) {
@@ -279,55 +251,24 @@ Tracing::close()
             std::snprintf(addrBuf, sizeof(addrBuf), "0x%llx",
                           static_cast<unsigned long long>(ev.addr));
             JsonValue rec = JsonValue::object();
-            if (jsonl) {
-                rec["type"] = "miss";
-                rec["run"] = runIndex;
-                rec["cycle"] = ev.cycle;
-                rec["unit"] = ev.unit;
-                rec["addr"] = addrBuf;
-                rec["class"] = missClassName(ev.cls);
-                rec["outcome"] = missOutcomeName(ev.outcome);
-            } else {
-                rec["name"] = std::string(ev.unit) + "." +
-                    missOutcomeName(ev.outcome);
-                rec["ph"] = "i";
-                rec["ts"] = ev.cycle;
-                rec["pid"] = runIndex;
-                rec["tid"] = std::uint64_t{0};
-                rec["s"] = "t";
-                JsonValue args = JsonValue::object();
-                args["addr"] = addrBuf;
-                args["class"] = missClassName(ev.cls);
-                args["outcome"] = missOutcomeName(ev.outcome);
-                rec["args"] = std::move(args);
-            }
+            rec["type"] = "miss";
+            rec["run"] = runIndex;
+            rec["cycle"] = ev.cycle;
+            rec["unit"] = ev.unit;
+            rec["addr"] = addrBuf;
+            rec["class"] = missClassName(ev.cls);
+            rec["outcome"] = missOutcomeName(ev.outcome);
             emit(rec);
         }
     }
 
     // Closing summary record: how complete is the stream?
     JsonValue summary = JsonValue::object();
-    if (jsonl) {
-        summary["type"] = "summary";
-        summary["runs"] = runIndex;
-        summary["events"] = written;
-        summary["dropped"] = droppedEvents;
-        emit(summary);
-    } else {
-        summary["name"] = "trace_summary";
-        summary["ph"] = "i";
-        summary["ts"] = std::uint64_t{0};
-        summary["pid"] = runIndex;
-        summary["tid"] = std::uint64_t{0};
-        summary["s"] = "g";
-        JsonValue args = JsonValue::object();
-        args["runs"] = runIndex;
-        args["events"] = written;
-        args["dropped"] = droppedEvents;
-        summary["args"] = std::move(args);
-        emit(summary);
-        out << "\n]\n";
-    }
+    summary["type"] = "summary";
+    summary["runs"] = runIndex;
+    summary["events"] = written;
+    summary["dropped"] = droppedEvents;
+    emit(summary);
     out.close();
     delete s;
 }

@@ -5,7 +5,7 @@
  * Every L1i and BTB miss the simulator observes can be tagged with the
  * paper's taxonomy class (sequential / discontinuity / BTB) and its
  * prefetch outcome (covered / late / uncovered / wasted) and streamed to
- * a bounded JSONL or Chrome trace-event file.
+ * a bounded JSONL file.
  *
  * The tracer is process-global and off by default.  Instrumentation
  * sites guard with the inline Tracing::enabled() check -- a pointer
@@ -27,12 +27,11 @@
  * it begins.  The stream is therefore identical for every `--jobs`
  * value.
  *
- * Output format is chosen from the file extension: "*.jsonl" emits one
- * JSON object per line; anything else emits a Chrome trace-event array
- * loadable in chrome://tracing / Perfetto (instant events, ts = cycle,
- * pid = run index).  Each run's stream is bounded (default 1 M events
+ * The file holds one JSON object per line, whatever its extension: a
+ * `run` record heading each run, its `miss` records, and a closing
+ * `summary` record.  Each run's stream is bounded (default 1 M events
  * per run); overflow increments a dropped-event count reported in the
- * closing summary record.
+ * summary.
  */
 
 #ifndef DCFB_OBS_TRACE_H
@@ -65,11 +64,6 @@ enum class MissOutcome : std::uint8_t {
 const char *missClassName(MissClass cls);
 const char *missOutcomeName(MissOutcome outcome);
 
-enum class TraceFormat : std::uint8_t { Jsonl, ChromeTrace };
-
-/** Format implied by @p path ("*.jsonl" -> Jsonl, else ChromeTrace). */
-TraceFormat traceFormatForPath(const std::string &path);
-
 /**
  * Process-global trace sink.
  */
@@ -79,13 +73,11 @@ class Tracing
     struct Config
     {
         std::string path;
-        TraceFormat format = TraceFormat::Jsonl;
         std::uint64_t maxEvents = 1u << 20; //!< bound per run
     };
 
-    /** Open a sink at @p path, format inferred from the extension.
-     *  Returns false (and stays disabled) when the file cannot be
-     *  created. */
+    /** Open a JSONL sink at @p path.  Returns false (and stays
+     *  disabled) when the file cannot be created. */
     static bool open(const std::string &path);
     static bool open(const Config &config);
 

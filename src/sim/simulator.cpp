@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "exec/pool.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "rt/watchdog.h"
@@ -14,12 +13,10 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
 {
     // Profiling walls: setup covers System construction (workload image
     // build or reuse, warm-touch, component wiring); warm/measure cover
-    // the two run windows.  The entry stamp also places the record on
-    // the span timeline.  All clock reads are gated so unprofiled runs
+    // the two run windows.  All clock reads are gated so unprofiled runs
     // pay nothing.
     const bool prof = obs::Profiler::enabled();
-    const double start = prof ? obs::profNow() : 0.0;
-    double mark = start;
+    double mark = prof ? obs::profNow() : 0.0;
 
     System system(config);
 
@@ -129,8 +126,6 @@ trySimulate(const SystemConfig &config, const RunWindows &windows)
         rec.design = res.design;
         rec.cycles = windows.warm + windows.measure;
         rec.instructions = system.instructions();
-        rec.start = start;
-        rec.track = exec::threadTrack();
         rec.setupSeconds = setup_seconds;
         rec.warm = warm;
         rec.warmSeconds = warm_seconds;

@@ -155,7 +155,7 @@ System::System(const SystemConfig &config)
     // The one preset table: each case builds the preset's prefetcher
     // and names its fetch engine; wire() builds that engine around the
     // functional warmup and binds stepFn to stepImpl over exactly these
-    // two types (DESIGN.md §12).
+    // two types (DESIGN.md §11).
     switch (cfg.preset) {
       case Preset::NL:
       case Preset::N2L:

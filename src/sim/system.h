@@ -4,7 +4,7 @@
  * hierarchy + frontend + backend + the configured prefetcher/engine).
  *
  * Preset-specialized stepping makes a cell fast without changing any
- * result (DESIGN.md §12): step() dispatches through a member-function
+ * result (DESIGN.md §11): step() dispatches through a member-function
  * pointer bound once at construction to a `stepImpl<Pf, Fe, Timed>`
  * instantiation for the preset's concrete prefetcher and fetch-engine
  * types.  One preset table in the constructor builds both and binds

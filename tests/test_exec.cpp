@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel experiment engine: exec::Pool semantics
- * (bounded queue, exception propagation, drain-on-destruction), the
+ * Tests for the parallel experiment engine: exec::runIndexed semantics
+ * (every index once, occupancy, the failure a sweep raises), the
  * jobs-resolution rules, workload::ImageCache sharing, and -- the
  * contract everything else rests on -- that `--jobs 1` and `--jobs 4`
  * grids produce identical RunResults for every cell of every preset.
@@ -15,13 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -29,7 +26,6 @@
 #include <vector>
 
 #include "exec/grid.h"
-#include "exec/pool.h"
 #include "exec/schedule.h"
 #include "obs/trace.h"
 #include "rt/error.h"
@@ -42,115 +38,6 @@
 
 namespace dcfb {
 namespace {
-
-TEST(Pool, RunsEveryTask)
-{
-    exec::Pool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-    EXPECT_EQ(pool.tasksRun(), 100u);
-    EXPECT_EQ(pool.workers(), 4u);
-}
-
-TEST(Pool, DefaultQueueCapacityIsTwiceWorkers)
-{
-    exec::Pool pool(3);
-    EXPECT_EQ(pool.queueCapacity(), 6u);
-}
-
-TEST(Pool, BoundedQueueBlocksSubmitter)
-{
-    exec::Pool pool(1, /*queue_capacity=*/1);
-
-    std::mutex m;
-    std::condition_variable cv;
-    bool release = false;
-
-    // Occupy the single worker so submitted tasks stay queued.
-    pool.submit([&] {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&] { return release; });
-    });
-    // Give the worker a moment to pick the blocker up, then fill the
-    // one queue slot.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    pool.submit([] {});
-
-    // A further submit must block until the worker frees the slot.
-    std::atomic<bool> submitted{false};
-    std::thread producer([&] {
-        pool.submit([] {});
-        submitted = true;
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(submitted.load());
-
-    {
-        std::unique_lock<std::mutex> lock(m);
-        release = true;
-    }
-    cv.notify_all();
-    producer.join();
-    EXPECT_TRUE(submitted.load());
-    pool.wait();
-    EXPECT_EQ(pool.tasksRun(), 3u);
-}
-
-TEST(Pool, FirstExceptionRethrownAtBarrier)
-{
-    exec::Pool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&ran, i] {
-            ++ran;
-            if (i == 3)
-                throw std::runtime_error("cell failure");
-        });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // Every task still ran: one bad cell does not cancel its siblings.
-    EXPECT_EQ(ran.load(), 8);
-    // The barrier cleared the error; the pool remains usable.
-    pool.submit([&ran] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 9);
-}
-
-TEST(Pool, LaterExceptionsAreCountedNotLost)
-{
-    exec::Pool pool(2);
-    for (int i = 0; i < 4; ++i)
-        pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    EXPECT_EQ(pool.exceptionsDropped(), 3u);
-}
-
-TEST(Pool, DestructorDrainsPendingWork)
-{
-    std::atomic<int> count{0};
-    {
-        exec::Pool pool(2);
-        for (int i = 0; i < 32; ++i)
-            pool.submit([&count] { ++count; });
-        // No wait(): shutdown must still complete all submitted work.
-    }
-    EXPECT_EQ(count.load(), 32);
-}
-
-TEST(Pool, BusySecondsAccumulate)
-{
-    exec::Pool pool(2);
-    for (int i = 0; i < 4; ++i) {
-        pool.submit([] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        });
-    }
-    pool.wait();
-    EXPECT_GE(pool.busySeconds(), 0.015);
-}
 
 TEST(Schedule, ResolveJobsPrecedence)
 {
@@ -172,6 +59,28 @@ TEST(Schedule, RunIndexedRunsEachIndexOnce)
         parallel[i] += static_cast<int>(i * i + 1);
     });
     EXPECT_EQ(parallel, serial);
+}
+
+/** Cell 0 fails late and cell 1 early: every job count raises cell 0's
+ *  error, the one the serial loop meets first. */
+TEST(Schedule, RunIndexedRethrowsLowestFailingIndex)
+{
+    for (unsigned jobs : {1u, 2u}) {
+        std::string what;
+        try {
+            exec::runIndexed("fail", 4, jobs, [](std::size_t i) {
+                if (i == 0) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(100));
+                }
+                if (i <= 1)
+                    throw std::runtime_error("cell " + std::to_string(i));
+            });
+        } catch (const std::runtime_error &e) {
+            what = e.what();
+        }
+        EXPECT_EQ(what, "cell 0") << "jobs " << jobs;
+    }
 }
 
 TEST(Schedule, RunIndexedReportsCellsAndOccupancy)
