@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -106,14 +107,25 @@ class Harness
     {
         parseArgs(argc, argv);
         // Fail at the CLI, not after the sweep: both output files must
-        // be creatable before any cell runs.
-        if (!jsonPath.empty() &&
-            !std::ofstream(jsonPath, std::ios::out | std::ios::app)) {
-            std::fprintf(stderr, "cannot open %s\n", jsonPath.c_str());
+        // be creatable before any cell runs.  The --json probe creates
+        // the file, so a failed --trace open removes it again unless it
+        // was there before.
+        bool json_created = false;
+        if (!jsonPath.empty()) {
+            std::error_code ec;
+            json_created = !std::filesystem::exists(jsonPath, ec);
+            if (!std::ofstream(jsonPath, std::ios::out | std::ios::app)) {
+                std::fprintf(stderr, "cannot open %s\n", jsonPath.c_str());
+                std::exit(2);
+            }
+        }
+        if (!tracePath.empty() && !obs::Tracing::open(tracePath)) {
+            if (json_created) {
+                std::error_code ec;
+                std::filesystem::remove(jsonPath, ec);
+            }
             std::exit(2);
         }
-        if (!tracePath.empty() && !obs::Tracing::open(tracePath))
-            std::exit(2);
         banner(figure_, claim_);
     }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Example: compare every evaluated frontend design on one workload —
- * the paper's full cast (baseline, NXL family, SN4L ablations, classic
- * discontinuity, Confluence, Boomerang, Shotgun, perfect frontends).
+ * Example: compare the evaluated frontend designs on one workload —
+ * the paper's full cast (baseline, NXL family, SN4L ablations,
+ * Confluence, Shotgun, the FDIP and micro-BTB competitors, perfect
+ * frontends).
  *
  * Usage: prefetcher_comparison [workload-name]
  */
@@ -32,8 +33,8 @@ main(int argc, char **argv)
         sim::Preset::Baseline,   sim::Preset::NL,
         sim::Preset::N4L,        sim::Preset::SN4L,
         sim::Preset::SN4LDis,    sim::Preset::SN4LDisBtb,
-        sim::Preset::ClassicDis, sim::Preset::Confluence,
-        sim::Preset::Boomerang,  sim::Preset::Shotgun,
+        sim::Preset::Confluence, sim::Preset::Shotgun,
+        sim::Preset::Fdip,       sim::Preset::MicroBtb,
         sim::Preset::PerfectL1i, sim::Preset::PerfectL1iBtb,
     };
     for (auto preset : designs) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the golden-result corpus under tests/golden/.
 
-The corpus pins the simulator's RunResult for twenty-one (workload,
+The corpus pins the simulator's RunResult for nineteen (workload,
 preset) cells covering every preset (see tests/golden_cells.h);
 tests/test_golden.cpp asserts that re-simulating each cell reproduces
 its committed JSON byte for byte.

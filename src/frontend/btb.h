@@ -69,10 +69,6 @@ class Btb
 
     const obs::StatRegistry &stats() const { return statReg; }
     obs::StatRegistry &stats() { return statReg; }
-    std::size_t entryCount() const
-    {
-        return std::size_t{array.sets()} * array.ways();
-    }
 
   private:
     /**

@@ -3,9 +3,9 @@
  * Fetch target queue.
  *
  * A queue of basic blocks between the branch-prediction unit and the
- * instruction cache (paper footnote 1).  BTB-directed prefetchers
- * (Boomerang, Shotgun) fill it several blocks ahead of fetch and issue
- * prefetches from its contents; an empty FTQ stalls the fetch engine
+ * instruction cache (paper footnote 1).  Decoupled frontends (Shotgun,
+ * FDIP) fill it several blocks ahead of fetch and issue prefetches from
+ * what the BPU discovers; an empty FTQ stalls the fetch engine
  * (Table I).
  */
 

@@ -5,7 +5,7 @@
  * The paper evaluates on UltraSPARC III (fixed 4-byte instructions).  We
  * define a synthetic 4-byte RISC encoding that a pre-decoder can actually
  * decode from raw block bytes, because pre-decoding is load-bearing for
- * the Dis prefetcher, the BTB prefetcher, Boomerang, and Shotgun: targets
+ * the Dis prefetcher, the BTB prefetcher and Shotgun: targets
  * of direct branches are *not* stored in prefetcher metadata, they are
  * recovered from the instruction bytes.
  *

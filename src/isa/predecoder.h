@@ -3,7 +3,7 @@
  * Instruction-block pre-decoder.
  *
  * The pre-decoder is the shared hardware unit that Confluence-style BTB
- * prefetching, the Dis prefetcher, Boomerang and Shotgun all rely on
+ * prefetching, the Dis prefetcher and Shotgun all rely on
  * (Section V.C): given the raw bytes of an instruction block it extracts
  * the branch instructions and, for direct branches, their targets.
  *

@@ -63,9 +63,7 @@ class JsonValue
     }
 
     Kind kind() const { return k; }
-    bool isNull() const { return k == Kind::Null; }
 
-    bool asBool() const { return boolVal; }
     std::uint64_t asUint() const { return uintVal; }
 
     /** Numeric read: Uint and Double both convert. */

@@ -243,7 +243,6 @@ class StatRegistry
     void reset();
 
     std::size_t counterCount() const { return counterSlots.size(); }
-    std::size_t histogramCount() const { return histSlots.size(); }
 
     /** All counters, sorted by name. */
     std::map<std::string, std::uint64_t> counters() const;

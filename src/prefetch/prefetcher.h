@@ -6,8 +6,8 @@
  * fetch stream (via onFetchInstr), performs per-cycle work in tick(),
  * and issues prefetches through the L1iCache it is bound to.  Coupled-
  * frontend prefetchers (NL/NXL, SN4L+Dis+BTB, Confluence) implement this
- * interface; the BTB-directed baselines (Boomerang, Shotgun) are fetch-
- * engine-integrated and live in their own classes.
+ * interface; the BTB-directed Shotgun baseline is fetch-engine-
+ * integrated and lives in sim/decoupled.h.
  */
 
 #ifndef DCFB_PREFETCH_PREFETCHER_H

@@ -52,9 +52,6 @@ class Watchdog
     /** Label the run this watchdog guards ("workload/design"); attached
      *  to trip errors so parallel sweeps can attribute the failure. */
     void setCell(std::string label) { cell = std::move(label); }
-    const std::string &cellLabel() const { return cell; }
-
-    Cycle windowCycles() const { return window; }
 
   private:
     Cycle window;

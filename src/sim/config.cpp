@@ -32,9 +32,7 @@ presetName(Preset preset)
       case Preset::DisOnly: return "Dis";
       case Preset::SN4LDis: return "SN4L+Dis";
       case Preset::SN4LDisBtb: return "SN4L+Dis+BTB";
-      case Preset::ClassicDis: return "ClassicDis";
       case Preset::Confluence: return "Confluence";
-      case Preset::Boomerang: return "Boomerang";
       case Preset::Shotgun: return "Shotgun";
       case Preset::PerfectL1i: return "PerfectL1i";
       case Preset::PerfectL1iBtb: return "PerfectL1i+BTBinf";

@@ -39,9 +39,7 @@ enum class Preset {
     DisOnly,     //!< discontinuity prefetcher alone (Fig. 13)
     SN4LDis,     //!< + discontinuity prefetcher
     SN4LDisBtb,  //!< the full proposal
-    ClassicDis,  //!< conventional discontinuity prefetcher [17]
     Confluence,  //!< SHIFT + 16 K-entry BTB (upper bound, Section VI.D)
-    Boomerang,   //!< BTB-directed, basic-block BTB
     Shotgun,     //!< BTB-directed, split U/C/RIB BTB
     PerfectL1i,  //!< all instruction requests served at hit latency
     PerfectL1iBtb, //!< Perfect L1i + 32 K-entry never-miss BTB
@@ -61,7 +59,7 @@ struct FetchConfig
     Cycle decodeRedirectPenalty = 6;  //!< BTB-miss/uncond resolved at decode
     Cycle execRedirectPenalty = 12;   //!< direction/indirect at execute
     Cycle predecodeLatency = 2;       //!< block pre-decode (reactive fills)
-    unsigned ftqEntries = 32;         //!< Boomerang/Shotgun FTQ
+    unsigned ftqEntries = 32;         //!< decoupled-engine FTQ
     bool perfectL1i = false;
     bool perfectBtb = false;
 };
@@ -85,7 +83,6 @@ struct SystemConfig
     unsigned btbEntries = 2048; //!< conventional BTB (Table III)
     unsigned btbAssoc = 4;
     frontend::ShotgunBtbConfig shotgunBtb;
-    unsigned boomerangBtbEntries = 2048; //!< basic-block BTB budget
 
     prefetch::Sn4lDisBtbConfig sn4l;
     prefetch::ConfluenceConfig confluence;

@@ -20,13 +20,12 @@ constexpr std::size_t kRecStackBound = 64;
 DecoupledFetchEngine::DecoupledFetchEngine(
     const FetchConfig &config, Kind kind_, workload::TraceWalker &walker_,
     mem::L1iCache &l1i_, frontend::Tage &tage_,
-    const isa::Predecoder &predecoder, unsigned boomerang_btb_entries,
+    const isa::Predecoder &predecoder,
     const frontend::ShotgunBtbConfig &shotgun_cfg,
     frontend::Btb *conv_btb, prefetch::Fdip *fdip_)
     : FetchEngine(config), kind(kind_), walker(walker_), l1i(l1i_),
-      tage(tage_), pd(predecoder), bbtb(boomerang_btb_entries, 4),
-      sgBtb(shotgun_cfg), btbPb(32, 32), convBtb(conv_btb),
-      fdip(fdip_), ftq(config.ftqEntries)
+      tage(tage_), pd(predecoder), sgBtb(shotgun_cfg), btbPb(32, 32),
+      convBtb(conv_btb), fdip(fdip_), ftq(config.ftqEntries)
 {
     cFetched = statReg.counter("fe_fetched");
     cIcacheStallCycles = statReg.counter("fe_icache_stall_cycles");
@@ -37,7 +36,6 @@ DecoupledFetchEngine::DecoupledFetchEngine(
     hBufferOcc = statReg.histogram("fetch_buffer_occ");
     cReactiveFills = statReg.lazyCounter("bpu_reactive_fills");
     cSgPrefillBlocks = statReg.lazyCounter("sg_prefill_blocks");
-    cBoomerangPrefillEntries = statReg.lazyCounter("boomerang_prefill_entries");
     cSgFootprintPrefetches = statReg.lazyCounter("sg_footprint_prefetches");
     cSgCbtbFills = statReg.lazyCounter("sg_cbtb_buffer_fills");
     cSgRegionSkipped = statReg.lazyCounter("sg_region_prefetch_skipped");
@@ -46,7 +44,6 @@ DecoupledFetchEngine::DecoupledFetchEngine(
     cBpuRasMispredicts = statReg.lazyCounter("bpu_ras_mispredicts");
     cSquashes = statReg.lazyCounter("fe_squashes");
     cWrongPathPrefetches = statReg.lazyCounter("bpu_wrong_path_prefetches");
-    cBbBtbMisses = statReg.lazyCounter("boomerang_bbbtb_miss");
     cCbtbMisses = statReg.lazyCounter("sg_cbtb_miss");
     cUbtbMisses = statReg.lazyCounter("sg_ubtb_miss");
     cRibMisses = statReg.lazyCounter("sg_rib_miss");
@@ -129,48 +126,20 @@ DecoupledFetchEngine::prefillFromBlock(Addr block_addr)
 }
 
 void
-DecoupledFetchEngine::boomerangPrefill(Addr block_addr)
-{
-    // Reconstruct basic-block entries from a pre-decoded block: each
-    // branch terminates a BB; the BB is assumed to start right after the
-    // previous branch in the block (or at the block head).  BBs that
-    // straddle into this block from a predecessor are missed - a real
-    // Boomerang pre-decoder has the same blind spot without FTQ context.
-    auto branches = pd.predecodeBlock(block_addr);
-    Addr bb_start = blockAlign(block_addr);
-    for (const auto &b : branches) {
-        frontend::BbBtbEntry entry;
-        Addr branch_pc = blockAlign(block_addr) + b.byteOffset;
-        entry.sizeBytes =
-            static_cast<std::uint16_t>(branch_pc + kInstrBytes - bb_start);
-        entry.branchOffset =
-            static_cast<std::uint16_t>(branch_pc - bb_start);
-        entry.kind = b.kind;
-        entry.target = b.hasTarget ? b.target : kInvalidAddr;
-        bbtb.update(bb_start, entry);
-        cBoomerangPrefillEntries.add();
-        bb_start = branch_pc + kInstrBytes;
-    }
-}
-
-void
 DecoupledFetchEngine::onFill(Addr block_addr, bool was_prefetch,
                              const mem::BranchFootprint *bf)
 {
     (void)bf;
     if (!was_prefetch)
         return;
-    // Proactive BTB prefill from prefetched blocks (both BTB-directed
-    // baselines pre-decode prefetched blocks to prime their BTB state).
-    // FDIP deliberately has no such path: its fills feed the prefetcher's
-    // own accounting (the Fdip unit is the L1i listener), and BTB misses
-    // keep stalling the BPU — that gap is what the comparison measures.
+    // Proactive BTB prefill: Shotgun pre-decodes prefetched blocks to
+    // prime its BTB state.  FDIP deliberately has no such path: its fills
+    // feed the prefetcher's own accounting (the Fdip unit is the L1i
+    // listener), and BTB misses keep stalling the BPU — that gap is what
+    // the comparison measures.
     if (kind == Kind::Fdip)
         return;
-    if (kind == Kind::Boomerang)
-        boomerangPrefill(block_addr);
-    else
-        prefillFromBlock(block_addr);
+    prefillFromBlock(block_addr);
 }
 
 void
@@ -190,47 +159,8 @@ DecoupledFetchEngine::footprintPrefetch(Addr anchor_block,
 }
 
 bool
-DecoupledFetchEngine::boomerangLookup(Addr bb_start, std::uint64_t term_idx,
-                                      Cycle now)
+DecoupledFetchEngine::shotgunLookup(std::uint64_t term_idx, Cycle now)
 {
-    if (cfg.perfectBtb)
-        return true;
-    const auto *entry = bbtb.lookup(bb_start);
-    if (entry) {
-        const TraceEntry &term = entryAt(term_idx);
-        if (term.taken && entry->target != kInvalidAddr &&
-            entry->target != term.target) {
-            // Stale stored target (indirect call): the BPU ran down the
-            // wrong path until the execute-stage redirect.
-            targetMispredict = true;
-            wrongPathTarget = entry->target;
-            frontend::BbBtbEntry fixed = *entry;
-            fixed.target = term.target;
-            bbtb.update(bb_start, fixed);
-        }
-        return true;
-    }
-    // Reactive fill: fetch + pre-decode the block holding the BB, then
-    // install the discovered entry (modeled with the trace oracle, which
-    // is what a correct pre-decode reconstructs).
-    reactiveStall(bb_start, now, cBbBtbMisses);
-    const TraceEntry &term = entryAt(term_idx);
-    frontend::BbBtbEntry fresh;
-    fresh.sizeBytes = static_cast<std::uint16_t>(
-        std::min<std::uint64_t>(term.pc + term.len - bb_start, 0xffff));
-    fresh.branchOffset = static_cast<std::uint16_t>(
-        std::min<std::uint64_t>(term.pc - bb_start, 0xffff));
-    fresh.kind = term.kind;
-    fresh.target = term.target;
-    bbtb.update(bb_start, fresh);
-    return false;
-}
-
-bool
-DecoupledFetchEngine::shotgunLookup(Addr bb_start, std::uint64_t term_idx,
-                                    Cycle now)
-{
-    (void)bb_start; // Shotgun keys on the terminator, not the BB start
     if (cfg.perfectBtb)
         return true;
     const TraceEntry &term = entryAt(term_idx);
@@ -306,10 +236,8 @@ DecoupledFetchEngine::shotgunLookup(Addr bb_start, std::uint64_t term_idx,
 }
 
 bool
-DecoupledFetchEngine::fdipLookup(Addr bb_start, std::uint64_t term_idx,
-                                 Cycle now)
+DecoupledFetchEngine::fdipLookup(std::uint64_t term_idx, Cycle now)
 {
-    (void)bb_start; // FDIP's BPU keys the conventional BTB by branch PC
     if (cfg.perfectBtb)
         return true;
     const TraceEntry &term = entryAt(term_idx);
@@ -357,18 +285,8 @@ DecoupledFetchEngine::bpuStep(Cycle now)
 
     targetMispredict = false;
     wrongPathTarget = kInvalidAddr;
-    bool ok;
-    switch (kind) {
-      case Kind::Boomerang:
-        ok = boomerangLookup(bb_start, term_idx, now);
-        break;
-      case Kind::Shotgun:
-        ok = shotgunLookup(bb_start, term_idx, now);
-        break;
-      default:
-        ok = fdipLookup(bb_start, term_idx, now);
-        break;
-    }
+    const bool ok = kind == Kind::Shotgun ? shotgunLookup(term_idx, now)
+                                          : fdipLookup(term_idx, now);
     if (!ok)
         return; // BPU stalled on a reactive prefill
 
@@ -406,19 +324,12 @@ DecoupledFetchEngine::bpuStep(Cycle now)
     ftq.push(frontend::FtqEntry{bpuIdx, term_idx + 1, bb_start});
     cFtqPushes.add();
 
-    // Instruction prefetch from the FTQ contents: this is Boomerang's
-    // L1i prefetcher.  Shotgun deliberately does NOT get this path -
-    // its instruction prefetching is driven by the U-BTB footprints
-    // (Section III), which is exactly why footprint misses hurt it.
-    if (!cfg.perfectL1i && kind == Kind::Boomerang) {
-        Addr first = blockAlign(bb_start);
-        Addr last = blockAlign(term.pc + term.len - 1);
-        for (Addr b = first; b <= last; b += kBlockBytes)
-            l1i.prefetch(b, now);
-    }
-    // FDIP routes the same FTQ contents through its candidate queue
-    // (bounded, deduplicated, port-limited) instead of prefetching
-    // unconditionally — that queue discipline is the design under test.
+    // FDIP prefetches the FTQ contents through its candidate queue
+    // (bounded, deduplicated, port-limited) — that queue discipline is
+    // the design under test.  Shotgun deliberately does NOT get this
+    // path: its instruction prefetching is driven by the U-BTB
+    // footprints (Section III), which is exactly why footprint misses
+    // hurt it.
     if (!cfg.perfectL1i && kind == Kind::Fdip) {
         fdip->onFtqAppend(blockAlign(bb_start),
                           blockAlign(term.pc + term.len - 1), ftq.size());

@@ -1,12 +1,12 @@
 /**
  * @file
- * Decoupled (BTB-directed) fetch engine: Boomerang and Shotgun.
+ * Decoupled fetch engine: Shotgun (BTB-directed) and FDIP.
  *
  * A branch-prediction unit (BPU) runs ahead of fetch, discovering basic
  * blocks with its BTB structures and pushing them into the FTQ; the
  * fetch engine drains the FTQ.  Instruction prefetching falls out of the
- * BPU's lookahead: blocks of discovered basic blocks (Boomerang) or of
- * U-BTB footprints (Shotgun) are prefetched before fetch reaches them.
+ * BPU's lookahead: Shotgun prefetches the blocks its U-BTB footprints
+ * name, and FDIP queues the blocks of every FTQ append.
  *
  * The failure mode the paper dissects in Section III is modeled
  * faithfully: a BTB miss *stalls the BPU* until the missing block is
@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "frontend/bb_btb.h"
 #include "frontend/ftq.h"
 #include "frontend/ras.h"
 #include "frontend/shotgun_btb.h"
@@ -46,14 +45,14 @@ class Fdip;
 namespace dcfb::sim {
 
 /**
- * BTB-directed frontend (Boomerang / Shotgun) and the FDIP competitor,
+ * BTB-directed frontend (Shotgun) and the FDIP competitor,
  * whose BPU runs ahead through the conventional BTB and feeds the
  * prefetch::Fdip unit from every FTQ append.
  */
 class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
 {
   public:
-    enum class Kind { Boomerang, Shotgun, Fdip };
+    enum class Kind { Shotgun, Fdip };
 
     /**
      * @param conv_btb conventional BTB driving the BPU (Kind::Fdip only)
@@ -63,7 +62,6 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
                          workload::TraceWalker &walker, mem::L1iCache &l1i,
                          frontend::Tage &tage,
                          const isa::Predecoder &predecoder,
-                         unsigned boomerang_btb_entries,
                          const frontend::ShotgunBtbConfig &shotgun_cfg,
                          frontend::Btb *conv_btb = nullptr,
                          prefetch::Fdip *fdip = nullptr);
@@ -76,7 +74,6 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
                 const mem::BranchFootprint *bf) override;
 
     frontend::ShotgunBtb &shotgunBtb() { return sgBtb; }
-    frontend::BbBtb &bbBtb() { return bbtb; }
 
     /** Register FTQ-ordering and lookahead invariants. */
     void registerInvariants(rt::InvariantRegistry &reg);
@@ -96,11 +93,12 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
     /** One BPU step: discover the next basic block. */
     void bpuStep(Cycle now);
 
-    /** Engine-specific BTB handling; returns false when the BPU must
-     *  stall (reactive prefill in progress). */
-    bool boomerangLookup(Addr bb_start, std::uint64_t term_idx, Cycle now);
-    bool shotgunLookup(Addr bb_start, std::uint64_t term_idx, Cycle now);
-    bool fdipLookup(Addr bb_start, std::uint64_t term_idx, Cycle now);
+    /** Engine-specific BTB handling for the basic block ending at
+     *  @p term_idx; returns false when the BPU must stall (reactive
+     *  prefill in progress).  Both engines key their BTBs on the
+     *  terminating branch's PC, not the block start. */
+    bool shotgunLookup(std::uint64_t term_idx, Cycle now);
+    bool fdipLookup(std::uint64_t term_idx, Cycle now);
 
     /** Begin a reactive prefill stall for the block at @p addr,
      *  counting it against @p stat. */
@@ -111,9 +109,6 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
 
     /** Pre-decode @p block_addr into the 32-entry BTB prefetch buffer. */
     void prefillFromBlock(Addr block_addr);
-
-    /** Install Boomerang BB entries derived from a pre-decoded block. */
-    void boomerangPrefill(Addr block_addr);
 
     /** Fetch-side bookkeeping (footprint construction). */
     void recordFetched(const workload::TraceEntry &e);
@@ -128,7 +123,6 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
     const isa::Predecoder &pd;
     frontend::ReturnAddressStack ras;
 
-    frontend::BbBtb bbtb;
     frontend::ShotgunBtb sgBtb;
     prefetch::BtbPrefetchBuffer btbPb; //!< Shotgun: 32-entry prefill buffer
     frontend::Btb *convBtb;            //!< Fdip: the conventional BTB
@@ -186,10 +180,10 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
     obs::Histogram hFtqOcc, hBufferOcc;
     // Lazily-bound handles for per-event sites (see obs::LazyCounter).
     obs::LazyCounter cReactiveFills, cSgPrefillBlocks,
-        cBoomerangPrefillEntries, cSgFootprintPrefetches, cSgCbtbFills,
-        cSgRegionSkipped, cBpuTargetMispredicts, cBpuMispredicts,
-        cBpuRasMispredicts, cSquashes, cWrongPathPrefetches,
-        cBbBtbMisses, cCbtbMisses, cUbtbMisses, cRibMisses, cFdipBtbMisses;
+        cSgFootprintPrefetches, cSgCbtbFills, cSgRegionSkipped,
+        cBpuTargetMispredicts, cBpuMispredicts, cBpuRasMispredicts,
+        cSquashes, cWrongPathPrefetches, cCbtbMisses, cUbtbMisses,
+        cRibMisses, cFdipBtbMisses;
 };
 
 } // namespace dcfb::sim

@@ -18,9 +18,9 @@
  *    prefetcher never prefills a BTB buffer (Baseline, NL/NXL,
  *    Confluence) compiles the probe out entirely.
  *
- *  - **DecoupledFetchEngine** (sim/decoupled.h): the BTB-directed
- *    frontend of Boomerang and Shotgun, with a branch-prediction unit
- *    that runs ahead of fetch through the FTQ.
+ *  - **DecoupledFetchEngine** (sim/decoupled.h): the frontend of
+ *    Shotgun and FDIP, with a branch-prediction unit that runs ahead of
+ *    fetch through the FTQ.
  *
  * Both deliver fetched instructions into a bounded fetch buffer that the
  * simulator's dispatch stage drains, and both expose a per-cycle stall

@@ -6,7 +6,6 @@
 #include <new>
 #include <type_traits>
 
-#include "prefetch/classic_discontinuity.h"
 #include "prefetch/confluence.h"
 #include "prefetch/fdip.h"
 #include "prefetch/nextline.h"
@@ -75,7 +74,7 @@ class MruFilter
  * unmapped after it.  Neither heap form paid: allocated and freed per
  * walk, the entries left heap holes that raised seed-sweep's peak RSS
  * by 0.4-0.5 MB; kept in one buffer per thread, they raised
- * figure-grid's by 0.5 MB, whose pool starts new threads every round.
+ * figure-grid's by 0.5 MB, whose runner starts new threads every round.
  */
 class FilterEntries
 {
@@ -184,12 +183,6 @@ System::System(const SystemConfig &config)
         wire<CoupledFetchEngineT<prefetch::Sn4lDisBtb>>(std::move(pf));
         break;
       }
-      case Preset::ClassicDis:
-        // No stat row: its cdis_* counters have never been reported,
-        // and adding them would change every ClassicDis RunResult.
-        wire<CoupledFetchEngineT<prefetch::ClassicDiscontinuity>>(
-            std::make_unique<prefetch::ClassicDiscontinuity>(*l1i));
-        break;
       case Preset::Confluence: {
         auto pf = std::make_unique<prefetch::ConfluencePrefetcher>(
             *l1i, cfg.confluence);
@@ -198,7 +191,6 @@ System::System(const SystemConfig &config)
             std::move(pf));
         break;
       }
-      case Preset::Boomerang:
       case Preset::Shotgun:
         wire<DecoupledFetchEngine>(
             std::make_unique<prefetch::NullPrefetcher>());
@@ -230,23 +222,20 @@ System::wire(std::unique_ptr<Pf> pf)
     Pf &typed = *pf;
     prefetcher = std::move(pf);
     if constexpr (std::is_same_v<Fe, DecoupledFetchEngine>) {
-        // BTB-directed engines exist before the warmup so primeBranch()
-        // can fill Shotgun's split BTB; they read no trace until their
-        // first cycle.
+        // Decoupled engines exist before the warmup so primeBranch() can
+        // fill Shotgun's split BTB; they read no trace until their first
+        // cycle.
         auto engine = std::make_unique<DecoupledFetchEngine>(
             cfg.fetch,
-            cfg.preset == Preset::Boomerang
-                ? DecoupledFetchEngine::Kind::Boomerang
-                : cfg.preset == Preset::Shotgun
-                      ? DecoupledFetchEngine::Kind::Shotgun
-                      : DecoupledFetchEngine::Kind::Fdip,
-            *walker, *l1i, *tage, *predecoder, cfg.boomerangBtbEntries,
-            cfg.shotgunBtb, btb.get(), fdip);
+            cfg.preset == Preset::Shotgun
+                ? DecoupledFetchEngine::Kind::Shotgun
+                : DecoupledFetchEngine::Kind::Fdip,
+            *walker, *l1i, *tage, *predecoder, cfg.shotgunBtb, btb.get(),
+            fdip);
         decoupled = engine.get();
         addStats("sg", decoupled->shotgunBtb().stats());
-        addStats("bb", decoupled->bbBtb().stats(), WarmReset::Gap6Keep);
         // FDIP's fills/usefulness land in the prefetcher's accounting;
-        // the BTB-directed engines do their own prefill on fills.
+        // Shotgun does its own prefill on fills.
         l1i->setListener(fdip ? static_cast<mem::L1iListener *>(fdip)
                               : decoupled);
         fetch = std::move(engine);

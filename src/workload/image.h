@@ -5,7 +5,7 @@
  * The image is the ground truth that pre-decoders read.  The simulator
  * never attaches instruction semantics to cache blocks directly; every
  * component that claims to "pre-decode a block" (Dis, the BTB prefetcher,
- * Boomerang, Shotgun) reads these bytes and runs a real decoder over
+ * Shotgun) reads these bytes and runs a real decoder over
  * them, so metadata-miss behaviour is faithful.
  */
 

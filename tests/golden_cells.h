@@ -4,10 +4,10 @@
  * (`tools/dcfb_golden.cpp`, via `scripts/update_golden.py`) and the
  * regression test (`tests/test_golden.cpp`).
  *
- * Twenty-one (workload, preset) cells covering all eighteen presets
+ * Nineteen (workload, preset) cells covering all sixteen presets
  * and so every prefetcher family the paper evaluates -- sequential
  * (NL/N2L/N4L/N8L, the unselective N4L engine, SN4L), discontinuity,
- * BTB-directed (Boomerang/Shotgun), Confluence, the competitor designs
+ * BTB-directed (Shotgun), Confluence, the competitor designs
  * (FDIP and the micro BTB), the combined proposal, the perfect
  * frontends, and one variable-length-ISA flavour so the VL decode path
  * is pinned too.  Each cell's RunResult JSON is committed under
@@ -44,7 +44,7 @@ struct Cell
     bool vl = false;      //!< variable-length-ISA flavour
 };
 
-/** The twenty-one pinned cells. */
+/** The nineteen pinned cells. */
 inline std::vector<Cell>
 cells()
 {
@@ -58,8 +58,6 @@ cells()
         {"Web Frontend", Preset::SN4LDis},
         {"Web Search", Preset::Shotgun},
         {"OLTP (DB A)", Preset::Confluence},
-        {"Web (Apache)", Preset::Boomerang},
-        {"Media Streaming", Preset::ClassicDis},
         {"Web Frontend", Preset::PerfectL1iBtb},
         {"Web Search", Preset::SN4LDisBtb, /*vl=*/true},
         {"OLTP (DB A)", Preset::Fdip},

@@ -25,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "all_presets.h"
 #include "exec/grid.h"
 #include "exec/schedule.h"
 #include "obs/trace.h"
@@ -176,33 +177,20 @@ fastWarmHook()
     return [](sim::SystemConfig &cfg) { cfg.functionalWarmInstrs = 150000; };
 }
 
-std::vector<sim::Preset>
-allPresets()
-{
-    return {sim::Preset::Baseline,   sim::Preset::NL,
-            sim::Preset::N2L,        sim::Preset::N4L,
-            sim::Preset::N8L,        sim::Preset::N4LPlain,
-            sim::Preset::SN4L,       sim::Preset::DisOnly,
-            sim::Preset::SN4LDis,    sim::Preset::SN4LDisBtb,
-            sim::Preset::ClassicDis, sim::Preset::Confluence,
-            sim::Preset::Boomerang,  sim::Preset::Shotgun,
-            sim::Preset::PerfectL1i, sim::Preset::PerfectL1iBtb,
-            sim::Preset::Fdip,       sim::Preset::MicroBtb};
-}
-
 TEST(ParallelGrid, JobsOneMatchesJobsFourAcrossAllPresets)
 {
     const std::vector<std::string> workloads = {"Web Frontend"};
+    const std::vector<sim::Preset> presets = test::allPresets();
 
     auto serial = exec::runGrid(
-        "serial", workloads, exec::presetVariants(allPresets(), fastWarmHook()),
+        "serial", workloads, exec::presetVariants(presets, fastWarmHook()),
         gridWindows(), 1);
     auto parallel = exec::runGrid(
-        "parallel", workloads,
-        exec::presetVariants(allPresets(), fastWarmHook()), gridWindows(), 4);
+        "parallel", workloads, exec::presetVariants(presets, fastWarmHook()),
+        gridWindows(), 4);
 
     for (const auto &name : workloads) {
-        for (auto preset : allPresets()) {
+        for (auto preset : presets) {
             const auto &a = serial.at(name, sim::presetName(preset));
             const auto &b = parallel.at(name, sim::presetName(preset));
             // Full structural equality: counters, histograms, identity.
@@ -211,7 +199,7 @@ TEST(ParallelGrid, JobsOneMatchesJobsFourAcrossAllPresets)
     }
     EXPECT_EQ(serial.execReport().jobs, 1u);
     EXPECT_EQ(parallel.execReport().jobs, 4u);
-    EXPECT_EQ(parallel.execReport().cells, allPresets().size());
+    EXPECT_EQ(parallel.execReport().cells, presets.size());
 }
 
 TEST(ParallelGrid, GridReusesCachedImagesAcrossRuns)
@@ -402,28 +390,29 @@ warmSourceOf(const sim::SystemConfig &cfg)
 TEST(WarmCache, RestoredCellsMatchColdOnesForAllPresets)
 {
     sim::WarmCache &warm = sim::WarmCache::global();
+    const std::vector<sim::Preset> presets = test::allPresets();
     for (bool vl : {false, true}) {
         // Reference: every preset walks its own warmup.
         std::vector<sim::RunResult> cold;
-        for (sim::Preset p : allPresets()) {
+        for (sim::Preset p : presets) {
             warm.clear();
             cold.push_back(sim::simulate(sharedImageConfig(p, vl),
                                          gridWindows()));
         }
         // One workload-major pass: the first preset walks, the second
-        // walks and stores, the other sixteen restore that checkpoint.
+        // walks and stores, the others restore that checkpoint.
         warm.clear();
-        for (std::size_t i = 0; i < allPresets().size(); ++i) {
+        for (std::size_t i = 0; i < presets.size(); ++i) {
             sim::RunResult shared = sim::simulate(
-                sharedImageConfig(allPresets()[i], vl), gridWindows());
+                sharedImageConfig(presets[i], vl), gridWindows());
             EXPECT_EQ(shared, cold[i])
-                << (vl ? "VL " : "") << sim::presetName(allPresets()[i]);
+                << (vl ? "VL " : "") << sim::presetName(presets[i]);
             EXPECT_EQ(sim::toJson(shared).dump(), sim::toJson(cold[i]).dump());
         }
         sim::WarmCacheStats stats = warm.stats();
         EXPECT_EQ(stats.misses, 1u);
         EXPECT_EQ(stats.stores, 1u);
-        EXPECT_EQ(stats.hits, allPresets().size() - 2);
+        EXPECT_EQ(stats.hits, presets.size() - 2);
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "all_presets.h"
 #include "sim/simulator.h"
 #include "sim/system.h"
 #include "workload/profiles.h"
@@ -81,22 +82,6 @@ TEST(CoupledFetch, FetchedMatchesDispatched)
     EXPECT_GT(res.instructions, 1000u);
 }
 
-TEST(DecoupledFetch, BoomerangBbMissesStallBpu)
-{
-    auto cfg = smallConfig(Preset::Boomerang, "Web (Apache)");
-    cfg.boomerangBtbEntries = 256; // force misses
-    auto res = simulate(cfg, tiny());
-    EXPECT_GT(res.stat("fe.boomerang_bbbtb_miss"), 50u);
-    EXPECT_GT(res.stat("fe.bpu_stall_cycles"), 100u);
-}
-
-TEST(DecoupledFetch, BoomerangPrefillsFromPrefetchedBlocks)
-{
-    auto res = simulate(smallConfig(Preset::Boomerang, "Web (Apache)"),
-                        tiny());
-    EXPECT_GT(res.stat("fe.boomerang_prefill_entries"), 0u);
-}
-
 TEST(DecoupledFetch, ShotgunFootprintsEnableRegionPrefetch)
 {
     auto res = simulate(smallConfig(Preset::Shotgun, "Web (Apache)"),
@@ -132,7 +117,7 @@ TEST(DecoupledFetch, IndirectTargetMispredictsCharged)
 
 TEST(DecoupledFetch, FtqPushesCoverFetchedInstructions)
 {
-    auto res = simulate(smallConfig(Preset::Boomerang, "Web (Apache)"),
+    auto res = simulate(smallConfig(Preset::Shotgun, "Web (Apache)"),
                         tiny());
     EXPECT_GT(res.stat("fe.ftq_pushes"), 0u);
     EXPECT_GT(res.stat("fe.fe_fetched"), 1000u);
@@ -191,13 +176,7 @@ TEST_P(AllPresets, RunsAndAccountsCycles)
 
 INSTANTIATE_TEST_SUITE_P(
     Presets, AllPresets,
-    ::testing::Values(Preset::Baseline, Preset::NL, Preset::N2L,
-                      Preset::N4L, Preset::N8L, Preset::N4LPlain,
-                      Preset::SN4L, Preset::DisOnly, Preset::SN4LDis,
-                      Preset::SN4LDisBtb, Preset::ClassicDis,
-                      Preset::Confluence, Preset::Boomerang,
-                      Preset::Shotgun, Preset::PerfectL1i,
-                      Preset::PerfectL1iBtb),
+    ::testing::ValuesIn(test::allPresets()),
     [](const ::testing::TestParamInfo<Preset> &info) {
         std::string n = presetName(info.param);
         for (char &c : n) {

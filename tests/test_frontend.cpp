@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "core/backend.h"
-#include "frontend/bb_btb.h"
 #include "frontend/btb.h"
 #include "frontend/ftq.h"
 #include "frontend/ras.h"
@@ -177,22 +176,6 @@ TEST(Btb, DistinctInstructionAddressesDistinctEntries)
     btb.update(0x40004, 0x2, isa::InstrKind::Call);
     EXPECT_EQ(btb.lookup(0x40000)->target, 0x1u);
     EXPECT_EQ(btb.lookup(0x40004)->target, 0x2u);
-}
-
-TEST(BbBtb, RoundTrip)
-{
-    BbBtb bb(2048, 4);
-    BbBtbEntry e;
-    e.sizeBytes = 40;
-    e.branchOffset = 36;
-    e.kind = isa::InstrKind::CondBranch;
-    e.target = 0x42000;
-    bb.update(0x40000, e);
-    const BbBtbEntry *got = bb.lookup(0x40000);
-    ASSERT_NE(got, nullptr);
-    EXPECT_EQ(got->sizeBytes, 40u);
-    EXPECT_EQ(got->target, 0x42000u);
-    EXPECT_EQ(bb.lookup(0x99999), nullptr);
 }
 
 TEST(ShotgunBtb, UBtbFootprintLifecycle)

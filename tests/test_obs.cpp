@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "all_presets.h"
 #include "bench_common.h"
 #include "exec/schedule.h"
 #include "obs/json.h"
@@ -370,16 +371,7 @@ TEST(Profiler, ProfJsonSchemaStableUnderJobs4)
  *  to the serialized byte, as the run with it off. */
 TEST(Profiler, ProfiledRunsAreBitIdenticalForAllPresets)
 {
-    const sim::Preset presets[] = {
-        sim::Preset::Baseline,   sim::Preset::NL,
-        sim::Preset::N2L,        sim::Preset::N4L,
-        sim::Preset::N8L,        sim::Preset::N4LPlain,
-        sim::Preset::SN4L,       sim::Preset::DisOnly,
-        sim::Preset::SN4LDis,    sim::Preset::SN4LDisBtb,
-        sim::Preset::ClassicDis, sim::Preset::Confluence,
-        sim::Preset::Boomerang,  sim::Preset::Shotgun,
-        sim::Preset::PerfectL1i, sim::Preset::PerfectL1iBtb,
-        sim::Preset::Fdip,       sim::Preset::MicroBtb};
+    const std::vector<sim::Preset> presets = test::allPresets();
     auto run = [](sim::Preset preset, bool profiled) {
         auto cfg = sim::makeConfig(
             workload::serverProfile("Web (Apache)"), preset);
@@ -400,7 +392,7 @@ TEST(Profiler, ProfiledRunsAreBitIdenticalForAllPresets)
         EXPECT_EQ(sim::toJson(profiled).dump(2), sim::toJson(plain).dump(2))
             << sim::presetName(preset);
     }
-    EXPECT_EQ(obs::Profiler::drain().size(), std::size(presets));
+    EXPECT_EQ(obs::Profiler::drain().size(), presets.size());
 }
 
 /** Setup time is bimodal, so the profile record says whether the cell
@@ -495,7 +487,9 @@ TEST(HarnessDeathTest, InexactOrRemovedFlagIsUnknown)
 }
 
 /** An output path that cannot be created exits 2 while the arguments
- *  are parsed, before any cell runs, instead of after the sweep. */
+ *  are parsed, before any cell runs, instead of after the sweep.  A
+ *  `--json` file the exit's probe created is removed again; one that
+ *  was already there is kept. */
 TEST(HarnessDeathTest, UncreatableOutputPathExitsAtParse)
 {
     const std::string bad = "/nonexistent-dcfb-dir/out";
@@ -503,6 +497,20 @@ TEST(HarnessDeathTest, UncreatableOutputPathExitsAtParse)
                 ::testing::ExitedWithCode(2), "cannot open");
     EXPECT_EXIT(parseHarnessArgs({"--trace", bad + ".jsonl"}),
                 ::testing::ExitedWithCode(2), "cannot open trace file");
+
+    const std::string json = ::testing::TempDir() + "dcfb_harness_probe.json";
+    std::remove(json.c_str());
+    EXPECT_EXIT(parseHarnessArgs({"--json", json, "--trace", bad + ".jsonl"}),
+                ::testing::ExitedWithCode(2), "cannot open trace file");
+    EXPECT_FALSE(std::ifstream(json).good()) << json;
+
+    std::ofstream(json) << "kept";
+    EXPECT_EXIT(parseHarnessArgs({"--json", json, "--trace", bad + ".jsonl"}),
+                ::testing::ExitedWithCode(2), "cannot open trace file");
+    std::string kept;
+    std::ifstream(json) >> kept;
+    EXPECT_EQ(kept, "kept");
+    std::remove(json.c_str());
 }
 
 } // namespace

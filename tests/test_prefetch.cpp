@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the prefetcher components: SeqTable, DisTable tag policies,
- * RLU, BTB prefetch buffer, NXL, classic discontinuity, Confluence
- * stream replay, and the SN4L+Dis+BTB engine mechanics (selectivity,
- * metadata updates, proactive chains, depth bounds).
+ * RLU, BTB prefetch buffer, NXL, Confluence stream replay, and the
+ * SN4L+Dis+BTB engine mechanics (selectivity, metadata updates,
+ * proactive chains, depth bounds).
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include "mem/memory.h"
 #include "noc/mesh.h"
 #include "prefetch/btb_prefetch_buffer.h"
-#include "prefetch/classic_discontinuity.h"
 #include "prefetch/confluence.h"
 #include "prefetch/dis_table.h"
 #include "prefetch/nextline.h"
@@ -307,27 +306,6 @@ TEST_F(NextLineTest, N8LIssuesMore)
     n8.tick(0);
     runTo(100000);
     EXPECT_TRUE(l1i.probe(0x40000 + 8 * kBlockBytes));
-}
-
-class ClassicDisTest : public PrefetchFixture
-{};
-
-TEST_F(ClassicDisTest, LearnsDiscontinuity)
-{
-    ClassicDiscontinuity cd(l1i, 256, /*with_nl=*/false);
-    l1i.setListener(&cd);
-    // Teach: access A (miss), then far-away B (discontinuity miss).
-    auto r1 = l1i.demandAccess(0x40000, 0);
-    cd.tick(0);
-    runTo(r1.ready);
-    auto r2 = l1i.demandAccess(0x80000, r1.ready);
-    cd.tick(r1.ready);
-    runTo(r2.ready + 1);
-    // Replay: new access to A prefetches B's block.
-    l1i.demandAccess(0x40000, r2.ready + 1);
-    cd.tick(r2.ready + 1);
-    EXPECT_GT(cd.stats().get("cdis_recorded"), 0u);
-    EXPECT_GT(cd.stats().get("cdis_replayed"), 0u);
 }
 
 class ConfluenceTest : public PrefetchFixture

@@ -11,6 +11,7 @@
 #include <map>
 #include <set>
 
+#include "all_presets.h"
 #include "exec/grid.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -138,14 +139,6 @@ TEST(Simulator, ConfluenceUsesBigBtbAndPrefetches)
     EXPECT_GT(speedup(conf, baselineRun()), 1.0);
 }
 
-TEST(Simulator, BoomerangRunsAndPrefetches)
-{
-    auto boom = simulate(fastConfig(Preset::Boomerang), fastWindows());
-    EXPECT_GT(boom.ipc(), 0.2);
-    EXPECT_GT(boom.stat("fe.ftq_pushes"), 1000u);
-    EXPECT_GT(boom.stat("l1i.pf_issued"), 0u);
-}
-
 TEST(Simulator, ShotgunRunsWithFootprints)
 {
     auto sg = simulate(fastConfig(Preset::Shotgun), fastWindows());
@@ -183,9 +176,8 @@ TEST(Simulator, ProposalReducesFrontendStallsMost)
 
 /**
  * Fidelity gap 6 (EXPERIMENTS.md): System::resetStats does not reset the
- * SeqTable, DisTable and RLU stat sets, Confluence's set or the
- * basic-block BTB's set, so their warm-window counts leak into the
- * measured RunResult.  A zero measure window should report all zeros;
+ * SeqTable, DisTable and RLU stat sets or Confluence's set, so their
+ * warm-window counts leak into the measured RunResult.  A zero measure window should report all zeros;
  * the keys below do not.  The test flips when the gap closes.
  */
 TEST(FidelityGap, WarmWindowLeaksIntoPfAndBbCounters)
@@ -204,13 +196,10 @@ TEST(FidelityGap, WarmWindowLeaksIntoPfAndBbCounters)
         {Preset::Confluence,
          {"pf.shift_index_misses", "pf.shift_recorded",
           "pf.shift_stream_follows", "pf.shift_stream_starts"}},
-        {Preset::Boomerang,
-         {"bb.bbbtb_hits", "bb.bbbtb_lookups", "bb.bbbtb_misses"}},
     };
     auto profile = workload::serverProfile("OLTP (DB A)");
     auto program = workload::ImageCache::global().get(profile);
-    for (int p = 0; p <= static_cast<int>(Preset::MicroBtb); ++p) {
-        auto preset = static_cast<Preset>(p);
+    for (Preset preset : test::allPresets()) {
         SystemConfig cfg = makeConfig(profile, preset);
         cfg.program = program;
         RunResult res = simulate(cfg, RunWindows{20000, 0});
@@ -272,13 +261,10 @@ TEST(Report, TableRendersAligned)
 
 TEST(Config, PresetNamesUnique)
 {
-    for (int a = 0; a <= static_cast<int>(Preset::PerfectL1iBtb); ++a) {
-        for (int b = a + 1; b <= static_cast<int>(Preset::PerfectL1iBtb);
-             ++b) {
-            EXPECT_NE(presetName(static_cast<Preset>(a)),
-                      presetName(static_cast<Preset>(b)));
-        }
-    }
+    std::set<std::string> names;
+    for (Preset preset : test::allPresets())
+        names.insert(presetName(preset));
+    EXPECT_EQ(names.size(), test::allPresets().size());
 }
 
 TEST(Config, VlProfileEnablesDvLlc)
