@@ -63,15 +63,6 @@
 
 namespace dcfb::bench {
 
-/** Bench-wide run windows (shorter than the tests' defaults; combined
- *  with the `--jobs` grid scheduler this keeps a full sweep over every
- *  bench binary cheap even on small machines). */
-inline sim::RunWindows
-windows()
-{
-    return sim::RunWindows{150000, 150000};
-}
-
 /** The three workloads used for parameter sweeps (largest, middle,
  *  smallest footprint) when a full 7-workload grid would be excessive. */
 inline std::vector<std::string>
@@ -250,8 +241,8 @@ class Harness
         meta["build_type"] = DCFB_BUILD_TYPE;
         meta["build_flags"] = DCFB_BUILD_FLAGS;
         obs::JsonValue win = obs::JsonValue::object();
-        win["warm"] = windows().warm;
-        win["measure"] = windows().measure;
+        win["warm"] = sim::RunWindows{}.warm;
+        win["measure"] = sim::RunWindows{}.measure;
         meta["windows"] = std::move(win);
         // Resource provenance (dcfb-bench-v1 additions; ru_maxrss is
         // kilobytes on Linux).

@@ -17,7 +17,7 @@ main(int argc, char **argv)
                       "footprint miss ratio"});
     auto grid = exec::runGrid("fig01 Shotgun", bench::allWorkloads(),
                               exec::presetVariants({sim::Preset::Shotgun}),
-                              bench::windows());
+                              sim::RunWindows{});
     for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
         const auto &res = grid.at(w, 0);
         table.addRow({grid.workloads()[w],

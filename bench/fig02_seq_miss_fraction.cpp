@@ -17,7 +17,7 @@ main(int argc, char **argv)
                       "sequential fraction"});
     auto grid = exec::runGrid("fig02 Baseline", bench::allWorkloads(),
                               exec::presetVariants({sim::Preset::Baseline}),
-                              bench::windows());
+                              sim::RunWindows{});
     auto seq_fraction = [](const sim::RunResult &res) {
         return res.ratio("l1i.l1i_seq_misses", "l1i.l1i_misses");
     };

@@ -19,7 +19,7 @@ main(int argc, char **argv)
     auto grid = exec::runGrid(
         "fig03 Baseline vs NL", bench::allWorkloads(),
         exec::presetVariants({sim::Preset::Baseline, sim::Preset::NL}),
-        bench::windows());
+        sim::RunWindows{});
     auto seq_coverage = [](const sim::RunResult &nl,
                            const sim::RunResult &base) {
         double b = static_cast<double>(base.stat("l1i.l1i_seq_misses"));

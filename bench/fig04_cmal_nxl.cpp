@@ -20,7 +20,7 @@ main(int argc, char **argv)
         "fig04 NXL grid", bench::allWorkloads(),
         exec::presetVariants({sim::Preset::NL, sim::Preset::N2L,
                               sim::Preset::N4L, sim::Preset::N8L}),
-        bench::windows());
+        sim::RunWindows{});
     for (std::size_t v = 0; v < grid.variants().size(); ++v) {
         table.addRow({grid.variants()[v],
                       sim::Table::pct(grid.mean(v, &sim::RunResult::cmal)),

@@ -21,7 +21,7 @@ main(int argc, char **argv)
         exec::presetVariants({sim::Preset::Baseline, sim::Preset::NL,
                               sim::Preset::N2L, sim::Preset::N4L,
                               sim::Preset::N8L}),
-        bench::windows());
+        sim::RunWindows{});
     auto llc_latency = [](const sim::RunResult &res) {
         return res.ratio("llc.llc_latency_sum", "llc.llc_accesses");
     };

@@ -28,7 +28,7 @@ main(int argc, char **argv)
         }});
     }
     auto grid = exec::runGrid("fig09 BF slot sweep", bench::sweepWorkloads(),
-                              std::move(variants), bench::windows(), 0,
+                              std::move(variants), sim::RunWindows{}, 0,
                               /*vl=*/true);
     for (std::size_t v = 0; v < grid.variants().size(); ++v) {
         std::uint64_t fetches = grid.total(v, "llc.bf_fetch_attempts");

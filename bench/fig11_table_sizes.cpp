@@ -45,7 +45,7 @@ main(int argc, char **argv)
     }
     auto grid = exec::runGrid("fig11 table-size sweep",
                               bench::sweepWorkloads(), std::move(variants),
-                              bench::windows());
+                              sim::RunWindows{});
     auto coverage = [](const sim::RunResult &res,
                        const sim::RunResult &base) {
         return res.coverage(base.stat("l1i.l1i_misses"));

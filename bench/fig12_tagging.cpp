@@ -29,7 +29,7 @@ main(int argc, char **argv)
     const std::size_t seq_column = variants.size();
     variants.push_back({"SN4L", sim::Preset::SN4L});
     auto grid = exec::runGrid("fig12 tagging grid", bench::allWorkloads(),
-                              std::move(variants), bench::windows());
+                              std::move(variants), sim::RunWindows{});
 
     sim::Table table({"policy", "DisTable hits", "overpredictions",
                       "overprediction rate"});

@@ -19,7 +19,7 @@ main(int argc, char **argv)
         exec::presetVariants({sim::Preset::N4LPlain, sim::Preset::SN4L,
                               sim::Preset::DisOnly,
                               sim::Preset::SN4LDisBtb}),
-        bench::windows());
+        sim::RunWindows{});
 
     sim::Table table({"design", "CMAL (avg)"});
     for (std::size_t v = 0; v < cmal.variants().size(); ++v) {
@@ -50,7 +50,7 @@ main(int argc, char **argv)
         }});
     }
     auto ablation = exec::runGrid("fig13 ablations", bench::sweepWorkloads(),
-                                  std::move(variants), bench::windows());
+                                  std::move(variants), sim::RunWindows{});
 
     sim::Table depth({"chain depth limit", "CMAL (avg)", "speedup (avg)"});
     for (std::size_t i = 0; i < limits.size(); ++i) {

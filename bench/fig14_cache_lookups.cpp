@@ -25,7 +25,7 @@ main(int argc, char **argv)
     variants.push_back({"Shotgun", sim::Preset::Shotgun});
     variants.push_back({"Confluence", sim::Preset::Confluence});
     auto grid = exec::runGrid("fig14 lookup grid", bench::allWorkloads(),
-                              std::move(variants), bench::windows());
+                              std::move(variants), sim::RunWindows{});
     auto lookups = [](const sim::RunResult &res) {
         return static_cast<double>(res.stat("l1i.l1i_lookups"));
     };

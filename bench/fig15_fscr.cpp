@@ -18,7 +18,7 @@ main(int argc, char **argv)
         "fig15 FSCR grid", bench::allWorkloads(),
         exec::presetVariants({sim::Preset::Baseline, sim::Preset::SN4LDisBtb,
                               sim::Preset::Shotgun, sim::Preset::Confluence}),
-        bench::windows());
+        sim::RunWindows{});
 
     sim::Table table({"workload", "SN4L+Dis+BTB", "Shotgun", "Confluence"});
     for (std::size_t w = 0; w < grid.workloads().size(); ++w) {

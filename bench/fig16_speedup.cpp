@@ -21,7 +21,7 @@ main(int argc, char **argv)
         exec::presetVariants({sim::Preset::NL, sim::Preset::SN4LDisBtb,
                               sim::Preset::Shotgun, sim::Preset::Confluence,
                               sim::Preset::Baseline}),
-        bench::windows());
+        sim::RunWindows{});
     const std::size_t ours = 1, shotgun = 2, base = 4;
 
     sim::Table table(

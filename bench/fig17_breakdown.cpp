@@ -23,7 +23,7 @@ main(int argc, char **argv)
                               sim::Preset::PerfectL1i,
                               sim::Preset::PerfectL1iBtb,
                               sim::Preset::Baseline}),
-        bench::windows());
+        sim::RunWindows{});
     const std::size_t base = grid.variants().size() - 1;
 
     sim::Table table({"design", "speedup (geomean)"});

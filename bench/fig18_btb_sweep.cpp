@@ -32,7 +32,7 @@ main(int argc, char **argv)
         }});
     }
     auto grid = exec::runGrid("fig18 BTB sweep", bench::allWorkloads(),
-                              std::move(variants), bench::windows());
+                              std::move(variants), sim::RunWindows{});
 
     sim::Table table({"BTB scale", "ours BTB", "Shotgun U-BTB",
                       "ours/Shotgun speedup"});

@@ -29,7 +29,7 @@ main(int argc, char **argv)
         exec::presetVariants({sim::Preset::Fdip, sim::Preset::MicroBtb,
                               sim::Preset::SN4LDisBtb,
                               sim::Preset::Baseline}),
-        bench::windows());
+        sim::RunWindows{});
     const std::size_t base = 3;
 
     sim::Table table({"workload", "FDIP", "MicroBTB", "SN4L+Dis+BTB"});

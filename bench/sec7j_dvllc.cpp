@@ -30,7 +30,7 @@ main(int argc, char **argv)
         {{"Baseline (conv)", sim::Preset::Baseline, conventional},
          {"SN4L+Dis+BTB (conv)", sim::Preset::SN4LDisBtb, conventional},
          {"SN4L+Dis+BTB (DV)", sim::Preset::SN4LDisBtb}},
-        bench::windows(), 0, /*vl=*/true);
+        sim::RunWindows{}, 0, /*vl=*/true);
     for (std::size_t w = 0; w < grid.workloads().size(); ++w) {
         const auto &base = grid.at(w, 0);
         const auto &conv = grid.at(w, 1);

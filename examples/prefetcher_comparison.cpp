@@ -22,7 +22,7 @@ main(int argc, char **argv)
 
     std::string name = argc > 1 ? argv[1] : "OLTP (DB A)";
     auto profile = workload::serverProfile(name);
-    sim::RunWindows windows{150000, 150000};
+    sim::RunWindows windows;
 
     auto base = sim::simulate(
         sim::makeConfig(profile, sim::Preset::Baseline), windows);

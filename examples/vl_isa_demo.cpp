@@ -25,7 +25,7 @@ main()
                 cfg.llc.dvllc, cfg.l1i.fetchFootprints,
                 cfg.sn4l.disTable.byteOffsets);
 
-    auto res = sim::simulate(cfg, sim::RunWindows{150000, 150000});
+    auto res = sim::simulate(cfg);
 
     sim::Table table({"metric", "value"});
     table.addRow({"IPC", sim::Table::num(res.ipc())});

@@ -23,17 +23,14 @@ DecoupledFetchEngine::DecoupledFetchEngine(
     const isa::Predecoder &predecoder,
     const frontend::ShotgunBtbConfig &shotgun_cfg,
     frontend::Btb *conv_btb, prefetch::Fdip *fdip_)
-    : FetchEngine(config), kind(kind_), walker(walker_), l1i(l1i_),
-      tage(tage_), pd(predecoder), sgBtb(shotgun_cfg), btbPb(32, 32),
-      convBtb(conv_btb), fdip(fdip_), ftq(config.ftqEntries)
+    : FetchEngine(config, walker_, l1i_, tage_), kind(kind_),
+      pd(predecoder), sgBtb(shotgun_cfg), btbPb(32, 32), convBtb(conv_btb),
+      fdip(fdip_), ftq(config.ftqEntries)
 {
-    cFetched = statReg.counter("fe_fetched");
-    cIcacheStallCycles = statReg.counter("fe_icache_stall_cycles");
     cEmptyFtqStallCycles = statReg.counter("fe_empty_ftq_stall_cycles");
     cBpuStallCycles = statReg.counter("bpu_stall_cycles");
     cFtqPushes = statReg.counter("ftq_pushes");
     hFtqOcc = statReg.histogram("ftq_occ");
-    hBufferOcc = statReg.histogram("fetch_buffer_occ");
     cReactiveFills = statReg.lazyCounter("bpu_reactive_fills");
     cSgPrefillBlocks = statReg.lazyCounter("sg_prefill_blocks");
     cSgFootprintPrefetches = statReg.lazyCounter("sg_footprint_prefetches");
@@ -299,25 +296,14 @@ DecoupledFetchEngine::bpuStep(Cycle now)
     if (targetMispredict)
         cBpuTargetMispredicts.add();
     if (term.isBranch()) {
-        if (term.kind == InstrKind::CondBranch) {
-            bool pred = tage.predict(term.pc);
-            tage.update(term.pc, term.taken);
-            if (pred != term.taken) {
-                cBpuMispredicts.add();
-                mispredicted = true;
-            }
-        } else {
-            tage.updateHistoryUnconditional(term.pc);
-            if (term.kind == InstrKind::Call ||
-                term.kind == InstrKind::IndirectCall) {
-                ras.push(term.pc + term.len);
-            } else if (term.kind == InstrKind::Return) {
-                Addr predicted = ras.pop();
-                if (predicted != term.target) {
-                    cBpuRasMispredicts.add();
-                    mispredicted = true;
-                }
-            }
+        const Prediction pred = predictBranch(term);
+        if (term.kind == InstrKind::CondBranch && pred.taken != term.taken) {
+            cBpuMispredicts.add();
+            mispredicted = true;
+        } else if (term.kind == InstrKind::Return &&
+                   pred.returnTarget != term.target) {
+            cBpuRasMispredicts.add();
+            mispredicted = true;
         }
     }
 
@@ -412,61 +398,26 @@ DecoupledFetchEngine::recordFetched(const TraceEntry &e)
 void
 DecoupledFetchEngine::fetchStep(Cycle now)
 {
-    hBufferOcc.sample(fetchBuffer.size());
-    if (blockedOnFill) {
-        if (now < fillReady) {
-            cIcacheStallCycles.add();
-            return;
-        }
-        blockedOnFill = false;
-    }
-
-    unsigned budget = cfg.fetchWidth;
+    if (waitForFill(now))
+        return;
     lastCycleEmptyFtq = false;
-    while (budget > 0 && fetchBuffer.size() < cfg.fetchBufferEntries) {
-        if (ftq.empty()) {
-            if (budget == cfg.fetchWidth) {
+    fetchInstrs(
+        now,
+        [this](unsigned delivered) -> const TraceEntry * {
+            if (!ftq.empty())
+                return &entryAt(fetchIdx);
+            if (delivered == 0) {
                 lastCycleEmptyFtq = true;
                 cEmptyFtqStallCycles.add();
             }
-            break;
-        }
-        frontend::FtqEntry cur = ftq.front();
-        const TraceEntry e = entryAt(fetchIdx);
-
-        Addr first = blockAlign(e.pc);
-        Addr last = blockAlign(e.pc + e.len - 1);
-        bool missed = false;
-        for (Addr block = first; block <= last; block += kBlockBytes) {
-            if (block == currentBlock)
-                continue;
-            if (cfg.perfectL1i) {
-                currentBlock = block;
-                continue;
-            }
-            auto res = l1i.demandAccess(block, now);
-            currentBlock = block;
-            if (!res.hit) {
-                blockedOnFill = true;
-                fillReady = res.ready;
-                cIcacheStallCycles.add();
-                missed = true;
-                break;
-            }
-        }
-        if (missed)
-            return;
-
-        fetchBuffer.push({e, now + cfg.frontendStages});
-        recordFetched(e);
-        ++fetchIdx;
-        --budget;
-        cFetched.add();
-        if (fetchIdx >= cur.traceEnd)
-            ftq.pop();
-        if (e.isBranch() && e.taken)
-            break;
-    }
+            return nullptr;
+        },
+        [this](const TraceEntry &e) {
+            recordFetched(e);
+            if (++fetchIdx >= ftq.front().traceEnd)
+                ftq.pop();
+            return e.isBranch() && e.taken;
+        });
 
     // Trim consumed lookahead (just advances the ring's window base).
     if (fetchIdx > lookBase)
@@ -540,7 +491,7 @@ DecoupledFetchEngine::registerInvariants(rt::InvariantRegistry &reg)
 StallReason
 DecoupledFetchEngine::stallReason(Cycle now) const
 {
-    if (blockedOnFill && now < fillReady)
+    if (icacheStalled(now))
         return StallReason::ICacheMiss;
     if (lastCycleEmptyFtq)
         return StallReason::EmptyFtq;

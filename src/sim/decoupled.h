@@ -25,14 +25,10 @@
 #include <vector>
 
 #include "frontend/ftq.h"
-#include "frontend/ras.h"
 #include "frontend/shotgun_btb.h"
-#include "frontend/tage.h"
 #include "isa/predecoder.h"
-#include "mem/l1i.h"
 #include "prefetch/btb_prefetch_buffer.h"
 #include "sim/fetch.h"
-#include "workload/trace.h"
 
 namespace dcfb::rt {
 class InvariantRegistry;
@@ -66,8 +62,12 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
                          frontend::Btb *conv_btb = nullptr,
                          prefetch::Fdip *fdip = nullptr);
 
-    void cycle(Cycle now) override;
-    StallReason stallReason(Cycle now) const override;
+    /** Produce instructions for cycle @p now: the fetch stage drains
+     *  the FTQ, then the BPU discovers the next basic block. */
+    void cycle(Cycle now);
+
+    /** Why nothing (more) was delivered as of @p now. */
+    StallReason stallReason(Cycle now) const;
 
     /** L1i fill hook: proactive BTB prefill from prefetched blocks. */
     void onFill(Addr block_addr, bool was_prefetch,
@@ -117,11 +117,7 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
     void fetchStep(Cycle now);
 
     Kind kind;
-    workload::TraceWalker &walker;
-    mem::L1iCache &l1i;
-    frontend::Tage &tage;
     const isa::Predecoder &pd;
-    frontend::ReturnAddressStack ras;
 
     frontend::ShotgunBtb sgBtb;
     prefetch::BtbPrefetchBuffer btbPb; //!< Shotgun: 32-entry prefill buffer
@@ -152,9 +148,6 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
     Cycle bpuStalledUntil = 0;
     bool targetMispredict = false; //!< stale stored target this BB
     Addr wrongPathTarget = kInvalidAddr; //!< where the BPU went instead
-    bool blockedOnFill = false;
-    Cycle fillReady = 0;
-    Addr currentBlock = kInvalidAddr;
     bool lastCycleEmptyFtq = false;
 
     /** Shotgun footprint construction state. */
@@ -175,9 +168,8 @@ class DecoupledFetchEngine final : public FetchEngine, public mem::L1iListener
     std::vector<RetRecord> retRecords;
 
     // Typed handles for the per-cycle hot path.
-    obs::Counter cFetched, cIcacheStallCycles, cEmptyFtqStallCycles,
-        cBpuStallCycles, cFtqPushes;
-    obs::Histogram hFtqOcc, hBufferOcc;
+    obs::Counter cEmptyFtqStallCycles, cBpuStallCycles, cFtqPushes;
+    obs::Histogram hFtqOcc;
     // Lazily-bound handles for per-event sites (see obs::LazyCounter).
     obs::LazyCounter cReactiveFills, cSgPrefillBlocks,
         cSgFootprintPrefetches, cSgCbtbFills, cSgRegionSkipped,

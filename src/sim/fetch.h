@@ -22,9 +22,13 @@
  *    Shotgun and FDIP, with a branch-prediction unit that runs ahead of
  *    fetch through the FTQ.
  *
- * Both deliver fetched instructions into a bounded fetch buffer that the
- * simulator's dispatch stage drains, and both expose a per-cycle stall
- * reason for the frontend-stall accounting behind FSCR (Fig. 15).
+ * Both fetch through one front, FetchEngine: one I-cache fetch step
+ * into the bounded fetch buffer that the simulator's dispatch stage
+ * drains, and one TAGE/RAS predict step.  They differ only in where the
+ * next instruction comes from (the walker, read one entry at a time,
+ * or the FTQ) and in their BTB and prefetch policy.  Neither reads the
+ * walker before its first cycle.  Both expose a per-cycle stall reason
+ * for the frontend-stall accounting behind FSCR (Fig. 15).
  */
 
 #ifndef DCFB_SIM_FETCH_H
@@ -65,21 +69,16 @@ struct FetchedSlot
 };
 
 /**
- * Common fetch-engine interface.
+ * The fetch front both engines share: the I-cache fetch step, the
+ * fetch buffer and the predict step.  The helpers are non-virtual and
+ * inline, so each engine's cycle() inlines them.
  */
 class FetchEngine
 {
   public:
-    explicit FetchEngine(const FetchConfig &config)
-        : cfg(config), fetchBuffer(config.fetchBufferEntries)
-    {}
+    FetchEngine(const FetchEngine &) = delete;
+    FetchEngine &operator=(const FetchEngine &) = delete;
     virtual ~FetchEngine() = default;
-
-    /** Produce instructions for cycle @p now. */
-    virtual void cycle(Cycle now) = 0;
-
-    /** Why nothing (more) was delivered as of @p now. */
-    virtual StallReason stallReason(Cycle now) const = 0;
 
     BoundedQueue<FetchedSlot> &buffer() { return fetchBuffer; }
     const obs::StatRegistry &stats() const { return statReg; }
@@ -90,10 +89,130 @@ class FetchEngine
     void setMicroBtb(frontend::MicroBtb *m) { mbtb = m; }
 
   protected:
+    FetchEngine(const FetchConfig &config, workload::TraceWalker &walker_,
+                mem::L1iCache &l1i_, frontend::Tage &tage_)
+        : cfg(config), fetchBuffer(config.fetchBufferEntries),
+          walker(walker_), l1i(l1i_), tage(tage_)
+    {
+        cFetched = statReg.counter("fe_fetched");
+        cIcacheStallCycles = statReg.counter("fe_icache_stall_cycles");
+        hBufferOcc = statReg.histogram("fetch_buffer_occ");
+    }
+
+    /** Start a fetch cycle: sample the fetch-buffer occupancy and, while
+     *  an I-cache fill is outstanding, count a stall cycle.  True when
+     *  fetch waits this cycle. */
+    bool
+    waitForFill(Cycle now)
+    {
+        hBufferOcc.sample(fetchBuffer.size());
+        if (blockedOnFill) {
+            if (now < fillReady) {
+                cIcacheStallCycles.add();
+                return true;
+            }
+            blockedOnFill = false;
+        }
+        return false;
+    }
+
+    /**
+     * The I-cache fetch step: move up to fetchWidth instructions into
+     * the fetch buffer while it has room.  @p next(n) names the next
+     * instruction after @p n delivered this cycle, or null when there is
+     * none.  Entering a new block accesses the I-cache (a VL instruction
+     * may straddle two blocks; both must be present), and a miss blocks
+     * fetch until the fill.  @p fetched sees each delivered instruction
+     * and returns true when fetch stops for this cycle.
+     */
+    template <typename Next, typename Fetched>
+    void
+    fetchInstrs(Cycle now, Next next, Fetched fetched)
+    {
+        for (unsigned n = 0; n < cfg.fetchWidth &&
+             fetchBuffer.size() < cfg.fetchBufferEntries;
+             ++n) {
+            const workload::TraceEntry *e = next(n);
+            if (!e)
+                return;
+            Addr last = blockAlign(e->pc + e->len - 1);
+            for (Addr block = blockAlign(e->pc); block <= last;
+                 block += kBlockBytes) {
+                if (block == currentBlock)
+                    continue;
+                currentBlock = block;
+                if (cfg.perfectL1i)
+                    continue;
+                auto res = l1i.demandAccess(block, now);
+                if (!res.hit) {
+                    blockedOnFill = true;
+                    fillReady = res.ready;
+                    cIcacheStallCycles.add();
+                    return;
+                }
+            }
+            fetchBuffer.push({*e, now + cfg.frontendStages});
+            cFetched.add();
+            if (fetched(*e))
+                return;
+        }
+    }
+
+    /** Whether fetch is waiting for an I-cache fill as of @p now. */
+    bool
+    icacheStalled(Cycle now) const
+    {
+        return blockedOnFill && now < fillReady;
+    }
+
+    /** What the predictors say about one branch. */
+    struct Prediction
+    {
+        bool taken = true;                //!< TAGE's direction (conditionals)
+        Addr returnTarget = kInvalidAddr; //!< the popped RAS top (returns)
+    };
+
+    /**
+     * The predict step for branch @p e: TAGE predicts a conditional's
+     * direction and trains on its outcome, and any other branch only
+     * enters its history; a call pushes its return address and a return
+     * pops the RAS.  perfectBtb leaves this step alone (Fig. 17's
+     * BTB-infinity is a 32 K-entry BTB, not an oracle).
+     */
+    Prediction
+    predictBranch(const workload::TraceEntry &e)
+    {
+        using isa::InstrKind;
+        Prediction p;
+        if (e.kind == InstrKind::CondBranch) {
+            p.taken = tage.predict(e.pc);
+            tage.update(e.pc, e.taken);
+        } else {
+            tage.updateHistoryUnconditional(e.pc);
+        }
+        if (e.kind == InstrKind::Call || e.kind == InstrKind::IndirectCall)
+            ras.push(e.pc + e.len);
+        else if (e.kind == InstrKind::Return)
+            p.returnTarget = ras.pop();
+        return p;
+    }
+
     FetchConfig cfg;
     BoundedQueue<FetchedSlot> fetchBuffer; //!< ring: drained every cycle
     obs::StatRegistry statReg;
+    workload::TraceWalker &walker;
+    mem::L1iCache &l1i;
+    frontend::Tage &tage;
+    frontend::ReturnAddressStack ras;
     frontend::MicroBtb *mbtb = nullptr; //!< MicroBTB preset only
+
+  private:
+    obs::Counter cFetched, cIcacheStallCycles;
+    obs::Histogram hBufferOcc;
+
+    Addr currentBlock = kInvalidAddr; //!< last block fetch accessed
+    bool blockedOnFill = false;
+    Cycle fillReady = 0;
 };
 
 /**
@@ -121,16 +240,13 @@ class CoupledFetchEngineT final : public FetchEngine
                         frontend::Btb &btb_, frontend::Tage &tage_,
                         const workload::ProgramImage &image_,
                         Pf &prefetcher)
-        : FetchEngine(config), walker(walker_), l1i(l1i_), btb(btb_),
-          tage(tage_), image(image_), pf(prefetcher), look(kLookahead)
+        : FetchEngine(config, walker_, l1i_, tage_), btb(btb_),
+          image(image_), pf(prefetcher)
     {
-        cFetched = statReg.counter("fe_fetched");
-        cIcacheStallCycles = statReg.counter("fe_icache_stall_cycles");
         cBtbStallCycles = statReg.counter("fe_btb_stall_cycles");
         cMispredictStallCycles =
             statReg.counter("fe_mispredict_stall_cycles");
         cWrongPathBlocks = statReg.counter("fe_wrong_path_blocks");
-        hBufferOcc = statReg.histogram("fetch_buffer_occ");
         cBtbRedirects = statReg.lazyCounter("fe_btb_redirects");
         cMispredictRedirects = statReg.lazyCounter("fe_mispredict_redirects");
         cBtbBufferFills = statReg.lazyCounter("fe_btb_buffer_fills");
@@ -140,23 +256,14 @@ class CoupledFetchEngineT final : public FetchEngine
         cStaleTarget = statReg.lazyCounter("fe_stale_target");
         cIndirectMispredicts = statReg.lazyCounter("fe_indirect_mispredicts");
         cRasMispredicts = statReg.lazyCounter("fe_ras_mispredicts");
-        refill();
     }
 
+    /** Produce instructions for cycle @p now. */
     void
-    cycle(Cycle now) override
+    cycle(Cycle now)
     {
-        refill();
-        hBufferOcc.sample(fetchBuffer.size());
-
-        if (blockedOnFill) {
-            if (now < fillReady) {
-                cIcacheStallCycles.add();
-                return;
-            }
-            blockedOnFill = false;
-        }
-
+        if (waitForFill(now))
+            return;
         if (now < redirectUntil) {
             (redirectReason == StallReason::BtbMissRedirect
                  ? cBtbStallCycles
@@ -166,51 +273,30 @@ class CoupledFetchEngineT final : public FetchEngine
             return;
         }
 
-        unsigned budget = cfg.fetchWidth;
-        while (budget > 0 && fetchBuffer.size() < cfg.fetchBufferEntries) {
-            // Copy: pop() below invalidates references into the queue,
-            // and e is still needed for the branch handling afterwards.
-            const workload::TraceEntry e = look.front();
-
-            // Block transition: access the I-cache (VL instructions may
-            // straddle two blocks; both must be present).
-            Addr first = blockAlign(e.pc);
-            Addr last = blockAlign(e.pc + e.len - 1);
-            for (Addr block = first; block <= last; block += kBlockBytes) {
-                if (block == currentBlock)
-                    continue;
-                if (cfg.perfectL1i) {
-                    currentBlock = block;
-                    continue;
+        fetchInstrs(
+            now,
+            [this](unsigned) {
+                // Read the walker lazily: an entry stays pending while
+                // fetch waits on its block.
+                if (!haveNextEntry) {
+                    nextEntry = walker.next();
+                    haveNextEntry = true;
                 }
-                auto res = l1i.demandAccess(block, now);
-                currentBlock = block;
-                if (!res.hit) {
-                    blockedOnFill = true;
-                    fillReady = res.ready;
-                    cIcacheStallCycles.add();
-                    return;
-                }
-            }
-
-            fetchBuffer.push({e, now + cfg.frontendStages});
-            pf.onFetchInstr({e.pc, e.len, e.kind, e.taken, e.target}, now);
-            look.pop();
-            --budget;
-            cFetched.add();
-
-            if (e.isBranch()) {
-                bool stop = handleBranch(e, now);
-                if (stop)
-                    break;
-            }
-        }
+                return &nextEntry;
+            },
+            [this, now](const workload::TraceEntry &e) {
+                pf.onFetchInstr({e.pc, e.len, e.kind, e.taken, e.target},
+                                now);
+                haveNextEntry = false;
+                return e.isBranch() && handleBranch(e, now);
+            });
     }
 
+    /** Why nothing (more) was delivered as of @p now. */
     StallReason
-    stallReason(Cycle now) const override
+    stallReason(Cycle now) const
     {
-        if (blockedOnFill && now < fillReady)
+        if (icacheStalled(now))
             return StallReason::ICacheMiss;
         if (now < redirectUntil)
             return redirectReason;
@@ -225,24 +311,7 @@ class CoupledFetchEngineT final : public FetchEngine
     {
         using isa::InstrKind;
 
-        // Direction prediction for conditionals.
-        bool predicted_taken = true;
-        if (e.kind == InstrKind::CondBranch) {
-            // Note: perfectBtb only removes BTB misses; direction
-            // prediction still comes from TAGE (Fig. 17's BTB-infinity
-            // is a 32 K-entry BTB, not an oracle).
-            predicted_taken = tage.predict(e.pc);
-            tage.update(e.pc, e.taken);
-        } else {
-            tage.updateHistoryUnconditional(e.pc);
-        }
-
-        // RAS maintenance.
-        Addr ras_target = kInvalidAddr;
-        if (e.kind == InstrKind::Call || e.kind == InstrKind::IndirectCall)
-            ras.push(e.pc + e.len);
-        else if (e.kind == InstrKind::Return)
-            ras_target = ras.pop();
+        const Prediction pred = predictBranch(e);
 
         // BTB: identifies the branch and provides the target.
         const frontend::BtbEntry *entry = nullptr;
@@ -325,9 +394,9 @@ class CoupledFetchEngineT final : public FetchEngine
         // Known branch: check the predicted direction and target.
         switch (e.kind) {
           case InstrKind::CondBranch:
-            if (predicted_taken != e.taken) {
+            if (pred.taken != e.taken) {
                 cCondMispredicts.add();
-                Addr wrong = predicted_taken ? entry->target : e.pc + e.len;
+                Addr wrong = pred.taken ? entry->target : e.pc + e.len;
                 redirect(now, cfg.execRedirectPenalty, wrong,
                          StallReason::MispredictRedirect);
                 updateBtb(e.pc, e.target, e.kind);
@@ -361,11 +430,12 @@ class CoupledFetchEngineT final : public FetchEngine
             }
             return true;
           case InstrKind::Return:
-            if (ras_target != e.target) {
+            if (pred.returnTarget != e.target) {
                 cRasMispredicts.add();
                 redirect(now, cfg.execRedirectPenalty,
-                         ras_target == kInvalidAddr ? e.pc + e.len
-                                                    : ras_target,
+                         pred.returnTarget == kInvalidAddr
+                             ? e.pc + e.len
+                             : pred.returnTarget,
                          StallReason::MispredictRedirect);
                 return true;
             }
@@ -422,38 +492,20 @@ class CoupledFetchEngineT final : public FetchEngine
         wrongPathPc += cfg.fetchWidth * kInstrBytes;
     }
 
-    void
-    refill()
-    {
-        while (!look.full())
-            look.push(walker.next());
-    }
-
-    workload::TraceWalker &walker;
-    mem::L1iCache &l1i;
     frontend::Btb &btb;
-    frontend::Tage &tage;
     const workload::ProgramImage &image;
     Pf &pf;
-    frontend::ReturnAddressStack ras;
 
     // Typed handles for the per-cycle hot path.
-    obs::Counter cFetched, cIcacheStallCycles, cBtbStallCycles,
-        cMispredictStallCycles, cWrongPathBlocks;
-    obs::Histogram hBufferOcc;
+    obs::Counter cBtbStallCycles, cMispredictStallCycles, cWrongPathBlocks;
     // Lazily-bound handles for per-branch event sites (these must only
     // appear in results once they fire; see obs::LazyCounter).
     obs::LazyCounter cBtbRedirects, cMispredictRedirects, cBtbBufferFills,
         cBtbMissTaken, cBtbMissNotTaken, cCondMispredicts, cStaleTarget,
         cIndirectMispredicts, cRasMispredicts;
 
-    static constexpr std::size_t kLookahead = 64;
-    /** Trace lookahead window (ring; refilled to capacity each cycle). */
-    BoundedQueue<workload::TraceEntry> look;
-    Addr currentBlock = kInvalidAddr;      //!< last block fetch accessed
-
-    bool blockedOnFill = false;
-    Cycle fillReady = 0;
+    workload::TraceEntry nextEntry; //!< read from the walker, not fetched
+    bool haveNextEntry = false;
 
     Cycle redirectUntil = 0;
     StallReason redirectReason = StallReason::None;

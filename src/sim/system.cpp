@@ -152,7 +152,7 @@ System::System(const SystemConfig &config)
         addStats("rt", injector.stats());
 
     // The one preset table: each case builds the preset's prefetcher
-    // and names its fetch engine; wire() builds that engine around the
+    // and names its fetch engine; wire() builds that engine, runs the
     // functional warmup and binds stepFn to stepImpl over exactly these
     // two types (DESIGN.md §11).
     switch (cfg.preset) {
@@ -222,9 +222,6 @@ System::wire(std::unique_ptr<Pf> pf)
     Pf &typed = *pf;
     prefetcher = std::move(pf);
     if constexpr (std::is_same_v<Fe, DecoupledFetchEngine>) {
-        // Decoupled engines exist before the warmup so primeBranch() can
-        // fill Shotgun's split BTB; they read no trace until their first
-        // cycle.
         auto engine = std::make_unique<DecoupledFetchEngine>(
             cfg.fetch,
             cfg.preset == Preset::Shotgun
@@ -239,15 +236,14 @@ System::wire(std::unique_ptr<Pf> pf)
         l1i->setListener(fdip ? static_cast<mem::L1iListener *>(fdip)
                               : decoupled);
         fetch = std::move(engine);
-        functionalWarmup();
     } else {
-        // Coupled engines fill their lookahead from the walker when
-        // constructed, so they follow the warmup.
-        functionalWarmup();
         l1i->setListener(prefetcher.get());
         fetch = std::make_unique<Fe>(cfg.fetch, *walker, *l1i, *btb, *tage,
                                      program->image, typed);
     }
+    // No engine reads the walker before its first cycle, so the warmup
+    // follows every engine (primeBranch() fills Shotgun's split BTB).
+    functionalWarmup();
     stepFn = obs::Profiler::enabled() ? &System::stepImpl<Pf, Fe, true>
                                       : &System::stepImpl<Pf, Fe, false>;
 }

@@ -163,9 +163,9 @@ class System
      *  Walked and restored cells both prime through here. */
     void primeBranch(const WarmBranch &b);
 
-    /** Install @p pf as the prefetcher, build fetch engine @p Fe around
-     *  the functional warmup (a decoupled engine before it, a coupled
-     *  one after it) and bind stepFn to stepImpl over exactly @p Pf and
+    /** Install @p pf as the prefetcher, build fetch engine @p Fe, run
+     *  the functional warmup (no engine reads the walker before its
+     *  first cycle) and bind stepFn to stepImpl over exactly @p Pf and
      *  @p Fe, timed or plain according to obs::Profiler::enabled(). */
     template <typename Fe, typename Pf> void wire(std::unique_ptr<Pf> pf);
 

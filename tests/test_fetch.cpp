@@ -174,6 +174,16 @@ TEST_P(AllPresets, RunsAndAccountsCycles)
     EXPECT_GE(stalls, res.cycles * 9 / 10);
 }
 
+/** Building a System reads the walker for the warm stream only: no
+ *  fetch engine reads ahead before its first cycle, so the functional
+ *  warmup can follow every engine's construction. */
+TEST_P(AllPresets, ConstructionReadsOnlyTheWarmStream)
+{
+    const SystemConfig cfg = smallConfig(GetParam());
+    System sys(cfg);
+    EXPECT_EQ(sys.walker->retired(), cfg.functionalWarmInstrs);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Presets, AllPresets,
     ::testing::ValuesIn(test::allPresets()),
